@@ -6,6 +6,10 @@ spectral subtraction over a minimum-statistics noise floor, then makes
 speech/non-speech decisions inside pitch-anchored segments.  A spectral
 flatness voicing detector provides a fast mode; frame-level scoring utilities
 round out the toolkit.
+
+This package exports the pipeline, its file I/O and its scoring; the stage
+kernels live in their modules (`rvad.dsp`, `rvad.features`, `rvad.denoise`,
+`rvad.voicing`, `rvad.segments`, `rvad.vad`).
 """
 
 from .audio_io import (
@@ -13,39 +17,23 @@ from .audio_io import (
     AudioFormatError,
     FrameLabels,
     LabelFormatError,
-    mix_noise,
     read_labels,
     read_wav,
     write_labels,
     write_wav,
 )
-from .dsp import FrameGrid, Spectrogram, frame_energy, highpass, make_grid, spectral_flatness, stft
-from .features import (
-    FrameFeatures,
-    NoiseEnergyTrack,
-    central_smooth,
-    compute_features,
-    posterior_snr_db,
-    track_noise_energy,
-    weighted_energy_difference,
-)
-from .denoise import (
-    MinimumStatisticsNoiseEstimator,
-    detect_high_energy,
-    first_pass_denoise,
-    lowfreq_suppress,
-    msne_noise_track,
-    reconstruct,
-    spectral_subtract,
-)
 from .metrics import AggregateResult, EvalCounts, EvalResult, aggregate, count_errors, score
-from .segments import extend_segments, mask_to_segments, merge_touching, segments_to_mask
-from .vad import BatchItem, RvadConfig, VadResult, post_process, run_batch, run_denoise, run_rvad, segment_vad
-from .voicing import count_voiced_in, detect_pitch_autocorr, detect_sft, sft_voicing
+from .vad import BatchItem, RvadConfig, VadResult, run_batch, run_denoise, run_rvad
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "run_rvad",
+    "run_denoise",
+    "run_batch",
+    "RvadConfig",
+    "VadResult",
+    "BatchItem",
     "AudioBuffer",
     "AudioFormatError",
     "FrameLabels",
@@ -54,48 +42,10 @@ __all__ = [
     "write_wav",
     "read_labels",
     "write_labels",
-    "mix_noise",
-    "FrameGrid",
-    "Spectrogram",
-    "highpass",
-    "make_grid",
-    "frame_energy",
-    "stft",
-    "spectral_flatness",
-    "FrameFeatures",
-    "NoiseEnergyTrack",
-    "track_noise_energy",
-    "posterior_snr_db",
-    "weighted_energy_difference",
-    "central_smooth",
-    "compute_features",
-    "detect_sft",
-    "sft_voicing",
-    "detect_pitch_autocorr",
-    "count_voiced_in",
-    "mask_to_segments",
-    "segments_to_mask",
-    "merge_touching",
-    "extend_segments",
-    "detect_high_energy",
-    "first_pass_denoise",
-    "MinimumStatisticsNoiseEstimator",
-    "msne_noise_track",
-    "spectral_subtract",
-    "lowfreq_suppress",
-    "reconstruct",
-    "EvalCounts",
-    "EvalResult",
-    "AggregateResult",
     "count_errors",
     "score",
     "aggregate",
-    "RvadConfig",
-    "VadResult",
-    "BatchItem",
-    "segment_vad",
-    "post_process",
-    "run_rvad",
-    "run_denoise",
-    "run_batch",
+    "EvalCounts",
+    "EvalResult",
+    "AggregateResult",
 ]

@@ -110,12 +110,12 @@ def read_wav(path) -> AudioBuffer:
         raise AudioFormatError(f"{path}: bad fmt chunk")
 
     if tag == _TAG_PCM and bits == 16:
-        flat = np.frombuffer(data, dtype="<i2").astype(np.float64)
+        flat = _whole_samples(data, "<i2", path).astype(np.float64)
         flat /= INT16_FULL_SCALE
     elif tag == _TAG_PCM and bits == 8:
         flat = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
     elif tag == _TAG_IEEE_FLOAT and bits == 32:
-        flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        flat = _whole_samples(data, "<f4", path).astype(np.float64)
     else:
         raise AudioFormatError(f"{path}: unsupported encoding (tag={tag}, bits={bits})")
 
@@ -124,6 +124,14 @@ def read_wav(path) -> AudioBuffer:
     usable = (len(flat) // channels) * channels
     samples = flat[:usable].reshape(-1, channels).mean(axis=1)
     return AudioBuffer(samples, rate)
+
+
+def _whole_samples(data: bytes, dtype: str, path) -> np.ndarray:
+    """The data chunk as samples of `dtype`; a trailing partial sample is an error."""
+    width = np.dtype(dtype).itemsize
+    if len(data) % width:
+        raise AudioFormatError(f"{path}: data chunk of {len(data)} bytes ends in a partial {8 * width}-bit sample")
+    return np.frombuffer(data, dtype=dtype)
 
 
 def write_wav(path, audio: AudioBuffer) -> None:

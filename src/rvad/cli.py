@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import FrameLabels, read_labels, read_wav, write_labels, write_wav
-from .metrics import aggregate, count_errors, rates_from_counts
+from .metrics import EvalResult, aggregate, count_errors, rates_from_counts
 from .vad import ENHANCERS, MODES, THRESHOLD_BASES, RvadConfig, run_batch, run_denoise, run_rvad
 
 _CHOICES = {
@@ -201,6 +201,17 @@ def _emit_report(rows: list[dict], fmt: str, stream) -> None:
         )
 
 
+def _report_row(file_id: str, rates: EvalResult) -> dict:
+    return {
+        "file": file_id,
+        "n_frames": rates.n_frames,
+        "p_miss": rates.p_miss,
+        "p_fa": rates.p_fa,
+        "fer": rates.fer,
+        "dcf": rates.dcf,
+    }
+
+
 def _cmd_eval(args, parser) -> int:
     pairs = _pair_labels(args.ref, args.hyp, parser)
     rows = []
@@ -217,29 +228,10 @@ def _cmd_eval(args, parser) -> int:
             failures += 1
             continue
         pooled.append((counts, file_id))
-        rows.append(
-            {
-                "file": file_id,
-                "n_frames": rates.n_frames,
-                "p_miss": rates.p_miss,
-                "p_fa": rates.p_fa,
-                "fer": rates.fer,
-                "dcf": rates.dcf,
-            }
-        )
+        rows.append(_report_row(file_id, rates))
     if pooled:
         overall = aggregate(pooled, args.gamma)
-        rates = overall.pooled
-        rows.append(
-            {
-                "file": "OVERALL",
-                "n_frames": rates.n_frames,
-                "p_miss": rates.p_miss,
-                "p_fa": rates.p_fa,
-                "fer": rates.fer,
-                "dcf": rates.dcf,
-            }
-        )
+        rows.append(_report_row("OVERALL", overall.pooled))
         print(
             f"rvad: scored {len(pooled)} file(s), macro-average FER {overall.macro_fer:.2f}%",
             file=sys.stderr,

@@ -4,9 +4,11 @@ driven by minimum-statistics noise tracking."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import minimum_filter1d
+from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
-from .dsp import FrameGrid, Spectrogram
+from .dsp import FrameGrid, Spectrogram, hamming
 from .features import FrameFeatures
 from .segments import Segment, mask_to_segments
 from .voicing import count_voiced_in
@@ -14,7 +16,6 @@ from .voicing import count_voiced_in
 __all__ = [
     "detect_high_energy",
     "first_pass_denoise",
-    "MinimumStatisticsNoiseEstimator",
     "msne_noise_track",
     "spectral_subtract",
     "lowfreq_suppress",
@@ -54,15 +55,6 @@ def detect_high_energy(
     return mask_to_segments(hot)
 
 
-def classify_noise_segments(
-    segments: list[Segment],
-    voiced_mask: np.ndarray,
-    min_pitch_frames: int = 2,
-) -> list[Segment]:
-    """High-energy segments with too few voiced frames, i.e. the ones to zero."""
-    return [seg for seg in segments if count_voiced_in(voiced_mask, seg) <= min_pitch_frames]
-
-
 def zero_segments(audio: AudioBuffer, grid: FrameGrid, segments: list[Segment]) -> AudioBuffer:
     """Copy of the audio with every sample covered by `segments` set to zero."""
     out = audio.samples.copy()
@@ -81,58 +73,12 @@ def first_pass_denoise(
 ) -> tuple[AudioBuffer, list[Segment]]:
     """Zero out high-energy segments that contain too few voiced frames.
 
-    Returns a modified copy of the audio together with the list of segments
-    actually zeroed; samples outside those segments are untouched.
+    Returns the audio with those segments zeroed together with the list of
+    segments actually zeroed; samples outside them are untouched.  When
+    nothing qualifies the input buffer itself comes back, not a copy.
     """
-    zeroed = classify_noise_segments(segments, voiced_mask, min_pitch_frames)
-    return zero_segments(audio, grid, zeroed), zeroed
-
-
-class MinimumStatisticsNoiseEstimator:
-    """Per-bin noise power tracked as a bias-compensated minimum of the
-    recursively smoothed periodogram over a sliding window of frames."""
-
-    def __init__(
-        self,
-        num_bins: int,
-        smoothing: float = DEFAULT_SMOOTHING,
-        bias: float = DEFAULT_BIAS,
-        window_frames: int = DEFAULT_WINDOW_FRAMES,
-    ):
-        if not 0.0 < smoothing < 1.0:
-            raise ValueError("smoothing must be in (0, 1)")
-        if bias < 1.0:
-            raise ValueError("bias must be >= 1")
-        if window_frames < 1:
-            raise ValueError("window_frames must be >= 1")
-        self.num_bins = num_bins
-        self.smoothing = smoothing
-        self.bias = bias
-        self.window_frames = window_frames
-        self.noise_power = np.zeros(num_bins)
-        self._p_smooth: np.ndarray | None = None
-        self._history = np.zeros((window_frames, num_bins))
-        self._filled = 0
-        self._pos = 0
-
-    def update(self, periodogram: np.ndarray) -> np.ndarray:
-        """Advance by one frame and return the current noise power estimate."""
-        p = np.asarray(periodogram, dtype=np.float64)
-        if p.shape != (self.num_bins,):
-            raise ValueError("periodogram has the wrong number of bins")
-        if self._p_smooth is None:
-            self._p_smooth = p.copy()
-        else:
-            self._p_smooth = self.smoothing * self._p_smooth + (1.0 - self.smoothing) * p
-        self._history[self._pos] = self._p_smooth
-        self._pos = (self._pos + 1) % self.window_frames
-        self._filled = min(self._filled + 1, self.window_frames)
-        self.noise_power = self.bias * self._history[: self._filled].min(axis=0)
-        return self.noise_power.copy()
-
-    def hold(self) -> np.ndarray:
-        """Skip a frame (e.g. one zeroed by the first pass) without touching state."""
-        return self.noise_power.copy()
+    zeroed = [seg for seg in segments if count_voiced_in(voiced_mask, seg) <= min_pitch_frames]
+    return (zero_segments(audio, grid, zeroed) if zeroed else audio), zeroed
 
 
 def msne_noise_track(
@@ -142,16 +88,39 @@ def msne_noise_track(
     bias: float = DEFAULT_BIAS,
     window_frames: int = DEFAULT_WINDOW_FRAMES,
 ) -> np.ndarray:
-    """Noise power per (frame, bin); `frozen` marks frames that must not update the tracker."""
-    estimator = MinimumStatisticsNoiseEstimator(spec.num_bins, smoothing, bias, window_frames)
+    """Noise power per (frame, bin) by minimum statistics.
+
+    Each bin's periodogram is smoothed recursively, starting from the first
+    frame, and the estimate is `bias` times the minimum of the smoothed
+    values over the last `window_frames` frames.  Frames marked `frozen`
+    do not update the tracker: they repeat the estimate of the last frame
+    that did, or zeros before the first one.
+    """
+    if not 0.0 < smoothing < 1.0:
+        raise ValueError("smoothing must be in (0, 1)")
+    if bias < 1.0:
+        raise ValueError("bias must be >= 1")
+    if window_frames < 1:
+        raise ValueError("window_frames must be >= 1")
     power = np.abs(spec.frames) ** 2
-    out = np.empty_like(power)
-    for m in range(power.shape[0]):
-        if frozen is not None and frozen[m]:
-            out[m] = estimator.hold()
-        else:
-            out[m] = estimator.update(power[m])
-    return out
+    if frozen is None:
+        return _min_stats(power, smoothing, bias, window_frames)
+    live = ~np.asarray(frozen, dtype=bool)
+    # row 0 is the estimate before any update; frame m repeats the row of
+    # the last live frame at or before it
+    track = np.concatenate([np.zeros((1, power.shape[1])), _min_stats(power[live], smoothing, bias, window_frames)])
+    return track[np.cumsum(live)]
+
+
+def _min_stats(power: np.ndarray, smoothing: float, bias: float, window_frames: int) -> np.ndarray:
+    """Bias times the trailing-window minimum of the recursively smoothed rows
+    of `power`, which is overwritten by the smoothed rows."""
+    if len(power) > 1:
+        power[1:], _ = lfilter([1.0 - smoothing], [1.0, -smoothing], power[1:], axis=0, zi=smoothing * power[:1])
+    # sliding-window minimum (Lemire 2006); the largest origin ends each window on its own frame
+    track = minimum_filter1d(power, window_frames, axis=0, mode="nearest", origin=(window_frames - 1) // 2)
+    track *= bias
+    return track
 
 
 def spectral_subtract(
@@ -205,7 +174,7 @@ def reconstruct(spec: Spectrogram, grid: FrameGrid) -> AudioBuffer:
     """
     if spec.frames.shape[0] != grid.num_frames:
         raise ValueError("spectrogram frame count does not match the grid")
-    window = np.hamming(grid.frame_len)
+    window = hamming(grid.frame_len)
     window_sq = window * window
     signal = np.zeros(grid.total_samples)
     envelope = np.zeros(grid.total_samples)

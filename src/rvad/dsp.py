@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
@@ -19,6 +20,7 @@ __all__ = [
     "frame_matrix",
     "frame_energy",
     "next_pow2",
+    "hamming",
     "stft",
     "spectral_flatness",
 ]
@@ -90,8 +92,10 @@ def frame_matrix(samples: np.ndarray, grid: FrameGrid) -> np.ndarray:
     """(num_frames, frame_len) view onto the signal; rows share its memory."""
     if grid.num_frames == 0:
         return np.empty((0, grid.frame_len))
-    windows = sliding_window_view(samples, grid.frame_len)
-    return windows[:: grid.frame_shift][: grid.num_frames]
+    if (grid.num_frames - 1) * grid.frame_shift + grid.frame_len > len(samples):
+        raise ValueError("frame grid runs past the end of the signal")
+    step = samples.strides[0]
+    return as_strided(samples, (grid.num_frames, grid.frame_len), (grid.frame_shift * step, step), writeable=False)
 
 
 def frame_energy(audio: AudioBuffer, grid: FrameGrid) -> np.ndarray:
@@ -105,12 +109,20 @@ def next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
 
 
+@lru_cache(maxsize=8)
+def hamming(frame_len: int) -> np.ndarray:
+    """The analysis and synthesis window, computed once per length and read-only."""
+    window = np.hamming(frame_len)
+    window.flags.writeable = False
+    return window
+
+
 def stft(audio: AudioBuffer, grid: FrameGrid) -> Spectrogram:
     """Hamming-windowed one-sided STFT, frames zero-padded to the next power of two."""
     nfft = next_pow2(grid.frame_len)
     frames = frame_matrix(audio.samples, grid)
     padded = np.zeros((grid.num_frames, nfft))
-    np.multiply(frames, np.hamming(grid.frame_len), out=padded[:, : grid.frame_len])
+    np.multiply(frames, hamming(grid.frame_len), out=padded[:, : grid.frame_len])
     return Spectrogram(np.fft.rfft(padded, axis=1), nfft, audio.sample_rate_hz)
 
 

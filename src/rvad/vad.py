@@ -10,7 +10,7 @@ import numpy as np
 
 from . import denoise as dn
 from .audio_io import AudioBuffer, read_wav
-from .dsp import frame_energy, highpass, make_grid, stft
+from .dsp import FrameGrid, frame_energy, highpass, make_grid, stft
 from .features import (
     central_smooth,
     compute_features,
@@ -75,6 +75,14 @@ class RvadConfig:
             raise ValueError("beta must be positive")
         if not 0.0 < self.theta_sft < 1.0:
             raise ValueError("theta_sft must be in (0, 1)")
+        if not self.frame_len_ms >= self.frame_shift_ms > 0.0:
+            raise ValueError("need frame_len_ms >= frame_shift_ms > 0")
+        if not 0.0 < self.msne_smoothing < 1.0:
+            raise ValueError("msne_smoothing must be in (0, 1)")
+        if self.msne_bias < 1.0:
+            raise ValueError("msne_bias must be >= 1")
+        if self.msne_window_frames < 1:
+            raise ValueError("msne_window_frames must be >= 1")
         for name in (
             "super_len",
             "smooth_n",
@@ -84,7 +92,6 @@ class RvadConfig:
             "pp_far_right",
             "pp_near_left",
             "pp_near_right",
-            "msne_window_frames",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -192,25 +199,35 @@ def _second_pass(audio, grid, zeroed_segments, cfg):
     return dn.reconstruct(cleaned, grid), noise
 
 
-def _front(audio, cfg, voicing):
+@dataclass
+class _FrontEnd:
+    """What the front end hands to the VAD stage and to run_denoise."""
+
+    grid: FrameGrid
+    mask: Optional[np.ndarray]
+    enhanced: AudioBuffer
+    noise: Optional[np.ndarray]
+    e2: Optional[np.ndarray]
+
+
+def _front(audio, cfg, voicing) -> _FrontEnd:
     """High-pass, first-pass features and zeroing, second-pass enhancement."""
     if audio.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
         raise ValueError(f"sample rate must be >= {MIN_SAMPLE_RATE_HZ} Hz")
     filtered = highpass(audio, cfg.hpf_cutoff_hz)
     grid = make_grid(filtered, cfg.frame_len_ms, cfg.frame_shift_ms)
     if grid.num_frames == 0:
-        return filtered, grid, None, None, filtered, None, None
+        return _FrontEnd(grid, None, filtered, None, None)
     e1 = frame_energy(filtered, grid)
     feats = compute_features(e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
     he_segs = dn.detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
     mask = _voicing_mask(filtered, grid, cfg, voicing)
-    zeroed = dn.classify_noise_segments(he_segs, mask, cfg.min_pitch_frames)
-    cleaned = dn.zero_segments(filtered, grid, zeroed) if zeroed else filtered
+    cleaned, zeroed = dn.first_pass_denoise(filtered, grid, he_segs, mask, cfg.min_pitch_frames)
     enhanced, noise = _second_pass(cleaned, grid, zeroed, cfg)
     # energies of whatever signal leaves the enabled passes; reuse the
     # first-pass ones when neither pass touched a sample
     e2 = e1 if (enhanced is filtered) else frame_energy(enhanced, grid)
-    return filtered, grid, feats, mask, enhanced, noise, e2
+    return _FrontEnd(grid, mask, enhanced, noise, e2)
 
 
 def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> VadResult:
@@ -221,9 +238,10 @@ def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndar
     single frame yields an empty result.
     """
     cfg = cfg or RvadConfig()
-    _, grid, _, mask, enhanced, _, e2 = _front(audio, cfg, voicing)
+    front = _front(audio, cfg, voicing)
+    grid, mask, e2 = front.grid, front.mask, front.e2
     if grid.num_frames == 0:
-        return VadResult(np.zeros(0, dtype=bool), [], enhanced, cfg.frame_shift_ms, cfg.frame_len_ms)
+        return VadResult(np.zeros(0, dtype=bool), [], front.enhanced, cfg.frame_shift_ms, cfg.frame_len_ms)
 
     pitch_segments = mask_to_segments(mask)
     extended = extend_segments(pitch_segments, cfg.ext_frames, grid.num_frames)
@@ -231,7 +249,7 @@ def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndar
     for s, t in extended:
         labels[s : t + 1] = segment_vad(e2[s : t + 1], mask[s : t + 1], cfg.beta, cfg.smooth_n)
     labels = post_process(labels, pitch_segments, e2, cfg)
-    return VadResult(labels, mask_to_segments(labels), enhanced, cfg.frame_shift_ms, cfg.frame_len_ms)
+    return VadResult(labels, mask_to_segments(labels), front.enhanced, cfg.frame_shift_ms, cfg.frame_len_ms)
 
 
 def run_denoise(
@@ -240,8 +258,8 @@ def run_denoise(
     """Both denoising passes only; returns the enhanced audio and the noise
     power track per (frame, bin), None when enhancement is off."""
     cfg = cfg or RvadConfig()
-    _, _, _, _, enhanced, noise, _ = _front(audio, cfg, voicing)
-    return enhanced, noise
+    front = _front(audio, cfg, voicing)
+    return front.enhanced, front.noise
 
 
 @dataclass

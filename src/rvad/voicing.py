@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import FrameGrid, Spectrogram, frame_matrix, next_pow2, spectral_flatness
+from .dsp import FrameGrid, frame_matrix, spectral_flatness, stft
 
-__all__ = ["detect_sft", "sft_voicing", "detect_pitch_autocorr", "count_voiced_in"]
+__all__ = ["sft_voicing", "detect_pitch_autocorr", "count_voiced_in"]
 
 # Frames quieter than this fraction of the loudest frame are never voiced.
 ENERGY_GATE_RATIO = 1e-6
@@ -17,45 +17,24 @@ ENERGY_GATE_RATIO = 1e-6
 _SFT_CHUNK_FRAMES = 48
 
 
-def detect_sft(spec: Spectrogram, theta_sft: float = 0.5) -> np.ndarray:
+def sft_voicing(audio: AudioBuffer, grid: FrameGrid, theta_sft: float = 0.5) -> np.ndarray:
     """Mark frames whose spectral flatness is at or below the threshold as voiced.
 
     Tonal/harmonic frames have low flatness; noise-like frames sit near 1.0
     and fall through.  Under heavy white noise this detector saturates
     unvoiced, which is the documented failure mode of the fast pipeline.
+    The STFT is taken a few frames at a time, so long files never hold the
+    full complex spectrum; decisions do not depend on the chunking.
     """
     if not 0.0 < theta_sft < 1.0:
         raise ValueError("theta_sft must be in (0, 1)")
-    return spectral_flatness(spec) <= theta_sft
-
-
-def sft_voicing(
-    audio: AudioBuffer,
-    grid: FrameGrid,
-    theta_sft: float = 0.5,
-    chunk_frames: int = _SFT_CHUNK_FRAMES,
-) -> np.ndarray:
-    """Chunked equivalent of detect_sft(stft(audio, grid), theta_sft).
-
-    Evaluates the spectrogram a few frames at a time, so arbitrarily long
-    files never materialize the full complex spectrum.  Decisions are
-    identical to the composed operations.
-    """
-    if not 0.0 < theta_sft < 1.0:
-        raise ValueError("theta_sft must be in (0, 1)")
-    if chunk_frames < 1:
-        raise ValueError("chunk_frames must be >= 1")
-    nfft = next_pow2(grid.frame_len)
-    frames = frame_matrix(audio.samples, grid)
-    window = np.hamming(grid.frame_len)
     voiced = np.zeros(grid.num_frames, dtype=bool)
-    padded = np.zeros((min(chunk_frames, max(grid.num_frames, 1)), nfft))
-    for i in range(0, grid.num_frames, chunk_frames):
-        rows = frames[i : i + chunk_frames]
-        buf = padded[: rows.shape[0]]
-        np.multiply(rows, window, out=buf[:, : grid.frame_len])
-        chunk = Spectrogram(np.fft.rfft(buf, axis=1), nfft, audio.sample_rate_hz)
-        voiced[i : i + rows.shape[0]] = spectral_flatness(chunk) <= theta_sft
+    for i in range(0, grid.num_frames, _SFT_CHUNK_FRAMES):
+        j = min(i + _SFT_CHUNK_FRAMES, grid.num_frames)
+        lo, hi = grid.sample_span(i, j - 1)
+        chunk = AudioBuffer(audio.samples[lo:hi], audio.sample_rate_hz)
+        chunk_grid = FrameGrid(grid.frame_len, grid.frame_shift, j - i, hi - lo)
+        voiced[i:j] = spectral_flatness(stft(chunk, chunk_grid)) <= theta_sft
     return voiced
 
 

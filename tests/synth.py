@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from rvad import AudioBuffer, mix_noise
+from rvad import AudioBuffer
+from rvad.audio_io import mix_noise
 
 FS = 8000
 

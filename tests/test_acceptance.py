@@ -11,30 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from rvad import (
-    AudioBuffer,
-    RvadConfig,
-    compute_features,
-    count_errors,
-    detect_high_energy,
-    detect_pitch_autocorr,
-    extend_segments,
-    first_pass_denoise,
-    frame_energy,
-    highpass,
-    make_grid,
-    mask_to_segments,
-    reconstruct,
-    run_batch,
-    run_rvad,
-    score,
-    segment_vad,
-    spectral_flatness,
-    stft,
-    track_noise_energy,
-    write_wav,
-)
+from rvad import AudioBuffer, RvadConfig, count_errors, run_batch, run_rvad, score, write_wav
+from rvad.denoise import detect_high_energy, first_pass_denoise, reconstruct
+from rvad.dsp import frame_energy, highpass, make_grid, spectral_flatness, stft
+from rvad.features import compute_features, track_noise_energy
 from rvad.metrics import aggregate, rates_from_counts
+from rvad.segments import extend_segments, mask_to_segments
+from rvad.vad import segment_vad
+from rvad.voicing import detect_pitch_autocorr
 
 from synth import FS, noisy_copy, pulse_train, random_bursts, reference_labels, utterance, white_noise
 

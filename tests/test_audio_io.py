@@ -11,12 +11,12 @@ from rvad import (
     AudioFormatError,
     FrameLabels,
     LabelFormatError,
-    mix_noise,
     read_labels,
     read_wav,
     write_labels,
     write_wav,
 )
+from rvad.audio_io import mix_noise
 
 FS = 8000
 
@@ -74,6 +74,13 @@ class TestReadWav:
         p = tmp_path / "alaw.wav"
         _write_raw_wav(p, 6, 8, 1, FS, bytes(16))
         with pytest.raises(AudioFormatError):
+            read_wav(p)
+
+    @pytest.mark.parametrize("tag, bits, size", [(1, 16, 7), (3, 32, 6)], ids=["pcm16-7-bytes", "float32-6-bytes"])
+    def test_partial_sample_rejected(self, tmp_path, tag, bits, size):
+        p = tmp_path / "partial.wav"
+        _write_raw_wav(p, tag, bits, 1, FS, bytes(size))
+        with pytest.raises(AudioFormatError, match="partial"):
             read_wav(p)
 
     def test_garbage_rejected(self, tmp_path):

@@ -113,6 +113,20 @@ class TestVadCommand:
             _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", "--mode", "turbo"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--msne-window-frames", "0"),
+            ("--msne-smoothing", "1.0"),
+            ("--msne-bias", "0.5"),
+            ("--frame-len-ms", "5"),
+        ],
+    )
+    def test_out_of_range_config_is_usage_error(self, tmp_path, tone_wav, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", flag, value])
+        assert exc.value.code == 2
+
     def test_corrupt_file_gives_exit_one(self, tmp_path, tone_wav):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"nope")

@@ -2,26 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rvad import (
-    AudioBuffer,
-    MinimumStatisticsNoiseEstimator,
-    Spectrogram,
-    compute_features,
+from rvad import AudioBuffer
+from rvad.denoise import (
     detect_high_energy,
-    detect_pitch_autocorr,
     first_pass_denoise,
-    frame_energy,
-    highpass,
     lowfreq_suppress,
-    make_grid,
     msne_noise_track,
     reconstruct,
     spectral_subtract,
-    stft,
 )
-from rvad.features import FrameFeatures
+from rvad.dsp import Spectrogram, frame_energy, highpass, make_grid, stft
+from rvad.features import FrameFeatures, compute_features
+from rvad.voicing import detect_pitch_autocorr
 
+from oracles import msne_noise_track_loop
 from synth import FS, pulse_train, white_noise
 
 
@@ -87,7 +84,7 @@ class TestFirstPassDenoise:
         mask[2:5] = True  # 3 voiced frames > 2
         out, zeroed = first_pass_denoise(buf, grid, [(0, 9)], mask)
         assert zeroed == []
-        np.testing.assert_array_equal(out.samples, buf.samples)
+        assert out is buf
 
     def test_unvoiced_segment_zeroed_exactly(self):
         buf = AudioBuffer(np.ones(1200) * 0.1, FS)
@@ -134,6 +131,13 @@ class TestFirstPassDenoise:
         np.testing.assert_array_equal(out.samples[tone2_span], filtered.samples[tone2_span])
 
 
+def _power_spec(power):
+    """Spectrogram whose squared magnitudes are about `power`, one row per frame."""
+    power = np.asarray(power, dtype=float)
+    bins = power.shape[1]
+    return Spectrogram(np.sqrt(power).astype(complex), 2 * (bins - 1), FS)
+
+
 class TestMsne:
     def test_white_noise_convergence_band(self):
         # Monte-Carlo over 30 seeds; the asserted band was recorded from the
@@ -155,58 +159,45 @@ class TestMsne:
         assert 0.58 <= np.mean(run_means) <= 0.82
 
     def test_all_zero_input(self):
-        est = MinimumStatisticsNoiseEstimator(num_bins=8)
-        for _ in range(10):
-            out = est.update(np.zeros(8))
-        assert np.all(out == 0.0)
+        assert np.all(msne_noise_track(_power_spec(np.zeros((10, 8)))) == 0.0)
 
     def test_single_loud_frame_ignored_by_minimum(self):
-        est = MinimumStatisticsNoiseEstimator(num_bins=4, window_frames=20)
-        base = np.full(4, 1.0)
-        for _ in range(10):
-            est.update(base)
-        quiet_level = est.noise_power.copy()
-        est.update(np.full(4, 1000.0))
-        np.testing.assert_allclose(est.noise_power, quiet_level)
+        power = np.ones((11, 4))
+        power[10] = 1000.0
+        track = msne_noise_track(_power_spec(power), window_frames=20)
+        np.testing.assert_array_equal(track[10], track[9])
 
     def test_bias_scales_estimate_exactly(self):
-        rng = np.random.default_rng(51)
-        frames = rng.random((60, 16))
-        a = MinimumStatisticsNoiseEstimator(16, bias=1.5)
-        b = MinimumStatisticsNoiseEstimator(16, bias=3.0)
-        for f in frames:
-            la = a.update(f)
-            lb = b.update(f)
-        np.testing.assert_allclose(lb, 2.0 * la, rtol=1e-12)
+        spec = _power_spec(np.random.default_rng(51).random((60, 16)))
+        a = msne_noise_track(spec, bias=1.5)
+        b = msne_noise_track(spec, bias=3.0)
+        np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
     def test_estimate_bounded_by_bias_times_smoothed(self):
-        rng = np.random.default_rng(52)
-        est = MinimumStatisticsNoiseEstimator(16, bias=1.5, window_frames=30)
-        smoothed = None
-        for f in rng.random((100, 16)):
-            est.update(f)
-            smoothed = est._p_smooth
-            assert np.all(est.noise_power <= 1.5 * smoothed + 1e-15)
-            assert np.all(est.noise_power >= 0.0)
+        spec = _power_spec(np.random.default_rng(52).random((100, 16)))
+        track = msne_noise_track(spec, bias=1.5, window_frames=30)
+        power = np.abs(spec.frames) ** 2
+        smoothed = power[0]
+        for m in range(len(power)):
+            if m:
+                smoothed = 0.85 * smoothed + 0.15 * power[m]
+            assert np.all(track[m] <= 1.5 * smoothed + 1e-15)
+            assert np.all(track[m] >= 0.0)
 
     def test_hold_freezes_state(self):
-        rng = np.random.default_rng(53)
-        est = MinimumStatisticsNoiseEstimator(8, window_frames=10)
-        for f in rng.random((15, 8)):
-            est.update(f)
-        before_power = est.noise_power.copy()
-        before_smooth = est._p_smooth.copy()
-        held = est.hold()
-        np.testing.assert_array_equal(held, before_power)
-        np.testing.assert_array_equal(est._p_smooth, before_smooth)
-        # a later real update behaves as if the held frame never happened
-        twin = MinimumStatisticsNoiseEstimator(8, window_frames=10)
-        rng = np.random.default_rng(53)
-        frames = rng.random((15, 8))
-        for f in frames:
-            twin.update(f)
-        nxt = np.full(8, 0.5)
-        np.testing.assert_array_equal(est.update(nxt), twin.update(nxt))
+        # frozen frames repeat the last estimate, and later frames come out
+        # as if the frozen ones had never been there
+        spec = _power_spec(np.random.default_rng(53).random((30, 8)))
+        frozen = np.zeros(30, dtype=bool)
+        frozen[15:20] = True
+        track = msne_noise_track(spec, frozen, window_frames=10)
+        for m in range(15, 20):
+            np.testing.assert_array_equal(track[m], track[14])
+        live = Spectrogram(spec.frames[~frozen], spec.nfft, FS)
+        np.testing.assert_array_equal(track[~frozen], msne_noise_track(live, window_frames=10))
+        # frames frozen before the first update hold the initial zero estimate
+        frozen[:3] = True
+        assert np.all(msne_noise_track(spec, frozen, window_frames=10)[:3] == 0.0)
 
     def test_frozen_frames_in_track(self):
         rng = np.random.default_rng(54)
@@ -220,12 +211,33 @@ class TestMsne:
             np.testing.assert_array_equal(track[m], track[9])
 
     def test_parameter_validation(self):
+        spec = _power_spec(np.ones((3, 8)))
         with pytest.raises(ValueError):
-            MinimumStatisticsNoiseEstimator(8, smoothing=1.0)
+            msne_noise_track(spec, smoothing=1.0)
         with pytest.raises(ValueError):
-            MinimumStatisticsNoiseEstimator(8, bias=0.5)
+            msne_noise_track(spec, bias=0.5)
         with pytest.raises(ValueError):
-            MinimumStatisticsNoiseEstimator(8, window_frames=0)
+            msne_noise_track(spec, window_frames=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        frames=st.integers(0, 40),
+        bins=st.integers(1, 6),
+        window=st.integers(1, 60),
+        smoothing=st.floats(0.01, 0.99),
+        bias=st.floats(1.0, 4.0),
+        scale=st.sampled_from([0.0, 1.0, 1e6]),
+        freeze=st.sampled_from(["none", "random", "all"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop_oracle(self, frames, bins, window, smoothing, bias, scale, freeze, seed):
+        rng = np.random.default_rng(seed)
+        spec = _power_spec(scale * rng.random((frames, bins)))
+        frozen = {"none": None, "random": rng.random(frames) < 0.4, "all": np.ones(frames, dtype=bool)}[freeze]
+        got = msne_noise_track(spec, frozen, smoothing, bias, window)
+        expected = msne_noise_track_loop(spec, frozen, smoothing, bias, window)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 class TestSpectralSubtract:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rvad import AudioBuffer, Spectrogram, frame_energy, highpass, make_grid, spectral_flatness, stft
-from rvad.dsp import next_pow2
+from rvad import AudioBuffer
+from rvad.dsp import Spectrogram, frame_energy, highpass, make_grid, next_pow2, spectral_flatness, stft
 
 from synth import FS, sine, white_noise
 
@@ -77,6 +77,12 @@ class TestMakeGrid:
 
 
 class TestFrameEnergy:
+    def test_grid_past_the_signal_rejected(self):
+        # frames are strided views, so a grid from a longer signal must not read past this one
+        grid = make_grid(AudioBuffer(np.zeros(800), FS))
+        with pytest.raises(ValueError):
+            frame_energy(AudioBuffer(np.zeros(700), FS), grid)
+
     def test_zero_frame(self):
         buf = AudioBuffer(np.zeros(400), FS)
         assert frame_energy(buf, make_grid(buf))[0] == 0.0

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from rvad import central_smooth, compute_features, posterior_snr_db, track_noise_energy, weighted_energy_difference
-from rvad.features import rank_low_energy
+from rvad.features import (
+    central_smooth,
+    compute_features,
+    posterior_snr_db,
+    rank_low_energy,
+    track_noise_energy,
+    weighted_energy_difference,
+)
 
 
 class TestTrackNoiseEnergy:

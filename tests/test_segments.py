@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rvad import extend_segments, mask_to_segments, merge_touching, segments_to_mask
+from rvad.segments import extend_segments, mask_to_segments, merge_touching, segments_to_mask
 
 
 class TestMaskToSegments:

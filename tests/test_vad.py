@@ -3,23 +3,12 @@
 import numpy as np
 import pytest
 
-from rvad import (
-    AudioBuffer,
-    RvadConfig,
-    extend_segments,
-    frame_energy,
-    highpass,
-    make_grid,
-    mask_to_segments,
-    post_process,
-    run_batch,
-    run_denoise,
-    run_rvad,
-    segment_vad,
-    segments_to_mask,
-    sft_voicing,
-    write_wav,
-)
+import rvad
+from rvad import AudioBuffer, RvadConfig, run_batch, run_denoise, run_rvad, write_wav
+from rvad.dsp import frame_energy, highpass, make_grid
+from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
+from rvad.vad import post_process, segment_vad
+from rvad.voicing import sft_voicing
 
 from synth import FS, pulse_train, utterance, white_noise
 
@@ -376,3 +365,41 @@ class TestRvadConfig:
             RvadConfig(theta_sft=1.0)
         with pytest.raises(ValueError):
             RvadConfig(ext_frames=-5)
+        for bad in (
+            {"msne_window_frames": 0},
+            {"msne_smoothing": 0.0},
+            {"msne_smoothing": 1.0},
+            {"msne_bias": 0.99},
+            {"frame_len_ms": 5.0},
+            {"frame_shift_ms": 0.0},
+        ):
+            with pytest.raises(ValueError):
+                RvadConfig(**bad)
+
+
+def test_public_api_is_the_pipeline():
+    assert sorted(rvad.__all__) == sorted(
+        [
+            "run_rvad",
+            "run_denoise",
+            "run_batch",
+            "RvadConfig",
+            "VadResult",
+            "BatchItem",
+            "AudioBuffer",
+            "AudioFormatError",
+            "FrameLabels",
+            "LabelFormatError",
+            "read_wav",
+            "write_wav",
+            "read_labels",
+            "write_labels",
+            "count_errors",
+            "score",
+            "aggregate",
+            "EvalCounts",
+            "EvalResult",
+            "AggregateResult",
+        ]
+    )
+    assert all(hasattr(rvad, name) for name in rvad.__all__)

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rvad import AudioBuffer, Spectrogram, count_voiced_in, detect_pitch_autocorr, detect_sft, make_grid, sft_voicing, stft
-from rvad.dsp import spectral_flatness
+from rvad import AudioBuffer
+from rvad.dsp import Spectrogram, make_grid, spectral_flatness, stft
+from rvad.voicing import count_voiced_in, detect_pitch_autocorr, sft_voicing
 
+from oracles import detect_sft
 from synth import FS, pulse_train, sine, white_noise
 
 
@@ -27,32 +31,35 @@ class TestDetectSft:
         sft_h = spectral_flatness(stft(harmonic, make_grid(harmonic)))
         sft_n = spectral_flatness(stft(noise, make_grid(noise)))
         assert np.median(sft_h) < 0.5 < np.median(sft_n)
-        mask_h = detect_sft(stft(harmonic, make_grid(harmonic)), 0.5)
-        mask_n = detect_sft(stft(noise, make_grid(noise)), 0.5)
+        mask_h = sft_voicing(harmonic, make_grid(harmonic), 0.5)
+        mask_n = sft_voicing(noise, make_grid(noise), 0.5)
         assert mask_h.mean() > 0.9
         assert mask_n.mean() < 0.1
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(31)
         buf = AudioBuffer(white_noise(1.0, 0.2, rng=rng) + pulse_train(150.0, 1.0, amp=0.1), FS)
-        spec = stft(buf, make_grid(buf))
+        grid = make_grid(buf)
         prev = None
         for theta in (0.2, 0.4, 0.6, 0.8):
-            mask = detect_sft(spec, theta)
+            mask = sft_voicing(buf, grid, theta)
             if prev is not None:
                 assert np.all(mask[prev])  # raising theta never unmarks
             prev = mask
 
     def test_threshold_validation(self):
         spec = Spectrogram(np.zeros((1, 129), dtype=complex), 256, FS)
+        buf = AudioBuffer(np.zeros(1000), FS)
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 detect_sft(spec, bad)
+            with pytest.raises(ValueError):
+                sft_voicing(buf, make_grid(buf), bad)
 
     def test_mask_length(self):
         buf = AudioBuffer(np.zeros(1000), FS)
         g = make_grid(buf)
-        assert len(detect_sft(stft(buf, g), 0.5)) == g.num_frames
+        assert len(sft_voicing(buf, g, 0.5)) == g.num_frames
 
 
 class TestSftVoicingChunked:
@@ -64,13 +71,35 @@ class TestSftVoicingChunked:
         g = make_grid(buf)
         expected = detect_sft(stft(buf, g), 0.5)
         np.testing.assert_array_equal(sft_voicing(buf, g, 0.5), expected)
-        # chunk boundaries must not matter
-        np.testing.assert_array_equal(sft_voicing(buf, g, 0.5, chunk_frames=7), expected)
-        np.testing.assert_array_equal(sft_voicing(buf, g, 0.5, chunk_frames=10_000), expected)
+        # frame counts on either side of a chunk boundary
+        for frames in (47, 48, 49, 96, 97):
+            part = AudioBuffer(sig[: (frames - 1) * g.frame_shift + g.frame_len], FS)
+            pg = make_grid(part)
+            assert pg.num_frames == frames
+            np.testing.assert_array_equal(sft_voicing(part, pg, 0.5), expected[:frames])
 
     def test_empty_signal(self):
         buf = AudioBuffer(np.zeros(10), FS)
         assert len(sft_voicing(buf, make_grid(buf), 0.5)) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fs=st.sampled_from([8000, 16000, 48000]),
+        duration_ms=st.integers(0, 7000),
+        theta=st.sampled_from([0.3, 0.5, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle(self, fs, duration_ms, theta, seed):
+        # random tone-in-noise signals from below one frame up to 7 s
+        rng = np.random.default_rng(seed)
+        n = duration_ms * fs // 1000
+        t = np.arange(n) / fs
+        f0 = rng.uniform(80.0, 300.0)
+        sig = rng.uniform(0.0, 0.3) * rng.standard_normal(n)
+        sig += rng.uniform(0.0, 0.5) * sum(np.cos(2 * np.pi * h * f0 * t) / h for h in range(1, 6))
+        buf = AudioBuffer(sig, fs)
+        g = make_grid(buf)
+        np.testing.assert_array_equal(sft_voicing(buf, g, theta), detect_sft(stft(buf, g), theta))
 
 
 class TestDetectPitchAutocorr:
