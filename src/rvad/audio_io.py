@@ -25,6 +25,20 @@ INT16_FULL_SCALE = 32768.0
 
 _TAG_PCM = 1
 _TAG_IEEE_FLOAT = 3
+_TAG_EXTENSIBLE = 0xFFFE
+
+# WAVE_FORMAT_EXTENSIBLE names its encoding by a GUID whose first two bytes
+# are the plain format tag.
+_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+_SUBFORMATS = {struct.pack("<H", tag) + _GUID_TAIL: tag for tag in (_TAG_PCM, _TAG_IEEE_FLOAT)}
+
+# (tag, bits) -> (little-endian sample type, full-scale value)
+_SAMPLE_TYPES = {
+    (_TAG_PCM, 16): ("<i2", INT16_FULL_SCALE),
+    (_TAG_PCM, 32): ("<i4", 2.0**31),
+    (_TAG_IEEE_FLOAT, 32): ("<f4", 1.0),
+    (_TAG_IEEE_FLOAT, 64): ("<f8", 1.0),
+}
 
 # Segment times are written with 6 decimals; this absorbs the parse rounding
 # when mapping frame starts back onto [start, end).
@@ -80,11 +94,15 @@ class FrameLabels:
 
 
 def read_wav(path) -> AudioBuffer:
-    """Read a PCM WAV file (8/16-bit integer or 32-bit float) as mono.
+    """Read an uncompressed WAV file as mono.
 
-    Multi-channel data is averaged down to one channel and integer samples
-    are scaled by the type's full-scale value, so 16-bit 32767 maps to
-    32767/32768.
+    Supported encodings are integer PCM of 8 (unsigned), 16, 24 or 32 bits
+    and IEEE float of 32 or 64 bits, with format tag 1 or 3 or as
+    WAVE_FORMAT_EXTENSIBLE with the PCM or IEEE-float sub-format.  Any other
+    encoding, or a data chunk that ends in a partial sample, raises
+    AudioFormatError.  Multi-channel data is averaged down to one channel
+    and integer samples are scaled by the type's full-scale value, so 16-bit
+    32767 maps to 32767/32768.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -108,14 +126,27 @@ def read_wav(path) -> AudioBuffer:
     tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if channels < 1 or rate < 1:
         raise AudioFormatError(f"{path}: bad fmt chunk")
+    if tag == _TAG_EXTENSIBLE:
+        if len(fmt) < 40:
+            raise AudioFormatError(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk of {len(fmt)} bytes is too short")
+        tag = _SUBFORMATS.get(fmt[24:40])
+        if tag is None:
+            raise AudioFormatError(f"{path}: unsupported WAVE_FORMAT_EXTENSIBLE sub-format {fmt[24:40].hex()}")
 
-    if tag == _TAG_PCM and bits == 16:
-        flat = _whole_samples(data, "<i2", path).astype(np.float64)
-        flat /= INT16_FULL_SCALE
-    elif tag == _TAG_PCM and bits == 8:
+    if tag == _TAG_PCM and bits == 8:
         flat = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
-    elif tag == _TAG_IEEE_FLOAT and bits == 32:
-        flat = _whole_samples(data, "<f4", path).astype(np.float64)
+    elif tag == _TAG_PCM and bits == 24:
+        # each sample into the top three bytes of an int32, which is value * 2**8
+        _check_whole_samples(data, 3, path)
+        wide = np.zeros((len(data) // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+        flat = wide.view("<i4")[:, 0].astype(np.float64)
+        flat /= 2.0**31
+    elif (tag, bits) in _SAMPLE_TYPES:
+        dtype, full_scale = _SAMPLE_TYPES[tag, bits]
+        _check_whole_samples(data, bits // 8, path)
+        flat = np.frombuffer(data, dtype=dtype).astype(np.float64)
+        flat /= full_scale
     else:
         raise AudioFormatError(f"{path}: unsupported encoding (tag={tag}, bits={bits})")
 
@@ -126,12 +157,10 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples, rate)
 
 
-def _whole_samples(data: bytes, dtype: str, path) -> np.ndarray:
-    """The data chunk as samples of `dtype`; a trailing partial sample is an error."""
-    width = np.dtype(dtype).itemsize
+def _check_whole_samples(data: bytes, width: int, path) -> None:
+    """Reject a data chunk that ends in a partial sample of `width` bytes."""
     if len(data) % width:
         raise AudioFormatError(f"{path}: data chunk of {len(data)} bytes ends in a partial {8 * width}-bit sample")
-    return np.frombuffer(data, dtype=dtype)
 
 
 def write_wav(path, audio: AudioBuffer) -> None:

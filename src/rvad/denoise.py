@@ -3,8 +3,10 @@ driven by minimum-statistics noise tracking."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.ndimage import minimum_filter1d
+from numpy.lib.stride_tricks import as_strided
 from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
@@ -16,6 +18,7 @@ from .voicing import count_voiced_in
 __all__ = [
     "detect_high_energy",
     "first_pass_denoise",
+    "MsneState",
     "msne_noise_track",
     "spectral_subtract",
     "lowfreq_suppress",
@@ -81,12 +84,28 @@ def first_pass_denoise(
     return (zero_segments(audio, grid, zeroed) if zeroed else audio), zeroed
 
 
+@dataclass
+class MsneState:
+    """What minimum statistics carries from one block of frames to the next.
+
+    `smoothed` holds the last max(window_frames - 1, 1) smoothed periodogram
+    rows of frames that updated the tracker (all of them near the start) and
+    `estimate` the noise estimate of the last such frame, which frozen frames
+    repeat.  A fresh state has neither: the first update starts the
+    smoothing from its own periodogram, and frames frozen before it hold zeros.
+    """
+
+    smoothed: np.ndarray | None = None
+    estimate: np.ndarray | None = None
+
+
 def msne_noise_track(
     spec: Spectrogram,
     frozen: np.ndarray | None = None,
     smoothing: float = DEFAULT_SMOOTHING,
     bias: float = DEFAULT_BIAS,
     window_frames: int = DEFAULT_WINDOW_FRAMES,
+    state: MsneState | None = None,
 ) -> np.ndarray:
     """Noise power per (frame, bin) by minimum statistics.
 
@@ -94,7 +113,9 @@ def msne_noise_track(
     frame, and the estimate is `bias` times the minimum of the smoothed
     values over the last `window_frames` frames.  Frames marked `frozen`
     do not update the tracker: they repeat the estimate of the last frame
-    that did, or zeros before the first one.
+    that did, or zeros before the first one.  Calls on consecutive blocks of
+    frames that share one `state` give the rows of a single call on all of
+    them; without a state the frames are tracked from scratch.
     """
     if not 0.0 < smoothing < 1.0:
         raise ValueError("smoothing must be in (0, 1)")
@@ -102,24 +123,67 @@ def msne_noise_track(
         raise ValueError("bias must be >= 1")
     if window_frames < 1:
         raise ValueError("window_frames must be >= 1")
+    state = MsneState() if state is None else state
     power = np.abs(spec.frames) ** 2
     if frozen is None:
-        return _min_stats(power, smoothing, bias, window_frames)
+        return _min_stats(power, state, smoothing, bias, window_frames)
     live = ~np.asarray(frozen, dtype=bool)
-    # row 0 is the estimate before any update; frame m repeats the row of
+    held = np.zeros(power.shape[1]) if state.estimate is None else state.estimate
+    # row 0 is the estimate before this block; frame m repeats the row of
     # the last live frame at or before it
-    track = np.concatenate([np.zeros((1, power.shape[1])), _min_stats(power[live], smoothing, bias, window_frames)])
+    track = np.concatenate([held[None], _min_stats(power[live], state, smoothing, bias, window_frames)])
     return track[np.cumsum(live)]
 
 
-def _min_stats(power: np.ndarray, smoothing: float, bias: float, window_frames: int) -> np.ndarray:
+def _min_stats(power: np.ndarray, state: MsneState, smoothing: float, bias: float, window_frames: int) -> np.ndarray:
     """Bias times the trailing-window minimum of the recursively smoothed rows
-    of `power`, which is overwritten by the smoothed rows."""
-    if len(power) > 1:
-        power[1:], _ = lfilter([1.0 - smoothing], [1.0, -smoothing], power[1:], axis=0, zi=smoothing * power[:1])
-    # sliding-window minimum (Lemire 2006); the largest origin ends each window on its own frame
-    track = minimum_filter1d(power, window_frames, axis=0, mode="nearest", origin=(window_frames - 1) // 2)
+    of `power`, which is overwritten by the smoothed rows; advances `state`."""
+    if len(power) == 0:
+        return power
+    if state.smoothed is None:
+        # the first row ever seen is its own smoothed value
+        history, start, previous = power[:0], 1, power[:1]
+    else:
+        history, start, previous = state.smoothed, 0, state.smoothed[-1:]
+    if len(power) > start:
+        power[start:], _ = lfilter([1.0 - smoothing], [1.0, -smoothing], power[start:], axis=0, zi=smoothing * previous)
+    track = _trailing_min(history, power, window_frames)
     track *= bias
+    keep = max(window_frames - 1, 1)
+    state.smoothed = power[-keep:] if len(power) >= keep else np.concatenate([history, power])[-keep:]
+    state.estimate = track[-1].copy()
+    return track
+
+
+def _trailing_min(history: np.ndarray, rows: np.ndarray, window: int) -> np.ndarray:
+    """Per row of `rows`, the minimum over the `window` rows of history and
+    rows that end on it, clipped at the first row ever seen.
+
+    `history` ends with the window - 1 rows before `rows`, or holds all of
+    them when fewer exist.  Within `rows` this is van Herk / Gil-Werman:
+    cut into window-long segments, each row takes the minimum of its
+    segment's prefix minimum and the previous segment's suffix minimum.
+    The first segment takes the suffix minima of `history` instead.
+    """
+    count, bins = rows.shape
+    seg = window if count > window else count
+    pad = -count % seg
+    padded = np.concatenate([rows, np.full((pad, bins), np.inf)]) if pad else rows
+    segments = padded.reshape(-1, seg, bins)
+    track = np.minimum.accumulate(segments, axis=1)
+    if len(segments) > 1:
+        # suffix minima of each segment from its second row on, meeting the
+        # next segment's rows up to its second-last
+        suffix = np.minimum.accumulate(segments[:-1, :0:-1], axis=1)[:, ::-1]
+        np.minimum(track[1:, :-1], suffix, out=track[1:, :-1])
+    track = track.reshape(-1, bins)[:count]
+    reach = min(count, window - 1)  # rows whose window reaches back into history
+    if len(history) and reach:
+        behind = window - 1 - len(history)  # rows whose window also starts before the first row
+        history_suffix = np.minimum.accumulate(history[::-1], axis=0)[::-1]
+        np.minimum(track[: min(behind, reach)], history_suffix[0], out=track[: min(behind, reach)])
+        if reach > behind:
+            np.minimum(track[behind:reach], history_suffix[: reach - behind], out=track[behind:reach])
     return track
 
 
@@ -132,55 +196,88 @@ def spectral_subtract(
 
     Output power per bin is max(|X|^2 - noise, floor*noise), so it never
     drops below the floor level and never exceeds the observed power plus
-    the floor.
+    the floor.  The frames of `spec` are overwritten and `spec` returned.
     """
     noise_power = np.asarray(noise_power, dtype=np.float64)
-    if noise_power.shape != spec.frames.shape:
+    frames = spec.frames
+    if noise_power.shape != frames.shape:
         raise ValueError("noise power shape does not match the spectrogram")
-    power = np.abs(spec.frames) ** 2
-    out_power = np.maximum(power - noise_power, floor * noise_power)
-    magnitude = np.sqrt(power)
-    new_magnitude = np.sqrt(out_power)
-    scale = np.divide(new_magnitude, magnitude, out=np.zeros_like(magnitude), where=magnitude > 0)
-    out = spec.frames * scale
+    power = np.abs(frames) ** 2
+    out_power = np.subtract(power, noise_power)
+    np.maximum(out_power, floor * noise_power, out=out_power)
+    magnitude = np.sqrt(power, out=power)
+    new_magnitude = np.sqrt(out_power, out=out_power)
+    nonzero = magnitude > 0
+    scale = np.divide(new_magnitude, magnitude, out=np.zeros_like(magnitude), where=nonzero)
+    np.multiply(frames, scale, out=frames)
     # bins with zero input keep zero phase but still honor the floor
-    out = np.where(magnitude > 0, out, new_magnitude.astype(complex))
-    return Spectrogram(out, spec.nfft, spec.sample_rate_hz)
+    np.copyto(frames, new_magnitude, where=~nonzero)
+    return spec
 
 
 def lowfreq_suppress(spec: Spectrogram, cutoff_hz: float = DEFAULT_LOWFREQ_CUTOFF_HZ) -> Spectrogram:
     """Zero the bins below `cutoff_hz` in frames dominated by low-frequency energy.
 
     A frame qualifies when strictly more than half of its spectral energy
-    sits in bins below the cutoff (7 bins at 8 kHz with nfft=256).
+    sits in bins below the cutoff (7 bins at 8 kHz with nfft=256).  The
+    frames of `spec` are overwritten and `spec` returned.
     """
     k_cut = int(np.ceil(cutoff_hz / spec.bin_hz))
     if k_cut <= 0 or spec.frames.shape[0] == 0:
-        return Spectrogram(spec.frames.copy(), spec.nfft, spec.sample_rate_hz)
+        return spec
     power = np.abs(spec.frames) ** 2
     low = power[:, :k_cut].sum(axis=1)
     total = power.sum(axis=1)
-    dominated = low > 0.5 * total
-    frames = spec.frames.copy()
-    frames[dominated, :k_cut] = 0.0
-    return Spectrogram(frames, spec.nfft, spec.sample_rate_hz)
+    spec.frames[low > 0.5 * total, :k_cut] = 0.0
+    return spec
 
 
-def reconstruct(spec: Spectrogram, grid: FrameGrid) -> AudioBuffer:
+def reconstruct(
+    spec: Spectrogram, grid: FrameGrid, out: AudioBuffer | None = None, first_frame: int = 0
+) -> AudioBuffer:
     """Overlap-add inverse STFT, dividing by the summed squared-window envelope.
 
     Round-trips the forward transform exactly on covered samples; samples
-    past the last full frame come back as zeros.
+    past the last full frame come back as zeros.  `spec` holds frames
+    `first_frame`.. of the grid; their windowed inverse transforms are added
+    into `out` (a new zero signal of the grid's length by default) and `out`
+    is returned.  Blocks passed in frame order build the same signal as one
+    call on all frames: each sample sums its frames in ascending order, and
+    the division happens once the grid's last frame is in.
     """
-    if spec.frames.shape[0] != grid.num_frames:
-        raise ValueError("spectrogram frame count does not match the grid")
+    count = spec.frames.shape[0]
+    if out is None:
+        if count != grid.num_frames:
+            raise ValueError("spectrogram frame count does not match the grid")
+        out = AudioBuffer(np.zeros(grid.total_samples), spec.sample_rate_hz)
+    elif first_frame < 0 or first_frame + count > grid.num_frames or len(out) != grid.total_samples:
+        raise ValueError("spectrogram block does not fit the grid")
     window = hamming(grid.frame_len)
-    window_sq = window * window
-    signal = np.zeros(grid.total_samples)
-    envelope = np.zeros(grid.total_samples)
     time_frames = np.fft.irfft(spec.frames, n=spec.nfft, axis=1)[:, : grid.frame_len]
-    for m in range(grid.num_frames):
-        lo = m * grid.frame_shift
-        signal[lo : lo + grid.frame_len] += time_frames[m] * window
-        envelope[lo : lo + grid.frame_len] += window_sq
-    return AudioBuffer(signal / np.maximum(envelope, _ENVELOPE_FLOOR), spec.sample_rate_hz)
+    time_frames *= window
+    _overlap_add(out.samples, time_frames, first_frame, grid.frame_shift)
+    if first_frame + count == grid.num_frames:
+        envelope = np.zeros(grid.total_samples)
+        _overlap_add(envelope, np.broadcast_to(window * window, (grid.num_frames, grid.frame_len)), 0, grid.frame_shift)
+        np.maximum(envelope, _ENVELOPE_FLOOR, out=envelope)
+        out.samples /= envelope
+    return out
+
+
+def _overlap_add(signal: np.ndarray, rows: np.ndarray, first_frame: int, shift: int) -> None:
+    """Add row m of `rows` into `signal` from sample (first_frame + m) * shift on.
+
+    The frames are added one shift-wide piece at a time, each piece of all
+    frames in one strided pass.  A sample takes its frames at descending
+    offsets within them, so going from the last piece to the first adds
+    them in ascending frame order, as a loop over frames does.
+    """
+    count, frame_len = rows.shape
+    if count and (first_frame + count - 1) * shift + frame_len > len(signal):
+        raise ValueError("frames run past the end of the signal")
+    step = signal.strides[0]
+    for lo in range((frame_len - 1) // shift * shift, -1, -shift):
+        width = min(shift, frame_len - lo)
+        start = first_frame * shift + lo
+        view = as_strided(signal[start:], (count, width), (shift * step, step))
+        view += rows[:, lo : lo + width]

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import denoise as dn
 from .audio_io import AudioBuffer, read_wav
-from .dsp import FrameGrid, frame_energy, highpass, make_grid, stft
+from .dsp import FrameGrid, frame_blocks, frame_energy, highpass, make_grid, next_pow2, stft
 from .features import (
     central_smooth,
     compute_features,
@@ -185,23 +185,40 @@ def _voicing_mask(filtered, grid, cfg, override):
     return detect_pitch_autocorr(filtered, grid, cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
 
 
-def _second_pass(audio, grid, zeroed_segments, cfg):
+def _second_pass(audio, grid, zeroed_segments, cfg, keep_noise):
+    """Spectral subtraction one `frame_blocks` block at a time, carrying the
+    noise tracker and the overlap-add sum from block to block.  The noise
+    track, (frames x bins), is only built when `keep_noise` asks for it."""
     if cfg.enhance == "none":
         return audio, None
-    spec = stft(audio, grid)
-    frozen = None
-    if cfg.enhance == "msne-mod":
-        frozen = segments_to_mask(zeroed_segments, grid.num_frames)
-    noise = dn.msne_noise_track(spec, frozen, cfg.msne_smoothing, cfg.msne_bias, cfg.msne_window_frames)
-    cleaned = dn.spectral_subtract(spec, noise, cfg.subtract_floor)
-    if cfg.enhance == "msne-mod":
-        cleaned = dn.lowfreq_suppress(cleaned, cfg.lowfreq_cutoff_hz)
-    return dn.reconstruct(cleaned, grid), noise
+    frozen = segments_to_mask(zeroed_segments, grid.num_frames) if cfg.enhance == "msne-mod" else None
+    state = dn.MsneState()
+    enhanced = AudioBuffer(np.zeros(grid.total_samples), audio.sample_rate_hz)
+    noise = np.empty((grid.num_frames, next_pow2(grid.frame_len) // 2 + 1)) if keep_noise else None
+    for first, block, block_grid in frame_blocks(audio, grid):
+        end = first + block_grid.num_frames
+        spec = stft(block, block_grid)
+        track = dn.msne_noise_track(
+            spec,
+            None if frozen is None else frozen[first:end],
+            cfg.msne_smoothing,
+            cfg.msne_bias,
+            cfg.msne_window_frames,
+            state,
+        )
+        if keep_noise:
+            noise[first:end] = track
+        dn.spectral_subtract(spec, track, cfg.subtract_floor)
+        if cfg.enhance == "msne-mod":
+            dn.lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
+        dn.reconstruct(spec, grid, enhanced, first)
+    return enhanced, noise
 
 
 @dataclass
 class _FrontEnd:
-    """What the front end hands to the VAD stage and to run_denoise."""
+    """What the front end hands to the VAD stage and to run_denoise; `noise`
+    is None unless the caller asked for it."""
 
     grid: FrameGrid
     mask: Optional[np.ndarray]
@@ -210,7 +227,7 @@ class _FrontEnd:
     e2: Optional[np.ndarray]
 
 
-def _front(audio, cfg, voicing) -> _FrontEnd:
+def _front(audio, cfg, voicing, keep_noise=False) -> _FrontEnd:
     """High-pass, first-pass features and zeroing, second-pass enhancement."""
     if audio.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
         raise ValueError(f"sample rate must be >= {MIN_SAMPLE_RATE_HZ} Hz")
@@ -223,7 +240,7 @@ def _front(audio, cfg, voicing) -> _FrontEnd:
     he_segs = dn.detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
     mask = _voicing_mask(filtered, grid, cfg, voicing)
     cleaned, zeroed = dn.first_pass_denoise(filtered, grid, he_segs, mask, cfg.min_pitch_frames)
-    enhanced, noise = _second_pass(cleaned, grid, zeroed, cfg)
+    enhanced, noise = _second_pass(cleaned, grid, zeroed, cfg, keep_noise)
     # energies of whatever signal leaves the enabled passes; reuse the
     # first-pass ones when neither pass touched a sample
     e2 = e1 if (enhanced is filtered) else frame_energy(enhanced, grid)
@@ -258,7 +275,7 @@ def run_denoise(
     """Both denoising passes only; returns the enhanced audio and the noise
     power track per (frame, bin), None when enhancement is off."""
     cfg = cfg or RvadConfig()
-    front = _front(audio, cfg, voicing)
+    front = _front(audio, cfg, voicing, keep_noise=True)
     return front.enhanced, front.noise
 
 

@@ -5,16 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import FrameGrid, frame_matrix, spectral_flatness, stft
+from .dsp import FrameGrid, frame_blocks, frame_matrix, spectral_flatness, stft
 
 __all__ = ["sft_voicing", "detect_pitch_autocorr", "count_voiced_in"]
 
 # Frames quieter than this fraction of the loudest frame are never voiced.
 ENERGY_GATE_RATIO = 1e-6
-
-# Spectra are evaluated this many frames at a time; keeps the working set in
-# small allocator blocks and off the heap's mmap path.
-_SFT_CHUNK_FRAMES = 48
 
 
 def sft_voicing(audio: AudioBuffer, grid: FrameGrid, theta_sft: float = 0.5) -> np.ndarray:
@@ -23,18 +19,15 @@ def sft_voicing(audio: AudioBuffer, grid: FrameGrid, theta_sft: float = 0.5) -> 
     Tonal/harmonic frames have low flatness; noise-like frames sit near 1.0
     and fall through.  Under heavy white noise this detector saturates
     unvoiced, which is the documented failure mode of the fast pipeline.
-    The STFT is taken a few frames at a time, so long files never hold the
-    full complex spectrum; decisions do not depend on the chunking.
+    The STFT is taken one `dsp.frame_blocks` block at a time, so long files
+    never hold the full complex spectrum; decisions do not depend on the
+    blocking.
     """
     if not 0.0 < theta_sft < 1.0:
         raise ValueError("theta_sft must be in (0, 1)")
     voiced = np.zeros(grid.num_frames, dtype=bool)
-    for i in range(0, grid.num_frames, _SFT_CHUNK_FRAMES):
-        j = min(i + _SFT_CHUNK_FRAMES, grid.num_frames)
-        lo, hi = grid.sample_span(i, j - 1)
-        chunk = AudioBuffer(audio.samples[lo:hi], audio.sample_rate_hz)
-        chunk_grid = FrameGrid(grid.frame_len, grid.frame_shift, j - i, hi - lo)
-        voiced[i:j] = spectral_flatness(stft(chunk, chunk_grid)) <= theta_sft
+    for first, block, block_grid in frame_blocks(audio, grid):
+        voiced[first : first + block_grid.num_frames] = spectral_flatness(stft(block, block_grid)) <= theta_sft
     return voiced
 
 

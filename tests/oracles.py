@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from rvad.denoise import DEFAULT_BIAS, DEFAULT_SMOOTHING, DEFAULT_WINDOW_FRAMES
-from rvad.dsp import Spectrogram, spectral_flatness
+from rvad.audio_io import AudioBuffer
+from rvad.denoise import DEFAULT_BIAS, DEFAULT_SMOOTHING, DEFAULT_SUBTRACT_FLOOR, DEFAULT_WINDOW_FRAMES
+from rvad.dsp import FrameGrid, Spectrogram, hamming, spectral_flatness
 
 
 class MinimumStatisticsNoiseEstimator:
@@ -86,3 +87,29 @@ def detect_sft(spec: Spectrogram, theta_sft: float = 0.5) -> np.ndarray:
     if not 0.0 < theta_sft < 1.0:
         raise ValueError("theta_sft must be in (0, 1)")
     return spectral_flatness(spec) <= theta_sft
+
+
+def spectral_subtract_whole(spec: Spectrogram, noise_power: np.ndarray, floor: float = DEFAULT_SUBTRACT_FLOOR) -> Spectrogram:
+    """Reference for `rvad.denoise.spectral_subtract`: whole arrays, input left as it is."""
+    power = np.abs(spec.frames) ** 2
+    out_power = np.maximum(power - noise_power, floor * noise_power)
+    magnitude = np.sqrt(power)
+    new_magnitude = np.sqrt(out_power)
+    scale = np.divide(new_magnitude, magnitude, out=np.zeros_like(magnitude), where=magnitude > 0)
+    out = spec.frames * scale
+    out = np.where(magnitude > 0, out, new_magnitude.astype(complex))
+    return Spectrogram(out, spec.nfft, spec.sample_rate_hz)
+
+
+def reconstruct_loop(spec: Spectrogram, grid: FrameGrid) -> AudioBuffer:
+    """Reference for `rvad.denoise.reconstruct`: overlap-add one frame at a time."""
+    window = hamming(grid.frame_len)
+    window_sq = window * window
+    signal = np.zeros(grid.total_samples)
+    envelope = np.zeros(grid.total_samples)
+    time_frames = np.fft.irfft(spec.frames, n=spec.nfft, axis=1)[:, : grid.frame_len]
+    for m in range(grid.num_frames):
+        lo = m * grid.frame_shift
+        signal[lo : lo + grid.frame_len] += time_frames[m] * window
+        envelope[lo : lo + grid.frame_len] += window_sq
+    return AudioBuffer(signal / np.maximum(envelope, 1e-8), spec.sample_rate_hz)

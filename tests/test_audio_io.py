@@ -21,8 +21,15 @@ from rvad.audio_io import mix_noise
 FS = 8000
 
 
-def _write_raw_wav(path, fmt_tag, bits, channels, rate, payload: bytes):
-    fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate, rate * channels * bits // 8, channels * bits // 8, bits)
+_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _write_raw_wav(path, fmt_tag, bits, channels, rate, payload: bytes, sub_format: bytes | None = None):
+    """A WAV file; `sub_format` makes it WAVE_FORMAT_EXTENSIBLE with that GUID."""
+    tag = fmt_tag if sub_format is None else 0xFFFE
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * channels * bits // 8, channels * bits // 8, bits)
+    if sub_format is not None:
+        fmt += struct.pack("<HHI", 22, bits, 0x4) + sub_format
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(payload)) + payload
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
@@ -65,6 +72,51 @@ class TestReadWav:
         buf = read_wav(p)
         np.testing.assert_allclose(buf.samples, vals.astype(np.float64))
 
+    def test_24bit(self, tmp_path):
+        p = tmp_path / "s24.wav"
+        vals = [0, 1, -1, 2**23 - 1, -(2**23), 0x123456]
+        payload = b"".join(v.to_bytes(3, "little", signed=True) for v in vals)
+        _write_raw_wav(p, 1, 24, 1, FS, payload)
+        np.testing.assert_array_equal(read_wav(p).samples, np.array(vals) / 2.0**23)
+
+    def test_32bit_int(self, tmp_path):
+        p = tmp_path / "s32.wav"
+        vals = np.array([0, 1, -1, 2**31 - 1, -(2**31)], dtype="<i4")
+        _write_raw_wav(p, 1, 32, 1, FS, vals.tobytes())
+        np.testing.assert_array_equal(read_wav(p).samples, vals / 2.0**31)
+
+    def test_float64(self, tmp_path):
+        p = tmp_path / "f64.wav"
+        vals = np.array([0.1, -0.75, 1.0, -0.0], dtype="<f8")
+        _write_raw_wav(p, 3, 64, 1, FS, vals.tobytes())
+        np.testing.assert_array_equal(read_wav(p).samples, vals)
+
+    @pytest.mark.parametrize(
+        "sub_tag, bits, payload, expected",
+        [
+            (1, 16, np.array([16384, -32768], dtype="<i2").tobytes(), [0.5, -1.0]),
+            (1, 24, (2**22).to_bytes(3, "little") + (-(2**23)).to_bytes(3, "little", signed=True), [0.5, -1.0]),
+            (3, 32, np.array([0.5, -1.0], dtype="<f4").tobytes(), [0.5, -1.0]),
+        ],
+        ids=["pcm16", "pcm24", "float32"],
+    )
+    def test_extensible(self, tmp_path, sub_tag, bits, payload, expected):
+        p = tmp_path / "ext.wav"
+        _write_raw_wav(p, None, bits, 1, FS, payload, sub_format=struct.pack("<H", sub_tag) + _GUID_TAIL)
+        np.testing.assert_array_equal(read_wav(p).samples, expected)
+
+    def test_extensible_unknown_sub_format_rejected(self, tmp_path):
+        p = tmp_path / "ext-alaw.wav"
+        _write_raw_wav(p, None, 8, 1, FS, bytes(16), sub_format=struct.pack("<H", 6) + _GUID_TAIL)
+        with pytest.raises(AudioFormatError, match="sub-format"):
+            read_wav(p)
+
+    def test_extensible_without_sub_format_rejected(self, tmp_path):
+        p = tmp_path / "ext-short.wav"
+        _write_raw_wav(p, 0xFFFE, 16, 1, FS, bytes(4))
+        with pytest.raises(AudioFormatError, match="too short"):
+            read_wav(p)
+
     def test_zero_length_data_chunk(self, tmp_path):
         p = tmp_path / "empty.wav"
         _write_raw_wav(p, 1, 16, 1, FS, b"")
@@ -76,7 +128,11 @@ class TestReadWav:
         with pytest.raises(AudioFormatError):
             read_wav(p)
 
-    @pytest.mark.parametrize("tag, bits, size", [(1, 16, 7), (3, 32, 6)], ids=["pcm16-7-bytes", "float32-6-bytes"])
+    @pytest.mark.parametrize(
+        "tag, bits, size",
+        [(1, 16, 7), (3, 32, 6), (1, 24, 7), (1, 32, 5), (3, 64, 12)],
+        ids=["pcm16-7-bytes", "float32-6-bytes", "pcm24-7-bytes", "pcm32-5-bytes", "float64-12-bytes"],
+    )
     def test_partial_sample_rejected(self, tmp_path, tag, bits, size):
         p = tmp_path / "partial.wav"
         _write_raw_wav(p, tag, bits, 1, FS, bytes(size))

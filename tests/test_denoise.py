@@ -14,11 +14,13 @@ from rvad.denoise import (
     reconstruct,
     spectral_subtract,
 )
-from rvad.dsp import Spectrogram, frame_energy, highpass, make_grid, stft
+from rvad.dsp import BLOCK_BYTES, FrameGrid, Spectrogram, frame_energy, highpass, make_grid, next_pow2, stft
 from rvad.features import FrameFeatures, compute_features
+from rvad.segments import mask_to_segments, segments_to_mask
+from rvad.vad import RvadConfig, _second_pass
 from rvad.voicing import detect_pitch_autocorr
 
-from oracles import msne_noise_track_loop
+from oracles import msne_noise_track_loop, reconstruct_loop, spectral_subtract_whole
 from synth import FS, pulse_train, white_noise
 
 
@@ -244,7 +246,7 @@ class TestSpectralSubtract:
     def test_zero_noise_identity(self):
         rng = np.random.default_rng(55)
         frames = rng.standard_normal((5, 129)) + 1j * rng.standard_normal((5, 129))
-        spec = Spectrogram(frames, 256, FS)
+        spec = Spectrogram(frames.copy(), 256, FS)
         out = spectral_subtract(spec, np.zeros((5, 129)))
         np.testing.assert_allclose(out.frames, frames, rtol=1e-12)
 
@@ -263,7 +265,7 @@ class TestSpectralSubtract:
         rng = np.random.default_rng(56)
         frames = rng.standard_normal((20, 129)) + 1j * rng.standard_normal((20, 129))
         noise = rng.random((20, 129)) * 2
-        out = spectral_subtract(Spectrogram(frames, 256, FS), noise, floor=0.002)
+        out = spectral_subtract(Spectrogram(frames.copy(), 256, FS), noise, floor=0.002)
         p = np.abs(out.frames) ** 2
         assert np.all(p >= 0.002 * noise - 1e-15)
         assert np.all(p <= np.abs(frames) ** 2 + 0.002 * noise + 1e-12)
@@ -285,6 +287,23 @@ class TestSpectralSubtract:
         err_before = np.mean((nbuf.samples[:covered] - clean[:covered]) ** 2)
         err_after = np.mean((out.samples[:covered] - clean[:covered]) ** 2)
         assert err_after < err_before
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        frames=st.integers(0, 12),
+        scale=st.sampled_from([1e-3, 1.0, 1e5]),
+        zero_bins=st.floats(0.0, 0.5),
+        floor=st.sampled_from([0.0, 0.002, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_whole_array_oracle(self, frames, scale, zero_bins, floor, seed):
+        rng = np.random.default_rng(seed)
+        x = scale * (rng.standard_normal((frames, 33)) + 1j * rng.standard_normal((frames, 33)))
+        x[rng.random(x.shape) < zero_bins] = 0.0
+        noise = scale**2 * rng.random(x.shape) * 3.0
+        expected = spectral_subtract_whole(Spectrogram(x, 64, FS), noise, floor).frames
+        got = spectral_subtract(Spectrogram(x.copy(), 64, FS), noise, floor).frames
+        assert got.tobytes() == expected.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -354,6 +373,14 @@ class TestReconstruct:
         assert err[:covered].max() < 1e-9
         assert np.all(y[covered:] == 0.0)
 
+    @pytest.mark.parametrize("fs, samples", [(FS, 1501), (16000, 4000), (44100, 30000), (48000, 3000)])
+    def test_matches_loop_oracle(self, fs, samples):
+        buf = AudioBuffer(np.random.default_rng(60).standard_normal(samples), fs)
+        grid = make_grid(buf)
+        spec = stft(buf, grid)
+        expected = reconstruct_loop(spec, grid).samples
+        assert reconstruct(spec, grid).samples.tobytes() == expected.tobytes()
+
     def test_frame_count_mismatch_rejected(self):
         buf = AudioBuffer(np.zeros(1000), FS)
         grid = make_grid(buf)
@@ -361,3 +388,81 @@ class TestReconstruct:
         bad = Spectrogram(spec.frames[:-1], spec.nfft, spec.sample_rate_hz)
         with pytest.raises(ValueError):
             reconstruct(bad, grid)
+        # a block must fit the grid from its first frame on
+        out = AudioBuffer(np.zeros(grid.total_samples), FS)
+        with pytest.raises(ValueError):
+            reconstruct(bad, grid, out, first_frame=2)
+        with pytest.raises(ValueError):
+            reconstruct(spec, FrameGrid(grid.frame_len, grid.frame_shift, grid.num_frames, 900))
+
+
+def _blocks_of(fs):
+    return BLOCK_BYTES // (8 * next_pow2(int(round(0.025 * fs))))
+
+
+class TestBlockwiseSecondPass:
+    """`vad._second_pass` runs block by block; the oracle path takes the whole
+    spectrogram through the loop references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fs=st.sampled_from([8000, 16000, 44100, 48000]),
+        length=st.sampled_from(["zero", "one", "block-1", "block", "block+1", "two-blocks+1", "random"]),
+        window=st.sampled_from(["one", "two", "block-1", "block+1", "two-blocks", "random"]),
+        enhance=st.sampled_from(["msne", "msne-mod"]),
+        freeze=st.sampled_from(["none", "random", "across-edge", "from-start", "all"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_whole_array_oracle(self, fs, length, window, enhance, freeze, seed):
+        rng = np.random.default_rng(seed)
+        block = _blocks_of(fs)
+        num = {
+            "zero": 0,
+            "one": 1,
+            "block-1": block - 1,
+            "block": block,
+            "block+1": block + 1,
+            "two-blocks+1": 2 * block + 1,
+            "random": int(rng.integers(2, 3 * block)),
+        }[length]
+        flen, shift = int(round(0.025 * fs)), int(round(0.010 * fs))
+        total = (num - 1) * shift + flen + int(rng.integers(0, shift)) if num else int(rng.integers(0, flen))
+        samples = 0.1 * rng.standard_normal(total) + 0.3 * np.sin(2 * np.pi * 150.0 / fs * np.arange(total))
+        samples[rng.random(total) < 0.2] = 0.0
+        audio = AudioBuffer(samples, fs)
+        grid = FrameGrid(flen, shift, num, total)
+        assert grid == make_grid(audio)
+
+        frozen = np.zeros(num, dtype=bool)
+        if freeze == "random":
+            frozen = rng.random(num) < 0.3
+        elif freeze == "across-edge":
+            frozen[max(block - 3, 0) : block + 3] = True
+        elif freeze == "from-start":
+            frozen[: int(rng.integers(1, 2 * block))] = True
+        elif freeze == "all":
+            frozen[:] = True
+        zeroed = mask_to_segments(frozen)
+        w = {"one": 1, "two": 2, "block-1": block - 1, "block+1": block + 1, "two-blocks": 2 * block}.get(window)
+        cfg = RvadConfig(enhance=enhance, msne_window_frames=w or int(rng.integers(1, 3 * block)))
+
+        enhanced, noise = _second_pass(audio, grid, zeroed, cfg, keep_noise=True)
+
+        spec = stft(audio, grid)
+        mask = segments_to_mask(zeroed, num) if enhance == "msne-mod" else None
+        track = msne_noise_track_loop(spec, mask, cfg.msne_smoothing, cfg.msne_bias, cfg.msne_window_frames)
+        cleaned = spectral_subtract_whole(spec, track, cfg.subtract_floor)
+        if enhance == "msne-mod":
+            cleaned = lowfreq_suppress(cleaned, cfg.lowfreq_cutoff_hz)
+        expected = reconstruct_loop(cleaned, grid)
+        assert noise.shape == track.shape
+        assert noise.tobytes() == track.tobytes()
+        assert enhanced.samples.tobytes() == expected.samples.tobytes()
+
+    def test_noise_track_only_on_request(self):
+        audio = AudioBuffer(np.random.default_rng(61).standard_normal(8000), FS)
+        grid = make_grid(audio)
+        with_track = _second_pass(audio, grid, [(3, 9)], RvadConfig(enhance="msne-mod"), keep_noise=True)
+        without = _second_pass(audio, grid, [(3, 9)], RvadConfig(enhance="msne-mod"), keep_noise=False)
+        assert without[1] is None
+        assert with_track[0].samples.tobytes() == without[0].samples.tobytes()

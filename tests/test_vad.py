@@ -1,5 +1,7 @@
 """Per-segment VAD decisions, post-processing, and the full pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,29 @@ class TestRunRvad:
             r = run_rvad(buf, RvadConfig(enhance=enh))
             assert len(r.labels) == len(r.denoised and r.labels)
             assert r.denoised is not None
+
+
+@pytest.mark.parametrize("enhance", ["msne", "msne-mod"])
+def test_peak_memory_bounded_by_signal_arrays(enhance):
+    # two minutes at 16 kHz, with unvoiced bursts for the first pass to zero;
+    # the spectrum is worked on a block at a time, so the peak is a few
+    # signal-length arrays
+    rng = np.random.default_rng(83)
+    fs = 16000
+    bursts = [(3.0 * k + 0.5, 1.2, 120.0 + 2.0 * k) for k in range(40)]
+    samples = utterance(bursts, 120.0, fs, noise_rms=0.01, rng=rng).samples.copy()
+    for k in range(40):
+        lo = int((3.0 * k + 2.0) * fs)
+        samples[lo : lo + fs // 4] += 0.3 * rng.standard_normal(fs // 4)
+    buf = AudioBuffer(np.clip(samples, -1.0, 1.0), fs)
+    tracemalloc.start()
+    try:
+        result = run_rvad(buf, RvadConfig(mode="fast", enhance=enhance))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.num_speech_frames > 0
+    assert peak <= 8 * buf.samples.nbytes
 
 
 class TestRunDenoise:

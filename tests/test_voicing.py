@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvad import AudioBuffer
-from rvad.dsp import Spectrogram, make_grid, spectral_flatness, stft
+from rvad.dsp import BLOCK_BYTES, Spectrogram, make_grid, next_pow2, spectral_flatness, stft
 from rvad.voicing import count_voiced_in, detect_pitch_autocorr, sft_voicing
 
 from oracles import detect_sft
@@ -65,14 +65,17 @@ class TestDetectSft:
 class TestSftVoicingChunked:
     def test_identical_to_composed_ops(self):
         rng = np.random.default_rng(32)
-        sig = white_noise(2.3, 0.05, rng=rng)
+        sig = white_noise(5.5, 0.005, rng=rng)
         sig[4000:12000] += pulse_train(170.0, 1.0)
+        sig[18000:26000] += pulse_train(140.0, 1.0)
         buf = AudioBuffer(sig, FS)
         g = make_grid(buf)
         expected = detect_sft(stft(buf, g), 0.5)
         np.testing.assert_array_equal(sft_voicing(buf, g, 0.5), expected)
-        # frame counts on either side of a chunk boundary
-        for frames in (47, 48, 49, 96, 97):
+        # frame counts on either side of a block boundary, voiced across it
+        block = BLOCK_BYTES // (8 * next_pow2(g.frame_len))
+        assert expected[block - 2 : block + 2].all()
+        for frames in (block - 1, block, block + 1, 2 * block, 2 * block + 1):
             part = AudioBuffer(sig[: (frames - 1) * g.frame_shift + g.frame_len], FS)
             pg = make_grid(part)
             assert pg.num_frames == frames
