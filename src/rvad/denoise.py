@@ -164,6 +164,9 @@ def _trailing_min(history: np.ndarray, rows: np.ndarray, window: int) -> np.ndar
     cut into window-long segments, each row takes the minimum of its
     segment's prefix minimum and the previous segment's suffix minimum.
     The first segment takes the suffix minima of `history` instead.
+    A `minimum_filter1d` over history plus rows gives the same minima but
+    filters the window - 1 history rows again on every block: on a
+    10-minute 16 kHz file it made `run_rvad` about 16 % slower (2-vCPU host).
     """
     count, bins = rows.shape
     seg = window if count > window else count

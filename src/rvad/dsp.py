@@ -23,6 +23,7 @@ __all__ = [
     "next_pow2",
     "hamming",
     "stft",
+    "block_frames",
     "frame_blocks",
     "spectral_flatness",
 ]
@@ -135,14 +136,19 @@ def stft(audio: AudioBuffer, grid: FrameGrid) -> Spectrogram:
     return Spectrogram(np.fft.rfft(windowed, n=nfft, axis=1), nfft, audio.sample_rate_hz)
 
 
+def block_frames(frame_len: int) -> int:
+    """Frames per `frame_blocks` block: BLOCK_BYTES of complex spectrum,
+    taking a row of nfft//2 + 1 bins as 8*nfft bytes."""
+    return max(1, BLOCK_BYTES // (8 * next_pow2(frame_len)))
+
+
 def frame_blocks(audio: AudioBuffer, grid: FrameGrid) -> Iterator[tuple[int, AudioBuffer, FrameGrid]]:
-    """Split the grid into consecutive blocks of frames, in order.
+    """Split the grid into consecutive blocks of `block_frames` frames, in order.
 
     Yields each block's first frame, the samples its frames cover and a grid
-    of its own over them.  A block holds BLOCK_BYTES of complex spectrum,
-    taking a row of nfft//2 + 1 bins as 8*nfft bytes.
+    of its own over them.
     """
-    step = max(1, BLOCK_BYTES // (8 * next_pow2(grid.frame_len)))
+    step = block_frames(grid.frame_len)
     for first in range(0, grid.num_frames, step):
         count = min(step, grid.num_frames - first)
         lo, hi = grid.sample_span(first, first + count - 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvad import AudioBuffer
-from rvad.dsp import BLOCK_BYTES, Spectrogram, make_grid, next_pow2, spectral_flatness, stft
+from rvad.dsp import Spectrogram, block_frames, make_grid, spectral_flatness, stft
 from rvad.voicing import count_voiced_in, detect_pitch_autocorr, sft_voicing
 
 from oracles import detect_sft
@@ -73,7 +73,7 @@ class TestSftVoicingChunked:
         expected = detect_sft(stft(buf, g), 0.5)
         np.testing.assert_array_equal(sft_voicing(buf, g, 0.5), expected)
         # frame counts on either side of a block boundary, voiced across it
-        block = BLOCK_BYTES // (8 * next_pow2(g.frame_len))
+        block = block_frames(g.frame_len)
         assert expected[block - 2 : block + 2].all()
         for frames in (block - 1, block, block + 1, 2 * block, 2 * block + 1):
             part = AudioBuffer(sig[: (frames - 1) * g.frame_shift + g.frame_len], FS)
