@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,10 +100,13 @@ def read_wav(path) -> AudioBuffer:
     Supported encodings are integer PCM of 8 (unsigned), 16, 24 or 32 bits
     and IEEE float of 32 or 64 bits, with format tag 1 or 3 or as
     WAVE_FORMAT_EXTENSIBLE with the PCM or IEEE-float sub-format.  Any other
-    encoding, or a data chunk that ends in a partial sample, raises
-    AudioFormatError.  Multi-channel data is averaged down to one channel
-    and integer samples are scaled by the type's full-scale value, so 16-bit
-    32767 maps to 32767/32768.
+    encoding, or a complete data chunk that ends in a partial sample, raises
+    AudioFormatError.  A data chunk cut short, holding fewer bytes than its
+    header declares, is taken as a file whose end was lost: the whole
+    samples present are decoded and a UserWarning names both byte counts.
+    Multi-channel data is averaged down to one channel and integer samples
+    are scaled by the type's full-scale value, so 16-bit 32767 maps to
+    32767/32768.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -110,6 +114,7 @@ def read_wav(path) -> AudioBuffer:
 
     fmt = None
     data = None
+    declared = 0
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
@@ -118,7 +123,7 @@ def read_wav(path) -> AudioBuffer:
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":
-            data = body
+            data, declared = body, size
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None or len(fmt) < 16 or data is None:
@@ -133,34 +138,38 @@ def read_wav(path) -> AudioBuffer:
         if tag is None:
             raise AudioFormatError(f"{path}: unsupported WAVE_FORMAT_EXTENSIBLE sub-format {fmt[24:40].hex()}")
 
-    if tag == _TAG_PCM and bits == 8:
+    if not ((tag == _TAG_PCM and bits in (8, 24)) or (tag, bits) in _SAMPLE_TYPES):
+        raise AudioFormatError(f"{path}: unsupported encoding (tag={tag}, bits={bits})")
+    width = bits // 8
+    if len(data) < declared:
+        warnings.warn(
+            f"{path}: data chunk declares {declared} bytes but the file holds {len(data)};"
+            f" decoding the {len(data) // width} whole samples present",
+            UserWarning,
+            stacklevel=2,
+        )
+        data = data[: len(data) - len(data) % width]
+    elif len(data) % width:
+        raise AudioFormatError(f"{path}: data chunk of {len(data)} bytes ends in a partial {bits}-bit sample")
+
+    if bits == 8:
         flat = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
-    elif tag == _TAG_PCM and bits == 24:
+    elif bits == 24:
         # each sample into the top three bytes of an int32, which is value * 2**8
-        _check_whole_samples(data, 3, path)
         wide = np.zeros((len(data) // 3, 4), dtype=np.uint8)
         wide[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
         flat = wide.view("<i4")[:, 0].astype(np.float64)
         flat /= 2.0**31
-    elif (tag, bits) in _SAMPLE_TYPES:
+    else:
         dtype, full_scale = _SAMPLE_TYPES[tag, bits]
-        _check_whole_samples(data, bits // 8, path)
         flat = np.frombuffer(data, dtype=dtype).astype(np.float64)
         flat /= full_scale
-    else:
-        raise AudioFormatError(f"{path}: unsupported encoding (tag={tag}, bits={bits})")
 
     if channels == 1:
         return AudioBuffer(flat, rate)
     usable = (len(flat) // channels) * channels
     samples = flat[:usable].reshape(-1, channels).mean(axis=1)
     return AudioBuffer(samples, rate)
-
-
-def _check_whole_samples(data: bytes, width: int, path) -> None:
-    """Reject a data chunk that ends in a partial sample of `width` bytes."""
-    if len(data) % width:
-        raise AudioFormatError(f"{path}: data chunk of {len(data)} bytes ends in a partial {8 * width}-bit sample")
 
 
 def write_wav(path, audio: AudioBuffer) -> None:

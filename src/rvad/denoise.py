@@ -17,11 +17,14 @@ from .voicing import count_voiced_in
 
 __all__ = [
     "detect_high_energy",
+    "noise_segments",
+    "zero_segments",
     "first_pass_denoise",
     "MsneState",
     "msne_noise_track",
     "spectral_subtract",
     "lowfreq_suppress",
+    "OverlapAddState",
     "reconstruct",
 ]
 
@@ -59,12 +62,18 @@ def detect_high_energy(
 
 
 def zero_segments(audio: AudioBuffer, grid: FrameGrid, segments: list[Segment]) -> AudioBuffer:
-    """Copy of the audio with every sample covered by `segments` set to zero."""
-    out = audio.samples.copy()
+    """Set every sample of `audio` covered by `segments` to zero, in place,
+    and return `audio`."""
     for seg in segments:
         lo, hi = grid.sample_span(*seg)
-        out[lo:hi] = 0.0
-    return AudioBuffer(out, audio.sample_rate_hz)
+        audio.samples[lo:hi] = 0.0
+    return audio
+
+
+def noise_segments(segments: list[Segment], voiced_mask: np.ndarray, min_pitch_frames: int = 2) -> list[Segment]:
+    """The high-energy segments the first pass zeroes: those holding at most
+    `min_pitch_frames` voiced frames."""
+    return [seg for seg in segments if count_voiced_in(voiced_mask, seg) <= min_pitch_frames]
 
 
 def first_pass_denoise(
@@ -76,12 +85,14 @@ def first_pass_denoise(
 ) -> tuple[AudioBuffer, list[Segment]]:
     """Zero out high-energy segments that contain too few voiced frames.
 
-    Returns the audio with those segments zeroed together with the list of
-    segments actually zeroed; samples outside them are untouched.  When
-    nothing qualifies the input buffer itself comes back, not a copy.
+    Returns a copy of the audio with the `noise_segments` zeroed together
+    with the list of those segments; samples outside them are untouched.
+    When nothing qualifies the input buffer itself comes back, not a copy.
     """
-    zeroed = [seg for seg in segments if count_voiced_in(voiced_mask, seg) <= min_pitch_frames]
-    return (zero_segments(audio, grid, zeroed) if zeroed else audio), zeroed
+    zeroed = noise_segments(segments, voiced_mask, min_pitch_frames)
+    if not zeroed:
+        return audio, zeroed
+    return zero_segments(AudioBuffer(audio.samples.copy(), audio.sample_rate_hz), grid, zeroed), zeroed
 
 
 @dataclass
@@ -235,40 +246,79 @@ def lowfreq_suppress(spec: Spectrogram, cutoff_hz: float = DEFAULT_LOWFREQ_CUTOF
     return spec
 
 
+@dataclass
+class OverlapAddState:
+    """What overlap-add carries from one block of frames to the next.
+
+    `next_frame` is the first frame of the next block and `tail` holds the
+    sums so far of the frame_len - shift samples from that frame's first
+    sample on, which earlier frames also cover.  A fresh state starts at
+    frame 0 with no tail.
+    """
+
+    next_frame: int = 0
+    tail: np.ndarray | None = None
+
+
 def reconstruct(
-    spec: Spectrogram, grid: FrameGrid, out: AudioBuffer | None = None, first_frame: int = 0
+    spec: Spectrogram,
+    grid: FrameGrid,
+    out: AudioBuffer | None = None,
+    first_frame: int = 0,
+    state: OverlapAddState | None = None,
 ) -> AudioBuffer:
     """Overlap-add inverse STFT, dividing by the summed squared-window envelope.
 
-    Round-trips the forward transform exactly on covered samples; samples
-    past the last full frame come back as zeros.  `spec` holds frames
-    `first_frame`.. of the grid; their windowed inverse transforms are added
-    into `out` (a new zero signal of the grid's length by default) and `out`
-    is returned.  Blocks passed in frame order build the same signal as one
-    call on all frames: each sample sums its frames in ascending order, and
-    the division happens once the grid's last frame is in.
+    Round-trips the forward transform exactly on covered samples.  `spec`
+    holds frames `first_frame`.. of the grid, and `state` carries the sums
+    still open between calls on consecutive blocks of frames; without one a
+    call must start at frame 0.  A call writes into `out` the samples that
+    no later frame covers: from the block's first sample up to the next
+    block's first sample, or, after the grid's last frame, up to the end of
+    that frame.  It reads no sample of `out` and writes none past these, so
+    `out` may be the very signal whose later blocks are still to be
+    transformed.  Without `out` the frames must be the whole grid, and a new
+    signal of the grid's length comes back with zeros past the last frame.
+    A finished sample is the sum of its frames in ascending order divided by
+    the envelope of those same frames, so blocks give the same signal as one
+    call on all frames.
     """
     count = spec.frames.shape[0]
+    state = OverlapAddState() if state is None else state
+    flen, shift = grid.frame_len, grid.frame_shift
     if out is None:
         if count != grid.num_frames:
             raise ValueError("spectrogram frame count does not match the grid")
         out = AudioBuffer(np.zeros(grid.total_samples), spec.sample_rate_hz)
-    elif first_frame < 0 or first_frame + count > grid.num_frames or len(out) != grid.total_samples:
+    if first_frame != state.next_frame or first_frame + count > grid.num_frames or len(out) != grid.total_samples:
         raise ValueError("spectrogram block does not fit the grid")
-    window = hamming(grid.frame_len)
-    time_frames = np.fft.irfft(spec.frames, n=spec.nfft, axis=1)[:, : grid.frame_len]
+    if grid.num_frames and (grid.num_frames - 1) * shift + flen > grid.total_samples:
+        raise ValueError("frames run past the end of the signal")
+    if count == 0:
+        return out
+    end = first_frame + count
+    lo = first_frame * shift
+    hi = end * shift if end < grid.num_frames else (end - 1) * shift + flen
+    window = hamming(flen)
+    time_frames = np.fft.irfft(spec.frames, n=spec.nfft, axis=1)[:, :flen]
     time_frames *= window
-    _overlap_add(out.samples, time_frames, first_frame, grid.frame_shift)
-    if first_frame + count == grid.num_frames:
-        envelope = np.zeros(grid.total_samples)
-        _overlap_add(envelope, np.broadcast_to(window * window, (grid.num_frames, grid.frame_len)), 0, grid.frame_shift)
-        np.maximum(envelope, _ENVELOPE_FLOOR, out=envelope)
-        out.samples /= envelope
+    sums = np.zeros((count - 1) * shift + flen)
+    if state.tail is not None:
+        sums[: len(state.tail)] = state.tail
+    _overlap_add(sums, time_frames, shift)
+    # the envelope of every frame that reaches a sample in [lo, hi)
+    reach = min((flen - 1) // shift, first_frame)
+    envelope = np.zeros((count + reach - 1) * shift + flen)
+    _overlap_add(envelope, np.broadcast_to(window * window, (count + reach, flen)), shift)
+    envelope = envelope[reach * shift : reach * shift + hi - lo]
+    np.maximum(envelope, _ENVELOPE_FLOOR, out=envelope)
+    np.divide(sums[: hi - lo], envelope, out=out.samples[lo:hi])
+    state.next_frame, state.tail = end, sums[hi - lo :]
     return out
 
 
-def _overlap_add(signal: np.ndarray, rows: np.ndarray, first_frame: int, shift: int) -> None:
-    """Add row m of `rows` into `signal` from sample (first_frame + m) * shift on.
+def _overlap_add(signal: np.ndarray, rows: np.ndarray, shift: int) -> None:
+    """Add row m of `rows` into `signal` from sample m * shift on.
 
     The frames are added one shift-wide piece at a time, each piece of all
     frames in one strided pass.  A sample takes its frames at descending
@@ -276,11 +326,10 @@ def _overlap_add(signal: np.ndarray, rows: np.ndarray, first_frame: int, shift: 
     them in ascending frame order, as a loop over frames does.
     """
     count, frame_len = rows.shape
-    if count and (first_frame + count - 1) * shift + frame_len > len(signal):
+    if count and (count - 1) * shift + frame_len > len(signal):
         raise ValueError("frames run past the end of the signal")
     step = signal.strides[0]
     for lo in range((frame_len - 1) // shift * shift, -1, -shift):
         width = min(shift, frame_len - lo)
-        start = first_frame * shift + lo
-        view = as_strided(signal[start:], (count, width), (shift * step, step))
+        view = as_strided(signal[lo:], (count, width), (shift * step, step))
         view += rows[:, lo : lo + width]

@@ -187,13 +187,19 @@ def _voicing_mask(filtered, grid, cfg, override):
 
 def _second_pass(audio, grid, zeroed_segments, cfg, keep_noise):
     """Spectral subtraction one `frame_blocks` block at a time, carrying the
-    noise tracker and the overlap-add sum from block to block.  The noise
-    track, (frames x bins), is only built when `keep_noise` asks for it."""
+    noise tracker and the open overlap-add sums from block to block.
+
+    The enhanced samples overwrite `audio`, which comes back: `reconstruct`
+    writes a block's samples once no later frame covers them, all before the
+    next block's first sample, which no later block reads.  Samples past the
+    last frame become zeros.  The noise track, (frames x bins), is only
+    built when `keep_noise` asks for it.
+    """
     if cfg.enhance == "none":
         return audio, None
     frozen = segments_to_mask(zeroed_segments, grid.num_frames) if cfg.enhance == "msne-mod" else None
     state = dn.MsneState()
-    enhanced = AudioBuffer(np.zeros(grid.total_samples), audio.sample_rate_hz)
+    ola = dn.OverlapAddState()
     noise = np.empty((grid.num_frames, next_pow2(grid.frame_len) // 2 + 1)) if keep_noise else None
     for first, block, block_grid in frame_blocks(audio, grid):
         end = first + block_grid.num_frames
@@ -211,8 +217,9 @@ def _second_pass(audio, grid, zeroed_segments, cfg, keep_noise):
         dn.spectral_subtract(spec, track, cfg.subtract_floor)
         if cfg.enhance == "msne-mod":
             dn.lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
-        dn.reconstruct(spec, grid, enhanced, first)
-    return enhanced, noise
+        dn.reconstruct(spec, grid, audio, first, ola)
+    audio.samples[grid.sample_span(0, grid.num_frames - 1)[1] if grid.num_frames else 0 :] = 0.0
+    return audio, noise
 
 
 @dataclass
@@ -228,23 +235,29 @@ class _FrontEnd:
 
 
 def _front(audio, cfg, voicing, keep_noise=False) -> _FrontEnd:
-    """High-pass, first-pass features and zeroing, second-pass enhancement."""
+    """High-pass, first-pass features and zeroing, second-pass enhancement.
+
+    The high-passed signal is the one working buffer: the first pass zeroes
+    its noise segments in place and the second pass overwrites it with the
+    enhanced samples, so the caller's samples are never written.
+    """
     if audio.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
         raise ValueError(f"sample rate must be >= {MIN_SAMPLE_RATE_HZ} Hz")
-    filtered = highpass(audio, cfg.hpf_cutoff_hz)
-    grid = make_grid(filtered, cfg.frame_len_ms, cfg.frame_shift_ms)
+    work = highpass(audio, cfg.hpf_cutoff_hz)
+    grid = make_grid(work, cfg.frame_len_ms, cfg.frame_shift_ms)
     if grid.num_frames == 0:
-        return _FrontEnd(grid, None, filtered, None, None)
-    e1 = frame_energy(filtered, grid)
+        return _FrontEnd(grid, None, work, None, None)
+    e1 = frame_energy(work, grid)
     feats = compute_features(e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
     he_segs = dn.detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
-    mask = _voicing_mask(filtered, grid, cfg, voicing)
-    cleaned, zeroed = dn.first_pass_denoise(filtered, grid, he_segs, mask, cfg.min_pitch_frames)
-    enhanced, noise = _second_pass(cleaned, grid, zeroed, cfg, keep_noise)
-    # energies of whatever signal leaves the enabled passes; reuse the
-    # first-pass ones when neither pass touched a sample
-    e2 = e1 if (enhanced is filtered) else frame_energy(enhanced, grid)
-    return _FrontEnd(grid, mask, enhanced, noise, e2)
+    mask = _voicing_mask(work, grid, cfg, voicing)
+    zeroed = dn.noise_segments(he_segs, mask, cfg.min_pitch_frames)
+    dn.zero_segments(work, grid, zeroed)
+    _, noise = _second_pass(work, grid, zeroed, cfg, keep_noise)
+    # energies of the signal that leaves the passes; the first-pass ones
+    # still hold only when neither pass changed a sample
+    e2 = e1 if not zeroed and cfg.enhance == "none" else frame_energy(work, grid)
+    return _FrontEnd(grid, mask, work, noise, e2)
 
 
 def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> VadResult:
@@ -303,9 +316,12 @@ def run_batch(paths, cfg: RvadConfig | None = None, workers: int = 1) -> list[Ba
     failures are reported without aborting the batch.
 
     Batch results carry labels and segments but not the denoised audio; use
-    run_rvad or run_denoise when the waveform itself is needed."""
+    run_rvad or run_denoise when the waveform itself is needed.  At most one
+    worker process per file starts, since a pool may start all its workers
+    at once; a batch left with one worker runs in this process."""
     cfg = cfg or RvadConfig()
     paths = [str(p) for p in paths]
+    workers = min(workers, len(paths))
     items: list[BatchItem] = []
     if workers <= 1:
         for path in paths:

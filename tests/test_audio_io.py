@@ -139,6 +139,27 @@ class TestReadWav:
         with pytest.raises(AudioFormatError, match="partial"):
             read_wav(p)
 
+    def test_truncated_16bit_chunk_decodes_what_is_present(self, tmp_path):
+        # the header declares 8000 samples; the file was cut after 7500
+        p = tmp_path / "cut16.wav"
+        vals = np.arange(-4000, 4000, dtype="<i2")
+        _write_raw_wav(p, 1, 16, 1, FS, vals.tobytes())
+        p.write_bytes(p.read_bytes()[: -2 * 500])
+        with pytest.warns(UserWarning, match="declares 16000 bytes but the file holds 15000"):
+            buf = read_wav(p)
+        np.testing.assert_array_equal(buf.samples, vals[:7500] / 32768.0)
+
+    def test_truncated_24bit_chunk_cut_mid_sample(self, tmp_path):
+        # 1000 samples declared; 700 whole ones and two bytes of the next remain
+        p = tmp_path / "cut24.wav"
+        vals = [(37 * k) % 2**23 - 2**22 for k in range(1000)]
+        payload = b"".join(v.to_bytes(3, "little", signed=True) for v in vals)
+        _write_raw_wav(p, 1, 24, 1, FS, payload)
+        p.write_bytes(p.read_bytes()[: -(3 * 300 - 2)])
+        with pytest.warns(UserWarning, match="declares 3000 bytes but the file holds 2102"):
+            buf = read_wav(p)
+        np.testing.assert_array_equal(buf.samples, np.array(vals[:700]) / 2.0**23)
+
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"this is not a wav file at all")

@@ -444,7 +444,10 @@ class TestBlockwiseSecondPass:
         w = {"one": 1, "two": 2, "block-1": block - 1, "block+1": block + 1, "two-blocks": 2 * block}.get(window)
         cfg = RvadConfig(enhance=enhance, msne_window_frames=w or int(rng.integers(1, 3 * block)))
 
-        enhanced, noise = _second_pass(audio, grid, zeroed, cfg, keep_noise=True)
+        # the pass overwrites the signal it is given with the enhanced one
+        work = AudioBuffer(samples.copy(), fs)
+        enhanced, noise = _second_pass(work, grid, zeroed, cfg, keep_noise=True)
+        assert enhanced is work
 
         spec = stft(audio, grid)
         mask = segments_to_mask(zeroed, num) if enhance == "msne-mod" else None
@@ -460,7 +463,8 @@ class TestBlockwiseSecondPass:
     def test_noise_track_only_on_request(self):
         audio = AudioBuffer(np.random.default_rng(61).standard_normal(8000), FS)
         grid = make_grid(audio)
-        with_track = _second_pass(audio, grid, [(3, 9)], RvadConfig(enhance="msne-mod"), keep_noise=True)
-        without = _second_pass(audio, grid, [(3, 9)], RvadConfig(enhance="msne-mod"), keep_noise=False)
+        cfg = RvadConfig(enhance="msne-mod")
+        with_track = _second_pass(AudioBuffer(audio.samples.copy(), FS), grid, [(3, 9)], cfg, keep_noise=True)
+        without = _second_pass(AudioBuffer(audio.samples.copy(), FS), grid, [(3, 9)], cfg, keep_noise=False)
         assert without[1] is None
         assert with_track[0].samples.tobytes() == without[0].samples.tobytes()

@@ -1,15 +1,18 @@
 """Per-segment VAD decisions, post-processing, and the full pipeline."""
 
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rvad
 from rvad import AudioBuffer, RvadConfig, run_batch, run_denoise, run_rvad, write_wav
 from rvad.dsp import frame_energy, highpass, make_grid
 from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
-from rvad.vad import post_process, segment_vad
+from rvad.vad import _front, post_process, segment_vad
 from rvad.voicing import sft_voicing
 
 from synth import FS, pulse_train, utterance, white_noise
@@ -271,12 +274,77 @@ class TestRunRvad:
             assert len(r.labels) == len(r.denoised and r.labels)
             assert r.denoised is not None
 
+    def test_enhance_none_energies_from_zeroed_signal(self):
+        # a tone, then a loud burst the injected mask leaves unvoiced: the
+        # first pass zeroes it, so the second-pass energies cannot be the
+        # first-pass ones even with no enhancement
+        rng = np.random.default_rng(84)
+        samples = utterance([(0.5, 1.0, 150.0)], 3.0, noise_rms=0.01, rng=rng).samples.copy()
+        samples[int(2.0 * FS) : int(2.3 * FS)] += 0.4 * rng.standard_normal(int(0.3 * FS))
+        audio = AudioBuffer(samples, FS)
+        grid = make_grid(audio)
+        voicing = np.zeros(grid.num_frames, dtype=bool)
+        voicing[60:140] = True
+        front = _front(audio, RvadConfig(enhance="none"), voicing)
+        filtered = highpass(audio)
+        burst = slice(int(2.05 * FS), int(2.25 * FS))
+        assert np.all(front.enhanced.samples[burst] == 0.0)
+        assert front.e2.tobytes() == frame_energy(front.enhanced, grid).tobytes()
+        assert not np.array_equal(front.e2, frame_energy(filtered, grid))
 
-@pytest.mark.parametrize("enhance", ["msne", "msne-mod"])
-def test_peak_memory_bounded_by_signal_arrays(enhance):
+
+class TestPipelineProperties:
+    """Invariants of the in-place front end over random audio, rates and configs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fs=st.sampled_from([8000, 16000, 44100, 48000]),
+        seconds=st.floats(0.0, 3.0),
+        mode=st.sampled_from(["full", "fast"]),
+        enhance=st.sampled_from(["none", "msne", "msne-mod"]),
+        density=st.sampled_from([0.0, 0.05, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_caller_samples_untouched_and_labels_bounded(self, fs, seconds, mode, enhance, density, seed):
+        rng = np.random.default_rng(seed)
+        n = int(seconds * fs)
+        samples = 10.0 ** rng.uniform(-3.0, 0.0) * rng.standard_normal(n)
+        lo = int(rng.integers(0, n + 1))
+        samples[lo : lo + int(rng.integers(0, fs))] *= 20.0  # a loud stretch for the first pass
+        audio = AudioBuffer(samples, fs)
+        before = audio.samples.tobytes()
+        cfg = RvadConfig(mode=mode, enhance=enhance)
+        num = make_grid(audio, cfg.frame_len_ms, cfg.frame_shift_ms).num_frames
+        mask = rng.random(num) < density
+
+        result = run_rvad(audio, cfg, voicing=mask)
+        assert audio.samples.tobytes() == before
+        assert len(result.labels) == num
+        allowed = segments_to_mask(extend_segments(mask_to_segments(mask), cfg.ext_frames, num), num)
+        assert not np.any(result.labels & ~allowed)
+
+        enhanced, _ = run_denoise(audio, cfg)
+        assert audio.samples.tobytes() == before
+        assert len(enhanced) == n
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        fs=st.sampled_from([8000, 16000, 44100, 48000]),
+        seconds=st.floats(0.0, 3.0),
+        mode=st.sampled_from(["full", "fast"]),
+        enhance=st.sampled_from(["none", "msne", "msne-mod"]),
+    )
+    def test_all_zero_input_no_speech(self, fs, seconds, mode, enhance):
+        result = run_rvad(AudioBuffer(np.zeros(int(seconds * fs)), fs), RvadConfig(mode=mode, enhance=enhance))
+        assert result.num_speech_frames == 0
+
+
+@pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
+@pytest.mark.parametrize("mode", ["fast", "full"])
+def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
     # two minutes at 16 kHz, with unvoiced bursts for the first pass to zero;
-    # the spectrum is worked on a block at a time, so the peak is a few
-    # signal-length arrays
+    # the high-passed signal is the one working buffer and the spectrum is
+    # worked on a block at a time, so the peak is that buffer plus O(block)
     rng = np.random.default_rng(83)
     fs = 16000
     bursts = [(3.0 * k + 0.5, 1.2, 120.0 + 2.0 * k) for k in range(40)]
@@ -287,12 +355,12 @@ def test_peak_memory_bounded_by_signal_arrays(enhance):
     buf = AudioBuffer(np.clip(samples, -1.0, 1.0), fs)
     tracemalloc.start()
     try:
-        result = run_rvad(buf, RvadConfig(mode="fast", enhance=enhance))
+        result = run_rvad(buf, RvadConfig(mode=mode, enhance=enhance))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.num_speech_frames > 0
-    assert peak <= 8 * buf.samples.nbytes
+    assert peak <= 1.5 * buf.samples.nbytes
 
 
 class TestRunDenoise:
@@ -351,6 +419,32 @@ class TestRunBatch:
         paths = self._corpus(tmp_path, 1)
         items = run_batch([paths[0], paths[0]], RvadConfig(enhance="none"))
         np.testing.assert_array_equal(items[0].result.labels, items[1].result.labels)
+
+    def test_no_more_workers_than_files(self, tmp_path, monkeypatch):
+        started = []
+
+        class InlinePool:
+            """Stands in for the process pool: records its size, runs calls here."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(rvad.vad, "ProcessPoolExecutor", InlinePool)
+        paths = self._corpus(tmp_path, 2)
+        items = run_batch(paths, RvadConfig(enhance="none"), workers=64)
+        assert started == [2]
+        assert [i.path for i in items] == paths and all(i.ok for i in items)
 
     def test_parallel_matches_sequential(self, tmp_path):
         paths = self._corpus(tmp_path, 4)
