@@ -237,7 +237,7 @@ def lowfreq_suppress(spec: Spectrogram, cutoff_hz: float = DEFAULT_LOWFREQ_CUTOF
     frames of `spec` are overwritten and `spec` returned.
     """
     k_cut = int(np.ceil(cutoff_hz / spec.bin_hz))
-    if k_cut <= 0 or spec.frames.shape[0] == 0:
+    if k_cut <= 0:
         return spec
     power = np.abs(spec.frames) ** 2
     low = power[:, :k_cut].sum(axis=1)
@@ -264,24 +264,23 @@ def reconstruct(
     spec: Spectrogram,
     grid: FrameGrid,
     out: AudioBuffer | None = None,
-    first_frame: int = 0,
     state: OverlapAddState | None = None,
 ) -> AudioBuffer:
     """Overlap-add inverse STFT, dividing by the summed squared-window envelope.
 
     Round-trips the forward transform exactly on covered samples.  `spec`
-    holds frames `first_frame`.. of the grid, and `state` carries the sums
-    still open between calls on consecutive blocks of frames; without one a
-    call must start at frame 0.  A call writes into `out` the samples that
-    no later frame covers: from the block's first sample up to the next
-    block's first sample, or, after the grid's last frame, up to the end of
-    that frame.  It reads no sample of `out` and writes none past these, so
-    `out` may be the very signal whose later blocks are still to be
-    transformed.  Without `out` the frames must be the whole grid, and a new
-    signal of the grid's length comes back with zeros past the last frame.
-    A finished sample is the sum of its frames in ascending order divided by
-    the envelope of those same frames, so blocks give the same signal as one
-    call on all frames.
+    holds the grid's frames from `state.next_frame` on, and `state` carries
+    the sums still open between calls on consecutive blocks of frames;
+    without one the frames start at frame 0.  A call writes into `out` the
+    samples that no later frame covers: from the block's first sample up to
+    the next block's first sample, or, after the grid's last frame, up to
+    the end of that frame.  It reads no sample of `out` and writes none past
+    these, so `out` may be the very signal whose later blocks are still to
+    be transformed.  Without `out` the frames must be the whole grid, and a
+    new signal of the grid's length comes back with zeros past the last
+    frame.  A finished sample is the sum of its frames in ascending order
+    divided by the envelope of those same frames, so blocks give the same
+    signal as one call on all frames.
     """
     count = spec.frames.shape[0]
     state = OverlapAddState() if state is None else state
@@ -290,14 +289,15 @@ def reconstruct(
         if count != grid.num_frames:
             raise ValueError("spectrogram frame count does not match the grid")
         out = AudioBuffer(np.zeros(grid.total_samples), spec.sample_rate_hz)
-    if first_frame != state.next_frame or first_frame + count > grid.num_frames or len(out) != grid.total_samples:
+    first = state.next_frame
+    if first + count > grid.num_frames or len(out) != grid.total_samples:
         raise ValueError("spectrogram block does not fit the grid")
     if grid.num_frames and (grid.num_frames - 1) * shift + flen > grid.total_samples:
         raise ValueError("frames run past the end of the signal")
     if count == 0:
         return out
-    end = first_frame + count
-    lo = first_frame * shift
+    end = first + count
+    lo = first * shift
     hi = end * shift if end < grid.num_frames else (end - 1) * shift + flen
     window = hamming(flen)
     time_frames = np.fft.irfft(spec.frames, n=spec.nfft, axis=1)[:, :flen]
@@ -307,7 +307,7 @@ def reconstruct(
         sums[: len(state.tail)] = state.tail
     _overlap_add(sums, time_frames, shift)
     # the envelope of every frame that reaches a sample in [lo, hi)
-    reach = min((flen - 1) // shift, first_frame)
+    reach = min((flen - 1) // shift, first)
     envelope = np.zeros((count + reach - 1) * shift + flen)
     _overlap_add(envelope, np.broadcast_to(window * window, (count + reach, flen)), shift)
     envelope = envelope[reach * shift : reach * shift + hi - lo]

@@ -24,7 +24,7 @@ __all__ = [
     "hamming",
     "stft",
     "block_frames",
-    "frame_blocks",
+    "stft_blocks",
     "spectral_flatness",
 ]
 
@@ -137,24 +137,24 @@ def stft(audio: AudioBuffer, grid: FrameGrid) -> Spectrogram:
 
 
 def block_frames(frame_len: int) -> int:
-    """Frames per `frame_blocks` block: BLOCK_BYTES of complex spectrum,
+    """Frames per `stft_blocks` block: BLOCK_BYTES of complex spectrum,
     taking a row of nfft//2 + 1 bins as 8*nfft bytes."""
     return max(1, BLOCK_BYTES // (8 * next_pow2(frame_len)))
 
 
-def frame_blocks(audio: AudioBuffer, grid: FrameGrid) -> Iterator[tuple[int, AudioBuffer, FrameGrid]]:
-    """Split the grid into consecutive blocks of `block_frames` frames, in order.
+def stft_blocks(audio: AudioBuffer, grid: FrameGrid) -> Iterator[tuple[slice, Spectrogram]]:
+    """The `stft` of the grid's frames, `block_frames` frames at a time, in order.
 
-    Yields each block's first frame, the samples its frames cover and a grid
-    of its own over them.
+    Yields each block's rows of the grid and their spectrogram.  A block's
+    samples are read only when it is reached, so a caller may overwrite
+    the samples before the next block's first one in between.
     """
     step = block_frames(grid.frame_len)
     for first in range(0, grid.num_frames, step):
         count = min(step, grid.num_frames - first)
         lo, hi = grid.sample_span(first, first + count - 1)
-        yield first, AudioBuffer(audio.samples[lo:hi], audio.sample_rate_hz), FrameGrid(
-            grid.frame_len, grid.frame_shift, count, hi - lo
-        )
+        block = AudioBuffer(audio.samples[lo:hi], audio.sample_rate_hz)
+        yield slice(first, first + count), stft(block, FrameGrid(grid.frame_len, grid.frame_shift, count, hi - lo))
 
 
 def spectral_flatness(spec: Spectrogram) -> np.ndarray:
@@ -164,8 +164,6 @@ def spectral_flatness(spec: Spectrogram) -> np.ndarray:
     Magnitudes are floored so silent frames come out flat (1.0) instead of
     dividing by zero.
     """
-    if spec.frames.shape[0] == 0:
-        return np.zeros(0)
     mag = np.abs(spec.frames)
     np.maximum(mag, MAG_FLOOR, out=mag)
     arithmetic = np.mean(mag, axis=1)

@@ -54,16 +54,14 @@ def track_noise_energy(e: np.ndarray, super_len: int = 200, forget: float = 0.9)
 
     Each super-segment contributes the energy ranked at 10% of lowest within
     it; the resulting sequence is exponentially smoothed with the given
-    forgetting factor.  A trailing partial super-segment is kept as-is.
+    forgetting factor.  A trailing partial super-segment is kept as-is, and
+    no frames give empty tracks.
     """
     e = np.asarray(e, dtype=np.float64)
-    if len(e) == 0:
-        raise ValueError("need at least one frame")
     if super_len < 1:
         raise ValueError("super_len must be >= 1")
     e_v = np.array([rank_low_energy(e[i : i + super_len]) for i in range(0, len(e), super_len)])
-    smooth = np.empty_like(e_v)
-    smooth[0] = e_v[0]
+    smooth = e_v.copy()
     for p in range(1, len(e_v)):
         smooth[p] = forget * smooth[p - 1] + (1.0 - forget) * e_v[p]
     return NoiseEnergyTrack(e_v, smooth, super_len, len(e))

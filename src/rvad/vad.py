@@ -10,7 +10,7 @@ import numpy as np
 
 from . import denoise as dn
 from .audio_io import AudioBuffer, read_wav
-from .dsp import FrameGrid, frame_blocks, frame_energy, highpass, make_grid, next_pow2, stft
+from .dsp import FrameGrid, frame_energy, highpass, make_grid, next_pow2, stft_blocks
 from .features import (
     central_smooth,
     compute_features,
@@ -83,8 +83,18 @@ class RvadConfig:
             raise ValueError("msne_bias must be >= 1")
         if self.msne_window_frames < 1:
             raise ValueError("msne_window_frames must be >= 1")
+        if self.super_len < 1:
+            raise ValueError("super_len must be >= 1")
+        if not 0.0 < self.pitch_rho < 1.0:
+            raise ValueError("pitch_rho must be in (0, 1)")
+        # pitch_f_max < sample_rate/2 is checked per file
+        if not 0.0 < self.pitch_f_min < self.pitch_f_max:
+            raise ValueError("need 0 < pitch_f_min < pitch_f_max")
+        if not 0.0 <= self.noise_forget <= 1.0:
+            raise ValueError("noise_forget must be in [0, 1]")
         for name in (
-            "super_len",
+            "subtract_floor",
+            "hpf_cutoff_hz",
             "smooth_n",
             "min_pitch_frames",
             "ext_frames",
@@ -145,8 +155,6 @@ def post_process(raw_labels: np.ndarray, pitch_segments: list[Segment], e: np.nd
     """
     labels = np.asarray(raw_labels, dtype=bool).copy()
     num = len(labels)
-    if num == 0:
-        return labels
     if not pitch_segments:
         return np.zeros(num, dtype=bool)
 
@@ -186,52 +194,50 @@ def _voicing_mask(filtered, grid, cfg, override):
 
 
 def _second_pass(audio, grid, zeroed_segments, cfg, keep_noise):
-    """Spectral subtraction one `frame_blocks` block at a time, carrying the
+    """Spectral subtraction one `stft_blocks` block at a time, carrying the
     noise tracker and the open overlap-add sums from block to block.
 
-    The enhanced samples overwrite `audio`, which comes back: `reconstruct`
-    writes a block's samples once no later frame covers them, all before the
-    next block's first sample, which no later block reads.  Samples past the
-    last frame become zeros.  The noise track, (frames x bins), is only
-    built when `keep_noise` asks for it.
+    The enhanced samples overwrite `audio`: `reconstruct` writes a block's
+    samples once no later frame covers them, all before the next block's
+    first sample, which no later block reads.  Samples past the last frame
+    become zeros.  Returns the noise track, (frames x bins), when
+    `keep_noise` asks for it and enhancement is on, else None.
     """
     if cfg.enhance == "none":
-        return audio, None
+        return None
     frozen = segments_to_mask(zeroed_segments, grid.num_frames) if cfg.enhance == "msne-mod" else None
     state = dn.MsneState()
     ola = dn.OverlapAddState()
     noise = np.empty((grid.num_frames, next_pow2(grid.frame_len) // 2 + 1)) if keep_noise else None
-    for first, block, block_grid in frame_blocks(audio, grid):
-        end = first + block_grid.num_frames
-        spec = stft(block, block_grid)
+    for rows, spec in stft_blocks(audio, grid):
         track = dn.msne_noise_track(
             spec,
-            None if frozen is None else frozen[first:end],
+            None if frozen is None else frozen[rows],
             cfg.msne_smoothing,
             cfg.msne_bias,
             cfg.msne_window_frames,
             state,
         )
         if keep_noise:
-            noise[first:end] = track
+            noise[rows] = track
         dn.spectral_subtract(spec, track, cfg.subtract_floor)
         if cfg.enhance == "msne-mod":
             dn.lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
-        dn.reconstruct(spec, grid, audio, first, ola)
+        dn.reconstruct(spec, grid, audio, ola)
     audio.samples[grid.sample_span(0, grid.num_frames - 1)[1] if grid.num_frames else 0 :] = 0.0
-    return audio, noise
+    return noise
 
 
 @dataclass
 class _FrontEnd:
     """What the front end hands to the VAD stage and to run_denoise; `noise`
-    is None unless the caller asked for it."""
+    is None unless the caller asked for it and enhancement is on."""
 
     grid: FrameGrid
-    mask: Optional[np.ndarray]
+    mask: np.ndarray
     enhanced: AudioBuffer
     noise: Optional[np.ndarray]
-    e2: Optional[np.ndarray]
+    e2: np.ndarray
 
 
 def _front(audio, cfg, voicing, keep_noise=False) -> _FrontEnd:
@@ -239,40 +245,34 @@ def _front(audio, cfg, voicing, keep_noise=False) -> _FrontEnd:
 
     The high-passed signal is the one working buffer: the first pass zeroes
     its noise segments in place and the second pass overwrites it with the
-    enhanced samples, so the caller's samples are never written.
+    enhanced samples, so the caller's samples are never written.  A grid
+    with no frames flows through every stage as empty arrays.
     """
     if audio.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
         raise ValueError(f"sample rate must be >= {MIN_SAMPLE_RATE_HZ} Hz")
     work = highpass(audio, cfg.hpf_cutoff_hz)
     grid = make_grid(work, cfg.frame_len_ms, cfg.frame_shift_ms)
-    if grid.num_frames == 0:
-        return _FrontEnd(grid, None, work, None, None)
     e1 = frame_energy(work, grid)
     feats = compute_features(e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
     he_segs = dn.detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
     mask = _voicing_mask(work, grid, cfg, voicing)
     zeroed = dn.noise_segments(he_segs, mask, cfg.min_pitch_frames)
     dn.zero_segments(work, grid, zeroed)
-    _, noise = _second_pass(work, grid, zeroed, cfg, keep_noise)
-    # energies of the signal that leaves the passes; the first-pass ones
-    # still hold only when neither pass changed a sample
-    e2 = e1 if not zeroed and cfg.enhance == "none" else frame_energy(work, grid)
-    return _FrontEnd(grid, mask, work, noise, e2)
+    noise = _second_pass(work, grid, zeroed, cfg, keep_noise)
+    return _FrontEnd(grid, mask, work, noise, frame_energy(work, grid))
 
 
 def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> VadResult:
     """Run the full VAD pipeline on one utterance.
 
     `voicing` optionally injects an externally computed per-frame voiced
-    mask in place of the built-in detectors.  An utterance too short for a
-    single frame yields an empty result.
+    mask in place of the built-in detectors.  An utterance shorter than one
+    frame gets no labels, and with enhancement on its denoised samples are
+    zeros, as are all samples past the last frame.
     """
     cfg = cfg or RvadConfig()
     front = _front(audio, cfg, voicing)
     grid, mask, e2 = front.grid, front.mask, front.e2
-    if grid.num_frames == 0:
-        return VadResult(np.zeros(0, dtype=bool), [], front.enhanced, cfg.frame_shift_ms, cfg.frame_len_ms)
-
     pitch_segments = mask_to_segments(mask)
     extended = extend_segments(pitch_segments, cfg.ext_frames, grid.num_frames)
     labels = np.zeros(grid.num_frames, dtype=bool)
@@ -286,7 +286,11 @@ def run_denoise(
     audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None
 ) -> tuple[AudioBuffer, Optional[np.ndarray]]:
     """Both denoising passes only; returns the enhanced audio and the noise
-    power track per (frame, bin), None when enhancement is off."""
+    power track per (frame, bin), None when enhancement is off.
+
+    With enhancement on, samples past the last frame come back as zeros:
+    input shorter than one frame gives all zeros and a (0, bins) track.
+    """
     cfg = cfg or RvadConfig()
     front = _front(audio, cfg, voicing, keep_noise=True)
     return front.enhanced, front.noise

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import FrameGrid, frame_blocks, frame_matrix, spectral_flatness, stft
+from .dsp import FrameGrid, frame_matrix, spectral_flatness, stft_blocks
 
 __all__ = ["sft_voicing", "detect_pitch_autocorr", "count_voiced_in"]
 
@@ -19,15 +19,15 @@ def sft_voicing(audio: AudioBuffer, grid: FrameGrid, theta_sft: float = 0.5) -> 
     Tonal/harmonic frames have low flatness; noise-like frames sit near 1.0
     and fall through.  Under heavy white noise this detector saturates
     unvoiced, which is the documented failure mode of the fast pipeline.
-    The STFT is taken one `dsp.frame_blocks` block at a time, so long files
+    The STFT is taken one `dsp.stft_blocks` block at a time, so long files
     never hold the full complex spectrum; decisions do not depend on the
     blocking.
     """
     if not 0.0 < theta_sft < 1.0:
         raise ValueError("theta_sft must be in (0, 1)")
     voiced = np.zeros(grid.num_frames, dtype=bool)
-    for first, block, block_grid in frame_blocks(audio, grid):
-        voiced[first : first + block_grid.num_frames] = spectral_flatness(stft(block, block_grid)) <= theta_sft
+    for rows, spec in stft_blocks(audio, grid):
+        voiced[rows] = spectral_flatness(spec) <= theta_sft
     return voiced
 
 
@@ -53,8 +53,6 @@ def detect_pitch_autocorr(
         raise ValueError("rho must be in (0, 1)")
 
     voiced = np.zeros(grid.num_frames, dtype=bool)
-    if grid.num_frames == 0:
-        return voiced
     frames = frame_matrix(audio.samples, grid)
     energies = np.einsum("ij,ij->i", frames, frames)
     gate = ENERGY_GATE_RATIO * energies.max(initial=0.0)

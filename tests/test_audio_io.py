@@ -5,6 +5,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rvad import (
     AudioBuffer,
@@ -269,6 +271,23 @@ class TestLabels:
         p = tmp_path / "rt.seg"
         write_labels(p, labels, fmt="segments")
         np.testing.assert_array_equal(read_labels(p).labels, labels.labels)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        raw=st.lists(st.booleans(), max_size=600),
+        shift_ms=st.sampled_from([10.0, 12.5, 20.0, 32.0]),
+        fmt=st.sampled_from(["frames", "segments"]),
+    )
+    def test_round_trip_property(self, tmp_path, raw, shift_ms, fmt):
+        # frames round-trip exactly; segments cannot say how many non-speech
+        # frames trail the last speech frame, so they come back cut after it
+        labels = np.asarray(raw, dtype=bool)
+        p = tmp_path / "rt.lab"
+        write_labels(p, FrameLabels(labels, shift_ms), fmt=fmt)
+        got = read_labels(p, frame_shift_ms=shift_ms)
+        speech = np.flatnonzero(labels)
+        end = len(labels) if fmt == "frames" else (speech[-1] + 1 if len(speech) else 0)
+        assert got.labels.tobytes() == labels[:end].tobytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

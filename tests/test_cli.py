@@ -120,6 +120,12 @@ class TestVadCommand:
             ("--msne-smoothing", "1.0"),
             ("--msne-bias", "0.5"),
             ("--frame-len-ms", "5"),
+            ("--super-len", "0"),
+            ("--pitch-rho", "1.5"),
+            ("--pitch-f-min", "500"),
+            ("--subtract-floor", "-1"),
+            ("--hpf-cutoff-hz", "-10"),
+            ("--noise-forget", "2"),
         ],
     )
     def test_out_of_range_config_is_usage_error(self, tmp_path, tone_wav, flag, value):

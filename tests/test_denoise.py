@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rvad import AudioBuffer
 from rvad.denoise import (
+    OverlapAddState,
     detect_high_energy,
     first_pass_denoise,
     lowfreq_suppress,
@@ -390,10 +391,10 @@ class TestReconstruct:
         bad = Spectrogram(spec.frames[:-1], spec.nfft, spec.sample_rate_hz)
         with pytest.raises(ValueError):
             reconstruct(bad, grid)
-        # a block must fit the grid from its first frame on
+        # a block must fit the grid from the state's next frame on
         out = AudioBuffer(np.zeros(grid.total_samples), FS)
         with pytest.raises(ValueError):
-            reconstruct(bad, grid, out, first_frame=2)
+            reconstruct(bad, grid, out, OverlapAddState(next_frame=2))
         with pytest.raises(ValueError):
             reconstruct(spec, FrameGrid(grid.frame_len, grid.frame_shift, grid.num_frames, 900))
 
@@ -445,9 +446,8 @@ class TestBlockwiseSecondPass:
         cfg = RvadConfig(enhance=enhance, msne_window_frames=w or int(rng.integers(1, 3 * block)))
 
         # the pass overwrites the signal it is given with the enhanced one
-        work = AudioBuffer(samples.copy(), fs)
-        enhanced, noise = _second_pass(work, grid, zeroed, cfg, keep_noise=True)
-        assert enhanced is work
+        enhanced = AudioBuffer(samples.copy(), fs)
+        noise = _second_pass(enhanced, grid, zeroed, cfg, keep_noise=True)
 
         spec = stft(audio, grid)
         mask = segments_to_mask(zeroed, num) if enhance == "msne-mod" else None
@@ -464,7 +464,7 @@ class TestBlockwiseSecondPass:
         audio = AudioBuffer(np.random.default_rng(61).standard_normal(8000), FS)
         grid = make_grid(audio)
         cfg = RvadConfig(enhance="msne-mod")
-        with_track = _second_pass(AudioBuffer(audio.samples.copy(), FS), grid, [(3, 9)], cfg, keep_noise=True)
-        without = _second_pass(AudioBuffer(audio.samples.copy(), FS), grid, [(3, 9)], cfg, keep_noise=False)
-        assert without[1] is None
-        assert with_track[0].samples.tobytes() == without[0].samples.tobytes()
+        with_track, without = AudioBuffer(audio.samples.copy(), FS), AudioBuffer(audio.samples.copy(), FS)
+        assert _second_pass(with_track, grid, [(3, 9)], cfg, keep_noise=True).shape == (grid.num_frames, 129)
+        assert _second_pass(without, grid, [(3, 9)], cfg, keep_noise=False) is None
+        assert with_track.samples.tobytes() == without.samples.tobytes()

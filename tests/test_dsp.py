@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from rvad import AudioBuffer
-from rvad.dsp import Spectrogram, frame_energy, highpass, make_grid, next_pow2, spectral_flatness, stft
+from rvad.dsp import (
+    Spectrogram,
+    block_frames,
+    frame_energy,
+    highpass,
+    make_grid,
+    next_pow2,
+    spectral_flatness,
+    stft,
+    stft_blocks,
+)
 
 from synth import FS, sine, white_noise
 
@@ -162,6 +172,38 @@ class TestStft:
         spec = stft(buf, make_grid(buf))
         assert spec.bin_hz == pytest.approx(FS / 256)
         assert spec.num_bins == 129
+
+
+class TestStftBlocks:
+    @pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
+    def test_blocks_tile_the_whole_stft(self, fs):
+        rng = np.random.default_rng(fs)
+        flen, shift = int(round(0.025 * fs)), int(round(0.010 * fs))
+        block = block_frames(flen)
+        for frames in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+            n = (frames - 1) * shift + flen + shift // 2 if frames else flen - 1
+            buf = AudioBuffer(rng.standard_normal(n), fs)
+            grid = make_grid(buf)
+            assert grid.num_frames == frames
+            whole = stft(buf, grid)
+            blocks = list(stft_blocks(buf, grid))
+            assert [rows.start for rows, _ in blocks] == list(range(0, frames, block))
+            assert all(rows.stop - rows.start == len(spec.frames) <= block for rows, spec in blocks)
+            assert all(spec.nfft == whole.nfft and spec.sample_rate_hz == fs for _, spec in blocks)
+            tiled = np.concatenate([spec.frames for _, spec in blocks]) if blocks else whole.frames
+            assert tiled.tobytes() == whole.frames.tobytes()
+
+    def test_block_reads_samples_only_when_reached(self):
+        # the second pass overwrites samples before the next block's first one
+        buf = AudioBuffer(np.random.default_rng(3).standard_normal(3 * FS), FS)
+        grid = make_grid(buf)
+        whole = stft(buf, grid).frames
+        blocks = stft_blocks(buf, grid)
+        rows, spec = next(blocks)
+        assert spec.frames.tobytes() == whole[rows].tobytes()
+        buf.samples[:] = 0.0
+        later = [spec.frames for _, spec in blocks]
+        assert later and not np.any(np.concatenate(later))
 
 
 class TestSpectralFlatness:

@@ -64,9 +64,14 @@ class TestTrackNoiseEnergy:
             seen = np.concatenate([track.e_v[: p + 1], [track.e_v_smooth[0]]])
             assert seen.min() - 1e-12 <= track.e_v_smooth[p] <= seen.max() + 1e-12
 
-    def test_empty_rejected(self):
+    def test_zero_frames_give_empty_tracks(self):
+        track = track_noise_energy(np.zeros(0))
+        assert track.e_v.shape == track.e_v_smooth.shape == track.per_frame().shape == (0,)
+        feats = compute_features(np.zeros(0))
+        for values in (feats.e, feats.snr_db, feats.d, feats.d_smooth):
+            assert values.shape == (0,) and values.dtype == np.float64
         with pytest.raises(ValueError):
-            track_noise_energy(np.zeros(0))
+            rank_low_energy(np.zeros(0))
 
 
 class TestPosteriorSnr:

@@ -223,6 +223,14 @@ class TestRunRvad:
         r = run_rvad(AudioBuffer(np.zeros(150), FS))  # shorter than one frame
         assert len(r.labels) == 0
         assert r.speech_segments == []
+        # the same stages run on no frames, under one frame and one frame
+        for n, frames in ((0, 0), (150, 0), (250, 1)):
+            audio = AudioBuffer(0.1 * np.random.default_rng(n).standard_normal(n), FS)
+            for mode in ("full", "fast"):
+                for enhance in ("msne", "msne-mod"):
+                    r = run_rvad(audio, RvadConfig(mode=mode, enhance=enhance))
+                    assert len(r.labels) == frames
+                    assert len(r.denoised) == n
 
     def test_low_sample_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -338,6 +346,17 @@ class TestPipelineProperties:
         result = run_rvad(AudioBuffer(np.zeros(int(seconds * fs)), fs), RvadConfig(mode=mode, enhance=enhance))
         assert result.num_speech_frames == 0
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        rms=st.floats(1e-4, 0.3),
+        seconds=st.floats(0.5, 4.0),
+        mode=st.sampled_from(["full", "fast"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_white_noise_no_speech(self, rms, seconds, mode, seed):
+        noise = white_noise(seconds, rms, FS, np.random.default_rng(seed))
+        assert run_rvad(AudioBuffer(noise, FS), RvadConfig(mode=mode)).num_speech_frames == 0
+
 
 @pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
 @pytest.mark.parametrize("mode", ["fast", "full"])
@@ -370,6 +389,17 @@ class TestRunDenoise:
         grid = make_grid(buf)
         assert noise.shape[0] == grid.num_frames
         assert len(out) == len(buf)
+
+    @pytest.mark.parametrize("enhance", ["msne", "msne-mod"])
+    @pytest.mark.parametrize("n, frames", [(0, 0), (150, 0), (250, 1)])
+    def test_short_input_zeros_past_the_last_frame(self, enhance, n, frames):
+        audio = AudioBuffer(0.1 * np.random.default_rng(n).standard_normal(n), FS)
+        out, noise = run_denoise(audio, RvadConfig(enhance=enhance))
+        assert noise.shape == (frames, 129)
+        assert len(out) == n
+        covered = (frames - 1) * 80 + 200 if frames else 0
+        assert np.all(out.samples[covered:] == 0.0)
+        assert np.any(out.samples[:covered]) == bool(frames)
 
     def test_enhance_none_returns_no_track(self):
         buf = utterance([(0.5, 0.8, 170.0)], 2.0)
@@ -491,9 +521,28 @@ class TestRvadConfig:
             {"msne_bias": 0.99},
             {"frame_len_ms": 5.0},
             {"frame_shift_ms": 0.0},
+            {"super_len": 0},
+            {"pitch_rho": 0.0},
+            {"pitch_rho": 1.5},
+            {"pitch_f_min": 0.0},
+            {"pitch_f_min": 500.0},
+            {"pitch_f_min": 400.0},
+            {"subtract_floor": -1.0},
+            {"hpf_cutoff_hz": -10.0},
+            {"noise_forget": -0.1},
+            {"noise_forget": 1.1},
         ):
             with pytest.raises(ValueError):
                 RvadConfig(**bad)
+        # the closed ends of the ranges stay valid
+        for edge in (
+            {"super_len": 1},
+            {"subtract_floor": 0.0},
+            {"hpf_cutoff_hz": 0.0},
+            {"noise_forget": 0.0},
+            {"noise_forget": 1.0},
+        ):
+            RvadConfig(**edge)
 
 
 def test_public_api_is_the_pipeline():
