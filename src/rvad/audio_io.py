@@ -1,7 +1,9 @@
-"""WAV and frame-label file I/O plus SNR-controlled noise mixing."""
+"""WAV and frame-label file I/O."""
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 import warnings
 import wave
@@ -19,7 +21,6 @@ __all__ = [
     "write_wav",
     "read_labels",
     "write_labels",
-    "mix_noise",
 ]
 
 INT16_FULL_SCALE = 32768.0
@@ -40,6 +41,10 @@ _SAMPLE_TYPES = {
     (_TAG_IEEE_FLOAT, 32): ("<f4", 1.0),
     (_TAG_IEEE_FLOAT, 64): ("<f8", 1.0),
 }
+
+# A data chunk is decoded this many bytes at a time, so reading a file holds
+# its float64 samples and not also the file's bytes.
+READ_BYTES = 1 << 16
 
 # Segment times are written with 6 decimals; this absorbs the parse rounding
 # when mapping frame starts back onto [start, end).
@@ -65,7 +70,9 @@ class AudioBuffer:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        # min and max carry a NaN through and meet any infinity, with no
+        # array the size of the signal
+        if self.samples.size and not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max())):
             raise ValueError("samples must be finite")
         if int(self.sample_rate_hz) <= 0:
             raise ValueError("sample_rate_hz must be positive")
@@ -73,10 +80,6 @@ class AudioBuffer:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
 
 @dataclass
@@ -108,68 +111,81 @@ def read_wav(path) -> AudioBuffer:
     are scaled by the type's full-scale value, so 16-bit 32767 maps to
     32767/32768.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise AudioFormatError(f"{path}: not a RIFF/WAVE file")
+    with open(path, "rb") as raw:
+        # a pipe cannot seek, so its bytes are held; a file is read in pieces
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        file_size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise AudioFormatError(f"{path}: not a RIFF/WAVE file")
 
-    fmt = None
-    data = None
-    declared = 0
-    pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
-        if chunk_id == b"fmt ":
-            fmt = body
-        elif chunk_id == b"data":
-            data, declared = body, size
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
+        fmt = None
+        data_at = None
+        declared = 0
+        pos = 12
+        while pos + 8 <= file_size:
+            fh.seek(pos)
+            chunk_id, size = struct.unpack("<4sI", fh.read(8))
+            if chunk_id == b"fmt ":
+                fmt = fh.read(size)
+            elif chunk_id == b"data":
+                data_at, declared = pos + 8, size
+            pos += 8 + size + (size & 1)  # chunks are word-aligned
 
-    if fmt is None or len(fmt) < 16 or data is None:
-        raise AudioFormatError(f"{path}: missing fmt or data chunk")
-    tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
-    if channels < 1 or rate < 1:
-        raise AudioFormatError(f"{path}: bad fmt chunk")
-    if tag == _TAG_EXTENSIBLE:
-        if len(fmt) < 40:
-            raise AudioFormatError(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk of {len(fmt)} bytes is too short")
-        tag = _SUBFORMATS.get(fmt[24:40])
-        if tag is None:
-            raise AudioFormatError(f"{path}: unsupported WAVE_FORMAT_EXTENSIBLE sub-format {fmt[24:40].hex()}")
+        if fmt is None or len(fmt) < 16 or data_at is None:
+            raise AudioFormatError(f"{path}: missing fmt or data chunk")
+        tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+        if channels < 1 or rate < 1:
+            raise AudioFormatError(f"{path}: bad fmt chunk")
+        if tag == _TAG_EXTENSIBLE:
+            if len(fmt) < 40:
+                raise AudioFormatError(f"{path}: WAVE_FORMAT_EXTENSIBLE fmt chunk of {len(fmt)} bytes is too short")
+            tag = _SUBFORMATS.get(fmt[24:40])
+            if tag is None:
+                raise AudioFormatError(f"{path}: unsupported WAVE_FORMAT_EXTENSIBLE sub-format {fmt[24:40].hex()}")
 
-    if not ((tag == _TAG_PCM and bits in (8, 24)) or (tag, bits) in _SAMPLE_TYPES):
-        raise AudioFormatError(f"{path}: unsupported encoding (tag={tag}, bits={bits})")
-    width = bits // 8
-    if len(data) < declared:
-        warnings.warn(
-            f"{path}: data chunk declares {declared} bytes but the file holds {len(data)};"
-            f" decoding the {len(data) // width} whole samples present",
-            UserWarning,
-            stacklevel=2,
-        )
-        data = data[: len(data) - len(data) % width]
-    elif len(data) % width:
-        raise AudioFormatError(f"{path}: data chunk of {len(data)} bytes ends in a partial {bits}-bit sample")
+        if not ((tag == _TAG_PCM and bits in (8, 24)) or (tag, bits) in _SAMPLE_TYPES):
+            raise AudioFormatError(f"{path}: unsupported encoding (tag={tag}, bits={bits})")
+        width = bits // 8
+        present = min(declared, file_size - data_at)
+        if present < declared:
+            warnings.warn(
+                f"{path}: data chunk declares {declared} bytes but the file holds {present};"
+                f" decoding the {present // width} whole samples present",
+                UserWarning,
+                stacklevel=2,
+            )
+        elif present % width:
+            raise AudioFormatError(f"{path}: data chunk of {present} bytes ends in a partial {bits}-bit sample")
 
+        # whole multi-channel frames only, READ_BYTES at a time
+        count = present // width // channels
+        step = max(READ_BYTES // (width * channels), 1)
+        samples = np.empty(count)
+        fh.seek(data_at)
+        for first in range(0, count, step):
+            n = min(step, count - first)
+            flat = _decode(fh.read(n * width * channels), tag, bits)
+            samples[first : first + n] = flat if channels == 1 else flat.reshape(n, channels).mean(axis=1)
+    return AudioBuffer(samples, rate)
+
+
+def _decode(data: bytes, tag: int, bits: int) -> np.ndarray:
+    """Samples of one stretch of a data chunk as float64 in [-1, 1]."""
     if bits == 8:
-        flat = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
-    elif bits == 24:
+        return (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+    if bits == 24:
         # each sample into the top three bytes of an int32, which is value * 2**8
         wide = np.zeros((len(data) // 3, 4), dtype=np.uint8)
         wide[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
         flat = wide.view("<i4")[:, 0].astype(np.float64)
         flat /= 2.0**31
-    else:
-        dtype, full_scale = _SAMPLE_TYPES[tag, bits]
-        flat = np.frombuffer(data, dtype=dtype).astype(np.float64)
-        flat /= full_scale
-
-    if channels == 1:
-        return AudioBuffer(flat, rate)
-    usable = (len(flat) // channels) * channels
-    samples = flat[:usable].reshape(-1, channels).mean(axis=1)
-    return AudioBuffer(samples, rate)
+        return flat
+    dtype, full_scale = _SAMPLE_TYPES[tag, bits]
+    flat = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    flat /= full_scale
+    return flat
 
 
 def write_wav(path, audio: AudioBuffer) -> None:
@@ -255,27 +271,3 @@ def write_labels(path, labels: FrameLabels, fmt: str = "frames") -> None:
     else:
         raise ValueError(f"unknown label format: {fmt!r}")
     Path(path).write_text(text)
-
-
-def mix_noise(clean: AudioBuffer, noise: AudioBuffer, snr_db: float) -> AudioBuffer:
-    """Add noise to clean speech at the requested whole-file RMS SNR.
-
-    Noise shorter than the speech is tiled end-to-start, longer noise is
-    truncated; the gain is computed against the adjusted noise so the
-    realized SNR matches the request exactly.
-    """
-    if clean.sample_rate_hz != noise.sample_rate_hz:
-        raise ValueError("sample-rate mismatch between clean and noise")
-    if len(noise) == 0 or not np.any(noise.samples):
-        raise ValueError("noise must not be silent")
-    if len(clean) == 0:
-        return AudioBuffer(clean.samples.copy(), clean.sample_rate_hz)
-
-    reps = -(-len(clean) // len(noise))  # ceil division
-    adjusted = np.tile(noise.samples, reps)[: len(clean)]
-    rms_noise = np.sqrt(np.mean(adjusted**2))
-    if rms_noise == 0.0:
-        raise ValueError("noise is silent over the mixed span")
-    rms_clean = np.sqrt(np.mean(clean.samples**2))
-    gain = rms_clean / rms_noise * 10.0 ** (-snr_db / 20.0)
-    return AudioBuffer(clean.samples + gain * adjusted, clean.sample_rate_hz)

@@ -19,7 +19,6 @@ __all__ = [
     "detect_high_energy",
     "noise_segments",
     "zero_segments",
-    "first_pass_denoise",
     "MsneState",
     "msne_noise_track",
     "spectral_subtract",
@@ -61,12 +60,13 @@ def detect_high_energy(
     return mask_to_segments(hot)
 
 
-def zero_segments(audio: AudioBuffer, grid: FrameGrid, segments: list[Segment]) -> AudioBuffer:
+def zero_segments(audio: AudioBuffer, grid: FrameGrid, segments: list[Segment], start: int = 0) -> AudioBuffer:
     """Set every sample of `audio` covered by `segments` to zero, in place,
-    and return `audio`."""
+    and return `audio`, which holds the grid's samples from sample `start`
+    on; a segment's samples outside it are left alone."""
     for seg in segments:
         lo, hi = grid.sample_span(*seg)
-        audio.samples[lo:hi] = 0.0
+        audio.samples[max(lo - start, 0) : max(hi - start, 0)] = 0.0
     return audio
 
 
@@ -74,25 +74,6 @@ def noise_segments(segments: list[Segment], voiced_mask: np.ndarray, min_pitch_f
     """The high-energy segments the first pass zeroes: those holding at most
     `min_pitch_frames` voiced frames."""
     return [seg for seg in segments if count_voiced_in(voiced_mask, seg) <= min_pitch_frames]
-
-
-def first_pass_denoise(
-    audio: AudioBuffer,
-    grid: FrameGrid,
-    segments: list[Segment],
-    voiced_mask: np.ndarray,
-    min_pitch_frames: int = 2,
-) -> tuple[AudioBuffer, list[Segment]]:
-    """Zero out high-energy segments that contain too few voiced frames.
-
-    Returns a copy of the audio with the `noise_segments` zeroed together
-    with the list of those segments; samples outside them are untouched.
-    When nothing qualifies the input buffer itself comes back, not a copy.
-    """
-    zeroed = noise_segments(segments, voiced_mask, min_pitch_frames)
-    if not zeroed:
-        return audio, zeroed
-    return zero_segments(AudioBuffer(audio.samples.copy(), audio.sample_rate_hz), grid, zeroed), zeroed
 
 
 @dataclass
@@ -260,42 +241,35 @@ class OverlapAddState:
     tail: np.ndarray | None = None
 
 
-def reconstruct(
-    spec: Spectrogram,
-    grid: FrameGrid,
-    out: AudioBuffer | None = None,
-    state: OverlapAddState | None = None,
-) -> AudioBuffer:
+def reconstruct(spec: Spectrogram, grid: FrameGrid, state: OverlapAddState | None = None) -> AudioBuffer:
     """Overlap-add inverse STFT, dividing by the summed squared-window envelope.
 
-    Round-trips the forward transform exactly on covered samples.  `spec`
-    holds the grid's frames from `state.next_frame` on, and `state` carries
-    the sums still open between calls on consecutive blocks of frames;
-    without one the frames start at frame 0.  A call writes into `out` the
-    samples that no later frame covers: from the block's first sample up to
-    the next block's first sample, or, after the grid's last frame, up to
-    the end of that frame.  It reads no sample of `out` and writes none past
-    these, so `out` may be the very signal whose later blocks are still to
-    be transformed.  Without `out` the frames must be the whole grid, and a
-    new signal of the grid's length comes back with zeros past the last
-    frame.  A finished sample is the sum of its frames in ascending order
-    divided by the envelope of those same frames, so blocks give the same
-    signal as one call on all frames.
+    Round-trips the forward transform exactly on covered samples.  Without
+    a state, `spec` holds the whole grid and the whole signal comes back,
+    of the grid's length with zeros past the last frame.  With one, `spec`
+    holds the grid's frames from `state.next_frame` on, `state` carries the
+    sums still open between calls on consecutive blocks of frames, and a
+    call returns the samples it finishes, those no later frame covers: from
+    the block's first sample up to the next block's first sample, or, after
+    the grid's last frame, up to the end of that frame.  A finished sample
+    is the sum of its frames in ascending order divided by the envelope of
+    those same frames, so blocks give the same samples as one call on all
+    frames.
     """
     count = spec.frames.shape[0]
-    state = OverlapAddState() if state is None else state
     flen, shift = grid.frame_len, grid.frame_shift
-    if out is None:
+    whole = state is None
+    if whole:
         if count != grid.num_frames:
             raise ValueError("spectrogram frame count does not match the grid")
-        out = AudioBuffer(np.zeros(grid.total_samples), spec.sample_rate_hz)
+        state = OverlapAddState()
     first = state.next_frame
-    if first + count > grid.num_frames or len(out) != grid.total_samples:
+    if first + count > grid.num_frames:
         raise ValueError("spectrogram block does not fit the grid")
     if grid.num_frames and (grid.num_frames - 1) * shift + flen > grid.total_samples:
         raise ValueError("frames run past the end of the signal")
     if count == 0:
-        return out
+        return AudioBuffer(np.zeros(grid.total_samples if whole else 0), spec.sample_rate_hz)
     end = first + count
     lo = first * shift
     hi = end * shift if end < grid.num_frames else (end - 1) * shift + flen
@@ -312,9 +286,11 @@ def reconstruct(
     _overlap_add(envelope, np.broadcast_to(window * window, (count + reach, flen)), shift)
     envelope = envelope[reach * shift : reach * shift + hi - lo]
     np.maximum(envelope, _ENVELOPE_FLOOR, out=envelope)
-    np.divide(sums[: hi - lo], envelope, out=out.samples[lo:hi])
+    finished = np.divide(sums[: hi - lo], envelope, out=sums[: hi - lo])
     state.next_frame, state.tail = end, sums[hi - lo :]
-    return out
+    if whole:
+        finished = np.concatenate([finished, np.zeros(grid.total_samples - hi)])
+    return AudioBuffer(finished, spec.sample_rate_hz)
 
 
 def _overlap_add(signal: np.ndarray, rows: np.ndarray, shift: int) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -16,6 +16,7 @@ __all__ = [
     "FrameGrid",
     "Spectrogram",
     "MAG_FLOOR",
+    "HighpassState",
     "highpass",
     "make_grid",
     "frame_matrix",
@@ -85,18 +86,31 @@ def make_grid(audio: AudioBuffer, frame_len_ms: float = 25.0, frame_shift_ms: fl
     return FrameGrid(flen, shift, num, total)
 
 
-def highpass(audio: AudioBuffer, cutoff_hz: float = 60.0) -> AudioBuffer:
+@dataclass
+class HighpassState:
+    """What `highpass` carries from one piece of a signal to the next: the
+    filter's delay, zero in a fresh state, as before a signal's first sample."""
+
+    zi: np.ndarray = field(default_factory=lambda: np.zeros(1))
+
+
+def highpass(audio: AudioBuffer, cutoff_hz: float = 60.0, state: HighpassState | None = None) -> AudioBuffer:
     """First-order high-pass: y(n) = a*(y(n-1) + x(n) - x(n-1)).
 
     With a = 1/(1 + 2*pi*fc/fs) this removes DC and rumble below the cutoff
     while leaving the band above it essentially untouched (about -0.2 dB at
-    1 kHz for fs = 8 kHz).
+    1 kHz for fs = 8 kHz).  Calls on consecutive pieces of a signal that
+    share one `state` give, piece by piece, the samples of one call on the
+    whole signal, bit for bit; without a state the signal starts from rest.
     """
     fs = audio.sample_rate_hz
     if fs <= 2 * cutoff_hz:
         raise ValueError("sample rate too low for the chosen cutoff")
+    if len(audio) == 0:
+        return AudioBuffer(np.zeros(0), fs)  # lfilter's state after no samples is undefined
     a = 1.0 / (1.0 + 2.0 * np.pi * cutoff_hz / fs)
-    y = lfilter([a, -a], [1.0, -a], audio.samples)
+    state = HighpassState() if state is None else state
+    y, state.zi = lfilter([a, -a], [1.0, -a], audio.samples, zi=state.zi)
     return AudioBuffer(y, fs)
 
 

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import denoise as dn
 from .audio_io import AudioBuffer, read_wav
-from .dsp import FrameGrid, frame_energy, highpass, make_grid, next_pow2, stft_blocks
+from .dsp import FrameGrid, HighpassState, block_frames, frame_energy, highpass, make_grid, next_pow2, stft_blocks
 from .features import (
     central_smooth,
     compute_features,
@@ -19,11 +19,20 @@ from .features import (
     log_energy_ratio_db,
 )
 from .segments import Segment, extend_segments, mask_to_segments, segments_to_mask
-from .voicing import detect_pitch_autocorr, sft_voicing
+from .voicing import ENERGY_GATE_RATIO, detect_pitch_autocorr, sft_voicing
 
 __all__ = ["RvadConfig", "VadResult", "BatchItem", "segment_vad", "post_process", "run_rvad", "run_denoise", "run_batch"]
 
 MIN_SAMPLE_RATE_HZ = 4000
+
+# Each sweep takes this many `stft_blocks` blocks of frames at a time:
+# 512 frames (5.12 s) at 8 kHz, 256 (2.56 s) at 16 kHz and 64 (0.64 s) at
+# 44.1 and 48 kHz, at most about 330 KB of float64 samples.  Every block
+# costs `lfilter` calls and Python per sweep: with one `stft_blocks` block
+# per sweep block, 204 four-second 8 kHz files in fast mode took 43 % longer
+# than with the whole signal at once.  Twice this size raised the peak
+# of `run_rvad` on two minutes at 16 kHz from 2.7 to 3.4 MB.
+SWEEP_BLOCKS = 4
 
 MODES = ("full", "fast")
 ENHANCERS = ("none", "msne", "msne-mod")
@@ -109,11 +118,10 @@ class RvadConfig:
 
 @dataclass
 class VadResult:
-    """Per-frame speech labels, the same decisions as segments, and the denoised audio."""
+    """Per-frame speech labels and the same decisions as segments."""
 
     labels: np.ndarray
     speech_segments: list[Segment]
-    denoised: Optional[AudioBuffer] = None
     frame_shift_ms: float = 10.0
     frame_len_ms: float = 25.0
 
@@ -182,104 +190,209 @@ def post_process(raw_labels: np.ndarray, pitch_segments: list[Segment], e: np.nd
     return labels
 
 
-def _voicing_mask(filtered, grid, cfg, override):
-    if override is not None:
-        mask = np.asarray(override, dtype=bool)
-        if len(mask) != grid.num_frames:
-            raise ValueError(f"voicing mask has {len(mask)} frames, expected {grid.num_frames}")
-        return mask
-    if cfg.mode == "fast":
-        return sft_voicing(filtered, grid, cfg.theta_sft)
-    return detect_pitch_autocorr(filtered, grid, cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
+class _Block(NamedTuple):
+    """A sweep's block of frames: its rows of the grid, its first sample, the
+    next block's first sample, and the end of the samples its frames read.
+    The last block's `split` and `hi` are both the signal's end."""
+
+    rows: slice
+    lo: int
+    split: int
+    hi: int
+
+    def grid(self, grid: FrameGrid) -> FrameGrid:
+        """The block's frames on its samples [lo, hi)."""
+        return FrameGrid(grid.frame_len, grid.frame_shift, self.rows.stop - self.rows.start, self.hi - self.lo)
 
 
-def _second_pass(audio, grid, zeroed_segments, cfg, keep_noise):
-    """Spectral subtraction one `stft_blocks` block at a time, carrying the
-    noise tracker and the open overlap-add sums from block to block.
-
-    The enhanced samples overwrite `audio`: `reconstruct` writes a block's
-    samples once no later frame covers them, all before the next block's
-    first sample, which no later block reads.  Samples past the last frame
-    become zeros.  Returns the noise track, (frames x bins), when
-    `keep_noise` asks for it and enhancement is on, else None.
-    """
-    if cfg.enhance == "none":
-        return None
-    frozen = segments_to_mask(zeroed_segments, grid.num_frames) if cfg.enhance == "msne-mod" else None
-    state = dn.MsneState()
-    ola = dn.OverlapAddState()
-    noise = np.empty((grid.num_frames, next_pow2(grid.frame_len) // 2 + 1)) if keep_noise else None
-    for rows, spec in stft_blocks(audio, grid):
-        track = dn.msne_noise_track(
-            spec,
-            None if frozen is None else frozen[rows],
-            cfg.msne_smoothing,
-            cfg.msne_bias,
-            cfg.msne_window_frames,
-            state,
-        )
-        if keep_noise:
-            noise[rows] = track
-        dn.spectral_subtract(spec, track, cfg.subtract_floor)
-        if cfg.enhance == "msne-mod":
-            dn.lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
-        dn.reconstruct(spec, grid, audio, ola)
-    audio.samples[grid.sample_span(0, grid.num_frames - 1)[1] if grid.num_frames else 0 :] = 0.0
-    return noise
+def _blocks(grid: FrameGrid) -> list[_Block]:
+    """The grid cut into blocks of SWEEP_BLOCKS `stft_blocks` blocks, one
+    block with no frames when the grid has none, so the blocks' [lo, split)
+    ranges tile the whole signal."""
+    step = SWEEP_BLOCKS * block_frames(grid.frame_len)
+    blocks = []
+    for first in range(0, max(grid.num_frames, 1), step):
+        end = min(first + step, grid.num_frames)
+        if end < grid.num_frames:
+            split, hi = end * grid.frame_shift, grid.sample_span(first, end - 1)[1]
+        else:
+            split = hi = grid.total_samples
+        blocks.append(_Block(slice(first, end), first * grid.frame_shift, split, hi))
+    return blocks
 
 
 @dataclass
-class _FrontEnd:
-    """What the front end hands to the VAD stage and to run_denoise; `noise`
-    is None unless the caller asked for it and enhancement is on."""
+class _FirstSweep:
+    """What the first sweep leaves for the second one and the VAD stage:
+    per-frame arrays, the noise segments to zero, the high-pass state at
+    each block's first sample, and the last block's high-passed samples,
+    which the second sweep zeroes in place instead of filtering them again."""
 
     grid: FrameGrid
+    blocks: list[_Block]
+    starts: list[np.ndarray]
+    e1: np.ndarray
     mask: np.ndarray
-    enhanced: AudioBuffer
-    noise: Optional[np.ndarray]
-    e2: np.ndarray
+    zeroed: list[Segment]
+    last: AudioBuffer
 
 
-def _front(audio, cfg, voicing, keep_noise=False) -> _FrontEnd:
-    """High-pass, first-pass features and zeroing, second-pass enhancement.
+def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None) -> _FirstSweep:
+    """High-pass, frame energies and voicing one block at a time, then the
+    features, the high-energy segments and the noise segments among them.
 
-    The high-passed signal is the one working buffer: the first pass zeroes
-    its noise segments in place and the second pass overwrites it with the
-    enhanced samples, so the caller's samples are never written.  A grid
-    with no frames flows through every stage as empty arrays.
+    A block's own samples are filtered on from the previous block's state;
+    the samples after them that its last frames also read are filtered from
+    a copy of that state, so no high-passed signal longer than a block is
+    ever held.  The autocorrelation gate follows the loudest frame so far
+    and is applied once more, at the utterance's loudest, after the sweep.
     """
     if audio.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
         raise ValueError(f"sample rate must be >= {MIN_SAMPLE_RATE_HZ} Hz")
-    work = highpass(audio, cfg.hpf_cutoff_hz)
-    grid = make_grid(work, cfg.frame_len_ms, cfg.frame_shift_ms)
-    e1 = frame_energy(work, grid)
+    fs = audio.sample_rate_hz
+    grid = make_grid(audio, cfg.frame_len_ms, cfg.frame_shift_ms)
+    if voicing is None:
+        mask = np.empty(grid.num_frames, dtype=bool)
+    else:
+        mask = np.asarray(voicing, dtype=bool)
+        if len(mask) != grid.num_frames:
+            raise ValueError(f"voicing mask has {len(mask)} frames, expected {grid.num_frames}")
+    blocks = _blocks(grid)
+    starts = []
+    e1 = np.empty(grid.num_frames)
+    state = HighpassState()
+    loudest = 0.0
+    for block in blocks:
+        starts.append(state.zi)
+        own = _highpassed(audio, block.lo, block.split, cfg, state)
+        halo = _highpassed(audio, block.split, block.hi, cfg, HighpassState(state.zi))
+        # the last block has no halo; a copy of its samples would cost a
+        # fresh allocation, which doubled page faults over a batch of files
+        filtered = AudioBuffer(np.concatenate([own.samples, halo.samples]), fs) if len(halo) else own
+        local = block.grid(grid)
+        e1[block.rows] = frame_energy(filtered, local)
+        if voicing is not None:
+            continue
+        if cfg.mode == "fast":
+            mask[block.rows] = sft_voicing(filtered, local, cfg.theta_sft)
+        else:
+            gate = ENERGY_GATE_RATIO * loudest
+            mask[block.rows] = detect_pitch_autocorr(
+                filtered, local, cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho, gate
+            )
+            loudest = max(loudest, e1[block.rows].max(initial=0.0))
+    if voicing is None and cfg.mode == "full":
+        mask &= e1 >= ENERGY_GATE_RATIO * loudest
     feats = compute_features(e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
     he_segs = dn.detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
-    mask = _voicing_mask(work, grid, cfg, voicing)
     zeroed = dn.noise_segments(he_segs, mask, cfg.min_pitch_frames)
-    dn.zero_segments(work, grid, zeroed)
-    noise = _second_pass(work, grid, zeroed, cfg, keep_noise)
-    return _FrontEnd(grid, mask, work, noise, frame_energy(work, grid))
+    return _FirstSweep(grid, blocks, starts, e1, mask, zeroed, filtered)
+
+
+def _highpassed(audio: AudioBuffer, lo: int, hi: int, cfg: RvadConfig, state: HighpassState) -> AudioBuffer:
+    """Samples [lo, hi) of the caller's signal, high-passed on from `state`."""
+    return highpass(AudioBuffer(audio.samples[lo:hi], audio.sample_rate_hz), cfg.hpf_cutoff_hz, state)
+
+
+def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touched_only=False):
+    """Each block high-passed again from its stored state (the last block's
+    samples are at hand), its noise segments zeroed and, with enhancement
+    on, taken through STFT, noise tracking, subtraction and overlap-add,
+    carrying the tracker and the open sums.
+
+    Yields the output in consecutive pieces, each with its block and the
+    block's zeroed samples: with enhancement, what `dn.reconstruct` finishes
+    for each `stft_blocks` block; without it, each block's zeroed samples up
+    to the next block's first.  `touched_only` skips the blocks that hold no
+    zeroed sample, and rows of the noise track go into `noise` if given.
+    """
+    grid = first.grid
+    # sample spans of the zeroed segments; both ends ascend
+    spans = np.array([grid.sample_span(*seg) for seg in first.zeroed], dtype=np.int64).reshape(-1, 2)
+    frozen = segments_to_mask(first.zeroed, grid.num_frames) if cfg.enhance == "msne-mod" else None
+    tracker, ola = dn.MsneState(), dn.OverlapAddState()
+    for block, zi in zip(first.blocks, first.starts):
+        hit = slice(np.searchsorted(spans[:, 1], block.lo, "right"), np.searchsorted(spans[:, 0], block.hi))
+        if touched_only and hit.start >= hit.stop:
+            continue
+        if block is first.blocks[-1]:
+            filtered = first.last
+        else:
+            filtered = _highpassed(audio, block.lo, block.hi, cfg, HighpassState(zi))
+        dn.zero_segments(filtered, grid, first.zeroed[hit], block.lo)
+        if cfg.enhance == "none":
+            yield block, filtered, filtered.samples[: block.split - block.lo]
+            continue
+        for rows, spec in stft_blocks(filtered, block.grid(grid)):
+            rows = slice(block.rows.start + rows.start, block.rows.start + rows.stop)
+            track = dn.msne_noise_track(
+                spec,
+                None if frozen is None else frozen[rows],
+                cfg.msne_smoothing,
+                cfg.msne_bias,
+                cfg.msne_window_frames,
+                tracker,
+            )
+            if noise is not None:
+                noise[rows] = track
+            dn.spectral_subtract(spec, track, cfg.subtract_floor)
+            if cfg.enhance == "msne-mod":
+                dn.lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
+            yield block, filtered, dn.reconstruct(spec, grid, ola).samples
+
+
+def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> np.ndarray:
+    """Frame energies of the second sweep's output, a few frames behind it.
+
+    Without enhancement a frame's energy changes only where samples were
+    zeroed, so only the blocks holding zeroed samples are visited and every
+    other frame keeps its first-sweep energy, the same bits.
+    """
+    grid = first.grid
+    if cfg.enhance == "none":
+        e2 = first.e1.copy()
+        for block, filtered, _ in _second_sweep(audio, first, cfg, touched_only=True):
+            e2[block.rows] = frame_energy(filtered, block.grid(grid))
+        return e2
+    flen, shift = grid.frame_len, grid.frame_shift
+    e2 = np.empty(grid.num_frames)
+    # the finished samples from frame `done`'s first sample on
+    done, pending = 0, np.empty(0)
+    for _, _, finished in _second_sweep(audio, first, cfg):
+        pending = np.concatenate([pending, finished])
+        ready = min(grid.num_frames, (done * shift + len(pending) - flen) // shift + 1) - done
+        if ready > 0:
+            piece = AudioBuffer(pending, audio.sample_rate_hz)
+            e2[done : done + ready] = frame_energy(piece, FrameGrid(flen, shift, ready, len(pending)))
+            pending = pending[ready * shift :]
+            done += ready
+    return e2
+
+
+def _labels(mask: np.ndarray, e2: np.ndarray, cfg: RvadConfig) -> np.ndarray:
+    """The VAD stage: segment decisions inside the extended pitch segments,
+    then post-processing."""
+    pitch_segments = mask_to_segments(mask)
+    extended = extend_segments(pitch_segments, cfg.ext_frames, len(mask))
+    labels = np.zeros(len(mask), dtype=bool)
+    for s, t in extended:
+        labels[s : t + 1] = segment_vad(e2[s : t + 1], mask[s : t + 1], cfg.beta, cfg.smooth_n)
+    return post_process(labels, pitch_segments, e2, cfg)
 
 
 def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> VadResult:
-    """Run the full VAD pipeline on one utterance.
+    """Run the full VAD pipeline on one utterance; an utterance shorter than
+    one frame gets no labels.
 
     `voicing` optionally injects an externally computed per-frame voiced
-    mask in place of the built-in detectors.  An utterance shorter than one
-    frame gets no labels, and with enhancement on its denoised samples are
-    zeros, as are all samples past the last frame.
+    mask in place of the built-in detectors.  Two sweeps over blocks of the
+    caller's samples keep O(frames) state: the enhanced signal is never
+    held, only its frame energies.  `run_denoise` gives the waveform.
     """
     cfg = cfg or RvadConfig()
-    front = _front(audio, cfg, voicing)
-    grid, mask, e2 = front.grid, front.mask, front.e2
-    pitch_segments = mask_to_segments(mask)
-    extended = extend_segments(pitch_segments, cfg.ext_frames, grid.num_frames)
-    labels = np.zeros(grid.num_frames, dtype=bool)
-    for s, t in extended:
-        labels[s : t + 1] = segment_vad(e2[s : t + 1], mask[s : t + 1], cfg.beta, cfg.smooth_n)
-    labels = post_process(labels, pitch_segments, e2, cfg)
-    return VadResult(labels, mask_to_segments(labels), front.enhanced, cfg.frame_shift_ms, cfg.frame_len_ms)
+    first = _first_sweep(audio, cfg, voicing)
+    labels = _labels(first.mask, _energies(audio, first, cfg), cfg)
+    return VadResult(labels, mask_to_segments(labels), cfg.frame_shift_ms, cfg.frame_len_ms)
 
 
 def run_denoise(
@@ -288,12 +401,25 @@ def run_denoise(
     """Both denoising passes only; returns the enhanced audio and the noise
     power track per (frame, bin), None when enhancement is off.
 
-    With enhancement on, samples past the last frame come back as zeros:
-    input shorter than one frame gives all zeros and a (0, bins) track.
+    The same two sweeps as `run_rvad`, with the finished samples written
+    into the output.  With enhancement on, samples past the last frame come
+    back as zeros: input shorter than one frame gives all zeros and a
+    (0, bins) track.
     """
     cfg = cfg or RvadConfig()
-    front = _front(audio, cfg, voicing, keep_noise=True)
-    return front.enhanced, front.noise
+    return _denoise(audio, _first_sweep(audio, cfg, voicing), cfg)
+
+
+def _denoise(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> tuple[AudioBuffer, Optional[np.ndarray]]:
+    """The second sweep's finished samples put in place, and its noise track."""
+    grid = first.grid
+    out = np.zeros(grid.total_samples)
+    noise = None if cfg.enhance == "none" else np.empty((grid.num_frames, next_pow2(grid.frame_len) // 2 + 1))
+    done = 0
+    for _, _, finished in _second_sweep(audio, first, cfg, noise):
+        out[done : done + len(finished)] = finished
+        done += len(finished)
+    return AudioBuffer(out, audio.sample_rate_hz), noise
 
 
 @dataclass
@@ -310,17 +436,15 @@ class BatchItem:
 
 
 def _process_one(path: str, cfg: RvadConfig) -> VadResult:
-    # batches keep labels only: holding every file's denoised audio would
-    # grow memory linearly with corpus size
-    return replace(run_rvad(read_wav(path), cfg), denoised=None)
+    return run_rvad(read_wav(path), cfg)
 
 
 def run_batch(paths, cfg: RvadConfig | None = None, workers: int = 1) -> list[BatchItem]:
     """VAD over many files; output order follows the input and per-file
     failures are reported without aborting the batch.
 
-    Batch results carry labels and segments but not the denoised audio; use
-    run_rvad or run_denoise when the waveform itself is needed.  At most one
+    Batch results carry labels and segments; use run_denoise when the
+    enhanced waveform itself is needed.  At most one
     worker process per file starts, since a pool may start all its workers
     at once; a batch left with one worker runs in this process."""
     cfg = cfg or RvadConfig()

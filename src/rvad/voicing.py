@@ -37,14 +37,20 @@ def detect_pitch_autocorr(
     f_min: float = 60.0,
     f_max: float = 400.0,
     rho: float = 0.6,
+    gate: float = 0.0,
 ) -> np.ndarray:
     """Mark frames with a strong normalized autocorrelation peak in the pitch range.
 
     Per frame, r(tau) = sum x(n)x(n+tau) normalized by the energies of the
     two overlapping stretches is searched over lags fs/f_max .. fs/f_min.
-    A frame is voiced when the peak reaches `rho` and the frame is not quiet
-    relative to the loudest frame of the utterance.  All-zero frames are
-    unvoiced by construction.
+    A frame is voiced when the peak reaches `rho` and the frame is not quiet:
+    its energy reaches `gate` and ENERGY_GATE_RATIO times the loudest frame
+    given.  All-zero frames are unvoiced by construction.  Called on
+    consecutive blocks of an utterance with `gate` at ENERGY_GATE_RATIO
+    times the loudest frame of the blocks before, the masks put together
+    and cut to the frames that reach ENERGY_GATE_RATIO times the loudest
+    frame of the utterance are the decisions of one call on all of it;
+    the peaks of frames already below the gate are never computed.
     """
     fs = audio.sample_rate_hz
     if not 0.0 < f_min < f_max < fs / 2.0:
@@ -55,7 +61,7 @@ def detect_pitch_autocorr(
     voiced = np.zeros(grid.num_frames, dtype=bool)
     frames = frame_matrix(audio.samples, grid)
     energies = np.einsum("ij,ij->i", frames, frames)
-    gate = ENERGY_GATE_RATIO * energies.max(initial=0.0)
+    gate = max(gate, ENERGY_GATE_RATIO * energies.max(initial=0.0))
 
     flen = grid.frame_len
     lag_lo = int(round(fs / f_max))

@@ -1,16 +1,35 @@
 """Slow reference implementations that the library's kernels are tested against.
 
-Each one is the straightforward per-frame form of a computation that the
-library does with array operations; tests require the two to agree exactly.
+Each one is the straightforward per-frame or whole-signal form of a
+computation that the library does with array operations or block by block;
+tests require the two to agree exactly.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from rvad.audio_io import AudioBuffer
-from rvad.denoise import DEFAULT_BIAS, DEFAULT_SMOOTHING, DEFAULT_SUBTRACT_FLOOR, DEFAULT_WINDOW_FRAMES
-from rvad.dsp import FrameGrid, Spectrogram, hamming, spectral_flatness
+from rvad.denoise import (
+    DEFAULT_BIAS,
+    DEFAULT_SMOOTHING,
+    DEFAULT_SUBTRACT_FLOOR,
+    DEFAULT_WINDOW_FRAMES,
+    detect_high_energy,
+    lowfreq_suppress,
+    msne_noise_track,
+    noise_segments,
+    reconstruct,
+    spectral_subtract,
+    zero_segments,
+)
+from rvad.dsp import FrameGrid, Spectrogram, frame_energy, hamming, highpass, make_grid, spectral_flatness, stft
+from rvad.features import compute_features
+from rvad.segments import Segment, segments_to_mask
+from rvad.vad import RvadConfig
+from rvad.voicing import detect_pitch_autocorr, sft_voicing
 
 
 class MinimumStatisticsNoiseEstimator:
@@ -113,3 +132,61 @@ def reconstruct_loop(spec: Spectrogram, grid: FrameGrid) -> AudioBuffer:
         signal[lo : lo + grid.frame_len] += time_frames[m] * window
         envelope[lo : lo + grid.frame_len] += window_sq
     return AudioBuffer(signal / np.maximum(envelope, 1e-8), spec.sample_rate_hz)
+
+
+def first_pass_denoise(
+    audio: AudioBuffer,
+    grid: FrameGrid,
+    segments: list[Segment],
+    voiced_mask: np.ndarray,
+    min_pitch_frames: int = 2,
+) -> tuple[AudioBuffer, list[Segment]]:
+    """Zero out high-energy segments that contain too few voiced frames.
+
+    Returns a copy of the audio with the `noise_segments` zeroed together
+    with the list of those segments; samples outside them are untouched.
+    When nothing qualifies the input buffer itself comes back, not a copy.
+    """
+    zeroed = noise_segments(segments, voiced_mask, min_pitch_frames)
+    if not zeroed:
+        return audio, zeroed
+    return zero_segments(AudioBuffer(audio.samples.copy(), audio.sample_rate_hz), grid, zeroed), zeroed
+
+
+@dataclass
+class WholeFront:
+    """The oracle's counterparts of the two sweeps' results."""
+
+    grid: FrameGrid
+    mask: np.ndarray
+    e2: np.ndarray
+    enhanced: AudioBuffer
+    noise: np.ndarray | None
+
+
+def front_whole(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None = None) -> WholeFront:
+    """Reference for the two sweeps of `rvad.vad`: the whole high-passed
+    signal as one working buffer, zeroed over the noise segments, then
+    enhanced over its whole spectrogram at once."""
+    work = highpass(audio, cfg.hpf_cutoff_hz)
+    grid = make_grid(work, cfg.frame_len_ms, cfg.frame_shift_ms)
+    feats = compute_features(frame_energy(work, grid), cfg.super_len, cfg.smooth_n, cfg.noise_forget)
+    high = detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
+    if voicing is not None:
+        mask = np.asarray(voicing, dtype=bool)
+    elif cfg.mode == "fast":
+        mask = sft_voicing(work, grid, cfg.theta_sft)
+    else:
+        mask = detect_pitch_autocorr(work, grid, cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
+    zeroed = noise_segments(high, mask, cfg.min_pitch_frames)
+    zero_segments(work, grid, zeroed)
+    noise = None
+    if cfg.enhance != "none":
+        spec = stft(work, grid)
+        frozen = segments_to_mask(zeroed, grid.num_frames) if cfg.enhance == "msne-mod" else None
+        noise = msne_noise_track(spec, frozen, cfg.msne_smoothing, cfg.msne_bias, cfg.msne_window_frames)
+        spectral_subtract(spec, noise, cfg.subtract_floor)
+        if cfg.enhance == "msne-mod":
+            lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
+        work = reconstruct(spec, grid)
+    return WholeFront(grid, mask, frame_energy(work, grid), work, noise)

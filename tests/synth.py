@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from rvad import AudioBuffer
-from rvad.audio_io import mix_noise
 
 FS = 8000
 
@@ -81,6 +80,30 @@ def random_bursts(rng, total_s=4.0, n_min=1, n_max=3):
     if not bursts:
         bursts = [(0.5, 1.0, 150.0)]
     return bursts
+
+
+def mix_noise(clean: AudioBuffer, noise: AudioBuffer, snr_db: float) -> AudioBuffer:
+    """Add noise to clean speech at the requested whole-file RMS SNR.
+
+    Noise shorter than the speech is tiled end-to-start, longer noise is
+    truncated; the gain is computed against the adjusted noise so the
+    realized SNR matches the request exactly.
+    """
+    if clean.sample_rate_hz != noise.sample_rate_hz:
+        raise ValueError("sample-rate mismatch between clean and noise")
+    if len(noise) == 0 or not np.any(noise.samples):
+        raise ValueError("noise must not be silent")
+    if len(clean) == 0:
+        return AudioBuffer(clean.samples.copy(), clean.sample_rate_hz)
+
+    reps = -(-len(clean) // len(noise))  # ceil division
+    adjusted = np.tile(noise.samples, reps)[: len(clean)]
+    rms_noise = np.sqrt(np.mean(adjusted**2))
+    if rms_noise == 0.0:
+        raise ValueError("noise is silent over the mixed span")
+    rms_clean = np.sqrt(np.mean(clean.samples**2))
+    gain = rms_clean / rms_noise * 10.0 ** (-snr_db / 20.0)
+    return AudioBuffer(clean.samples + gain * adjusted, clean.sample_rate_hz)
 
 
 def noisy_copy(buf, snr_db, rng):

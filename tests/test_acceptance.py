@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rvad import AudioBuffer, RvadConfig, count_errors, run_batch, run_rvad, score, write_wav
-from rvad.denoise import detect_high_energy, first_pass_denoise, reconstruct
+from rvad.denoise import detect_high_energy, reconstruct
 from rvad.dsp import frame_energy, highpass, make_grid, spectral_flatness, stft
 from rvad.features import compute_features, track_noise_energy
 from rvad.metrics import aggregate, rates_from_counts
@@ -20,6 +20,7 @@ from rvad.segments import extend_segments, mask_to_segments
 from rvad.vad import segment_vad
 from rvad.voicing import detect_pitch_autocorr
 
+from oracles import first_pass_denoise
 from synth import FS, noisy_copy, pulse_train, random_bursts, reference_labels, utterance, white_noise
 
 

@@ -1,6 +1,9 @@
-"""WAV and label file I/O plus noise mixing."""
+"""WAV and label file I/O, and the test corpus's noise mixing."""
 
+import os
 import struct
+import threading
+import tracemalloc
 import wave
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rvad.audio_io
 from rvad import (
     AudioBuffer,
     AudioFormatError,
@@ -18,7 +22,8 @@ from rvad import (
     write_labels,
     write_wav,
 )
-from rvad.audio_io import mix_noise
+
+from synth import mix_noise
 
 FS = 8000
 
@@ -189,6 +194,58 @@ class TestReadWav:
         assert buf.samples[0] == pytest.approx(1000 / 32768)
 
 
+@pytest.mark.parametrize("tag, bits, kind", [(1, 8, "u1"), (1, 16, "<i2"), (1, 24, None), (1, 32, "<i4"), (3, 32, "<f4"), (3, 64, "<f8")])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_read_in_pieces_equals_one_read(tmp_path, monkeypatch, tag, bits, kind, channels):
+    rng = np.random.default_rng(bits + channels)
+    count = 1001 * channels + 1  # with more than one channel, a partial frame is dropped
+    if kind is None:
+        payload = rng.integers(0, 256, 3 * count, dtype=np.uint8).tobytes()
+    elif tag == 3:
+        payload = rng.uniform(-1.0, 1.0, count).astype(kind).tobytes()
+    else:
+        info = np.iinfo(kind)
+        payload = rng.integers(info.min, info.max, count, dtype=kind, endpoint=True).tobytes()
+    path = tmp_path / "p.wav"
+    _write_raw_wav(path, tag, bits, channels, FS, payload)
+    monkeypatch.setattr(rvad.audio_io, "READ_BYTES", 1 << 30)
+    whole = read_wav(path)
+    assert len(whole) == count // channels
+    for read_bytes in (1, 7 * bits, 4096):
+        monkeypatch.setattr(rvad.audio_io, "READ_BYTES", read_bytes)
+        assert read_wav(path).samples.tobytes() == whole.samples.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+def test_reads_from_a_pipe(tmp_path):
+    source = tmp_path / "file.wav"
+    write_wav(source, AudioBuffer(np.linspace(-0.5, 0.5, 3000), FS))
+    pipe = tmp_path / "pipe.wav"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(source.read_bytes()))
+    writer.start()
+    try:
+        assert read_wav(pipe).samples.tobytes() == read_wav(source).samples.tobytes()
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_read_wav_peak_is_file_plus_output(tmp_path):
+    # the file's bytes and the float64 samples, with no copy of the data chunk
+    path = tmp_path / "long.wav"
+    samples = np.random.default_rng(9).integers(-32768, 32768, 60 * 16000).astype("<i2")
+    _write_raw_wav(path, 1, 16, 1, 16000, samples.tobytes())
+    tracemalloc.start()
+    try:
+        buf = read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert buf.samples.tobytes() == (samples / 32768.0).tobytes()
+    assert peak <= path.stat().st_size + buf.samples.nbytes + 2**20
+
+
 class TestWriteWav:
     def test_round_trip_within_one_quantization_step(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -346,6 +403,15 @@ class TestAudioBuffer:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             AudioBuffer(np.array([0.0, np.nan]), FS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_any_non_finite_sample(self, bad):
+        for position in (0, 5, 9):
+            samples = np.array([1e308, -1e308] * 5)
+            samples[position] = bad
+            with pytest.raises(ValueError):
+                AudioBuffer(samples, FS)
+        AudioBuffer(np.array([1e308, -1e308] * 5), FS)  # huge but finite
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):

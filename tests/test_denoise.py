@@ -1,5 +1,7 @@
 """High-energy segment zeroing, minimum-statistics noise tracking, subtraction, OLA."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,19 +11,19 @@ from rvad import AudioBuffer
 from rvad.denoise import (
     OverlapAddState,
     detect_high_energy,
-    first_pass_denoise,
     lowfreq_suppress,
     msne_noise_track,
     reconstruct,
     spectral_subtract,
+    zero_segments,
 )
 from rvad.dsp import FrameGrid, Spectrogram, block_frames, frame_energy, highpass, make_grid, stft
 from rvad.features import FrameFeatures, compute_features
 from rvad.segments import mask_to_segments, segments_to_mask
-from rvad.vad import RvadConfig, _second_pass
+from rvad.vad import RvadConfig, _denoise, _first_sweep, _second_sweep
 from rvad.voicing import detect_pitch_autocorr
 
-from oracles import msne_noise_track_loop, reconstruct_loop, spectral_subtract_whole
+from oracles import first_pass_denoise, msne_noise_track_loop, reconstruct_loop, spectral_subtract_whole
 from synth import FS, pulse_train, white_noise
 
 
@@ -392,16 +394,16 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(bad, grid)
         # a block must fit the grid from the state's next frame on
-        out = AudioBuffer(np.zeros(grid.total_samples), FS)
         with pytest.raises(ValueError):
-            reconstruct(bad, grid, out, OverlapAddState(next_frame=2))
+            reconstruct(bad, grid, OverlapAddState(next_frame=2))
         with pytest.raises(ValueError):
             reconstruct(spec, FrameGrid(grid.frame_len, grid.frame_shift, grid.num_frames, 900))
 
 
 class TestBlockwiseSecondPass:
-    """`vad._second_pass` runs block by block; the oracle path takes the whole
-    spectrogram through the loop references."""
+    """`vad._second_sweep` runs block by block; the oracle path takes the
+    whole spectrogram through the loop references.  A zero cutoff makes the
+    high-pass the identity, so the sweep works on the samples as given."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -443,13 +445,13 @@ class TestBlockwiseSecondPass:
             frozen[:] = True
         zeroed = mask_to_segments(frozen)
         w = {"one": 1, "two": 2, "block-1": block - 1, "block+1": block + 1, "two-blocks": 2 * block}.get(window)
-        cfg = RvadConfig(enhance=enhance, msne_window_frames=w or int(rng.integers(1, 3 * block)))
+        cfg = RvadConfig(enhance=enhance, msne_window_frames=w or int(rng.integers(1, 3 * block)), hpf_cutoff_hz=0.0)
 
-        # the pass overwrites the signal it is given with the enhanced one
-        enhanced = AudioBuffer(samples.copy(), fs)
-        noise = _second_pass(enhanced, grid, zeroed, cfg, keep_noise=True)
+        first = replace(_first_sweep(audio, cfg, np.zeros(num, dtype=bool)), zeroed=zeroed)
+        enhanced, noise = _denoise(audio, first, cfg)
+        assert audio.samples.tobytes() == samples.tobytes()
 
-        spec = stft(audio, grid)
+        spec = stft(zero_segments(AudioBuffer(samples.copy(), fs), grid, zeroed), grid)
         mask = segments_to_mask(zeroed, num) if enhance == "msne-mod" else None
         track = msne_noise_track_loop(spec, mask, cfg.msne_smoothing, cfg.msne_bias, cfg.msne_window_frames)
         cleaned = spectral_subtract_whole(spec, track, cfg.subtract_floor)
@@ -462,9 +464,10 @@ class TestBlockwiseSecondPass:
 
     def test_noise_track_only_on_request(self):
         audio = AudioBuffer(np.random.default_rng(61).standard_normal(8000), FS)
-        grid = make_grid(audio)
         cfg = RvadConfig(enhance="msne-mod")
-        with_track, without = AudioBuffer(audio.samples.copy(), FS), AudioBuffer(audio.samples.copy(), FS)
-        assert _second_pass(with_track, grid, [(3, 9)], cfg, keep_noise=True).shape == (grid.num_frames, 129)
-        assert _second_pass(without, grid, [(3, 9)], cfg, keep_noise=False) is None
-        assert with_track.samples.tobytes() == without.samples.tobytes()
+        first = replace(_first_sweep(audio, cfg, None), zeroed=[(3, 9)])
+        noise = np.full((first.grid.num_frames, 129), np.nan)
+        with_track = [finished.tobytes() for *_, finished in _second_sweep(audio, first, cfg, noise)]
+        without = [finished.tobytes() for *_, finished in _second_sweep(audio, first, cfg)]
+        assert with_track == without
+        assert not np.isnan(noise).any()

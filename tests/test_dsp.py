@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvad import AudioBuffer
 from rvad.dsp import (
+    HighpassState,
     Spectrogram,
     block_frames,
     frame_energy,
@@ -60,6 +63,21 @@ class TestHighpass:
     def test_low_rate_rejected(self):
         with pytest.raises(ValueError):
             highpass(AudioBuffer(np.zeros(10), 100))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fs=st.sampled_from([8000, 16000, 44100, 48000]),
+        n=st.integers(0, 20000),
+        cuts=st.lists(st.integers(0, 20000), max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_with_carried_state_equal_one_call(self, fs, n, cuts, seed):
+        x = np.random.default_rng(seed).standard_normal(n)
+        whole = highpass(AudioBuffer(x, fs)).samples
+        state = HighpassState()
+        bounds = [0, *sorted(c for c in cuts if c <= n), n]
+        pieces = [highpass(AudioBuffer(x[lo:hi], fs), 60.0, state).samples for lo, hi in zip(bounds, bounds[1:])]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 class TestMakeGrid:

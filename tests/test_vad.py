@@ -12,9 +12,10 @@ import rvad
 from rvad import AudioBuffer, RvadConfig, run_batch, run_denoise, run_rvad, write_wav
 from rvad.dsp import frame_energy, highpass, make_grid
 from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
-from rvad.vad import _front, post_process, segment_vad
+from rvad.vad import _energies, _first_sweep, _labels, post_process, segment_vad
 from rvad.voicing import sft_voicing
 
+from oracles import front_whole
 from synth import FS, pulse_train, utterance, white_noise
 
 
@@ -228,9 +229,9 @@ class TestRunRvad:
             audio = AudioBuffer(0.1 * np.random.default_rng(n).standard_normal(n), FS)
             for mode in ("full", "fast"):
                 for enhance in ("msne", "msne-mod"):
-                    r = run_rvad(audio, RvadConfig(mode=mode, enhance=enhance))
-                    assert len(r.labels) == frames
-                    assert len(r.denoised) == n
+                    cfg = RvadConfig(mode=mode, enhance=enhance)
+                    assert len(run_rvad(audio, cfg).labels) == frames
+                    assert len(run_denoise(audio, cfg)[0]) == n
 
     def test_low_sample_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -241,7 +242,7 @@ class TestRunRvad:
         a = run_rvad(buf, RvadConfig())
         b = run_rvad(buf, RvadConfig())
         np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.denoised.samples, b.denoised.samples)
+        np.testing.assert_array_equal(run_denoise(buf)[0].samples, run_denoise(buf)[0].samples)
 
     def test_fast_mode_white_noise_no_speech(self):
         rng = np.random.default_rng(78)
@@ -278,9 +279,9 @@ class TestRunRvad:
     def test_enhance_variants_run(self):
         buf = utterance([(0.5, 0.8, 180.0)], 2.5, noise_rms=0.02, rng=np.random.default_rng(80))
         for enh in ("none", "msne", "msne-mod"):
-            r = run_rvad(buf, RvadConfig(enhance=enh))
-            assert len(r.labels) == len(r.denoised and r.labels)
-            assert r.denoised is not None
+            cfg = RvadConfig(enhance=enh)
+            assert len(run_rvad(buf, cfg).labels) == make_grid(buf).num_frames
+            assert len(run_denoise(buf, cfg)[0]) == len(buf)
 
     def test_enhance_none_energies_from_zeroed_signal(self):
         # a tone, then a loud burst the injected mask leaves unvoiced: the
@@ -293,16 +294,83 @@ class TestRunRvad:
         grid = make_grid(audio)
         voicing = np.zeros(grid.num_frames, dtype=bool)
         voicing[60:140] = True
-        front = _front(audio, RvadConfig(enhance="none"), voicing)
-        filtered = highpass(audio)
+        cfg = RvadConfig(enhance="none")
+        e2 = _energies(audio, _first_sweep(audio, cfg, voicing), cfg)
+        enhanced, _ = run_denoise(audio, cfg, voicing)
         burst = slice(int(2.05 * FS), int(2.25 * FS))
-        assert np.all(front.enhanced.samples[burst] == 0.0)
-        assert front.e2.tobytes() == frame_energy(front.enhanced, grid).tobytes()
-        assert not np.array_equal(front.e2, frame_energy(filtered, grid))
+        assert np.all(enhanced.samples[burst] == 0.0)
+        assert e2.tobytes() == frame_energy(enhanced, grid).tobytes()
+        assert not np.array_equal(e2, frame_energy(highpass(audio), grid))
+
+
+def _random_utterance(fs, seconds, seed):
+    """Noise at a random level with pulse-train bursts at random levels and
+    a loud noise burst, so that frames are voiced, zeroed, or quiet enough
+    for the autocorrelation gate only once a louder frame comes later."""
+    rng = np.random.default_rng(seed)
+    n = int(seconds * fs)
+    samples = 10.0 ** rng.uniform(-5.0, -1.0) * rng.standard_normal(n)
+    for _ in range(int(rng.integers(0, 4))):
+        lo = int(rng.integers(0, n + 1))
+        tone = pulse_train(rng.uniform(100.0, 300.0), rng.uniform(0.1, 1.0), fs, amp=10.0 ** rng.uniform(-4.0, -0.5))
+        samples[lo : lo + len(tone)] += tone[: n - lo]
+    lo = int(rng.integers(0, n + 1))
+    width = min(int(rng.integers(0, fs // 2)), n - lo)
+    samples[lo : lo + width] += 10.0 ** rng.uniform(-2.0, -0.5) * rng.standard_normal(width)
+    return AudioBuffer(samples, fs)
+
+
+PIPELINES = dict(
+    fs=st.sampled_from([8000, 16000, 44100, 48000]),
+    seconds=st.floats(0.0, 3.0),
+    mode=st.sampled_from(["full", "fast"]),
+    enhance=st.sampled_from(["none", "msne", "msne-mod"]),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
 class TestPipelineProperties:
-    """Invariants of the in-place front end over random audio, rates and configs."""
+    """Invariants of the two sweeps over random audio, rates and configs."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(**PIPELINES)
+    def test_sweeps_equal_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed):
+        audio = _random_utterance(fs, seconds, seed)
+        cfg = RvadConfig(mode=mode, enhance=enhance)
+        expected = front_whole(audio, cfg)
+        first = _first_sweep(audio, cfg, None)
+        e2 = _energies(audio, first, cfg)
+        assert first.mask.tobytes() == expected.mask.tobytes()
+        assert e2.tobytes() == expected.e2.tobytes()
+        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg).tobytes()
+
+    @pytest.mark.parametrize("fs", [16000, 48000])
+    def test_autocorrelation_gate_follows_the_loudest_frame(self, fs):
+        # a voiced burst 1e-4 below a louder one in a later sweep block: the
+        # gate of its own block passes it, the utterance's gate must not
+        quiet = utterance([(0.2, 0.5, 150.0)], 4.0, fs, amp=1e-4).samples
+        loud = utterance([(3.0, 0.8, 180.0)], 4.0, fs, amp=0.5).samples
+        audio = AudioBuffer(quiet + loud, fs)
+        cfg = RvadConfig(mode="full")
+        mask = _first_sweep(audio, cfg, None).mask
+        assert mask.tobytes() == front_whole(audio, cfg).mask.tobytes()
+        assert not mask[:100].any() and mask[300:380].any()
+        alone = _first_sweep(AudioBuffer(quiet, fs), cfg, None).mask
+        assert alone[30:60].all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(**PIPELINES)
+    def test_denoise_equals_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed):
+        audio = _random_utterance(fs, seconds, seed)
+        cfg = RvadConfig(mode=mode, enhance=enhance)
+        expected = front_whole(audio, cfg)
+        enhanced, noise = run_denoise(audio, cfg)
+        assert enhanced.samples.tobytes() == expected.enhanced.samples.tobytes()
+        if expected.noise is None:
+            assert noise is None
+        else:
+            assert noise.shape == expected.noise.shape
+            assert noise.tobytes() == expected.noise.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -362,8 +430,9 @@ class TestPipelineProperties:
 @pytest.mark.parametrize("mode", ["fast", "full"])
 def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
     # two minutes at 16 kHz, with unvoiced bursts for the first pass to zero;
-    # the high-passed signal is the one working buffer and the spectrum is
-    # worked on a block at a time, so the peak is that buffer plus O(block)
+    # both sweeps hold one block of samples at a time, so run_rvad keeps
+    # per-frame arrays only, and run_denoise adds what it returns: the
+    # output signal and, with enhancement, the noise track (1.6x the input)
     rng = np.random.default_rng(83)
     fs = 16000
     bursts = [(3.0 * k + 0.5, 1.2, 120.0 + 2.0 * k) for k in range(40)]
@@ -372,14 +441,21 @@ def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
         lo = int((3.0 * k + 2.0) * fs)
         samples[lo : lo + fs // 4] += 0.3 * rng.standard_normal(fs // 4)
     buf = AudioBuffer(np.clip(samples, -1.0, 1.0), fs)
+    cfg = RvadConfig(mode=mode, enhance=enhance)
     tracemalloc.start()
     try:
-        result = run_rvad(buf, RvadConfig(mode=mode, enhance=enhance))
-        peak = tracemalloc.get_traced_memory()[1]
+        result = run_rvad(buf, cfg)
+        rvad_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        enhanced, noise = run_denoise(buf, cfg)
+        denoise_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert result.num_speech_frames > 0
-    assert peak <= 1.5 * buf.samples.nbytes
+    assert rvad_peak <= 0.25 * buf.samples.nbytes
+    returned = enhanced.samples.nbytes + (0 if noise is None else noise.nbytes)
+    assert denoise_peak <= returned + 0.5 * buf.samples.nbytes
 
 
 class TestRunDenoise:
