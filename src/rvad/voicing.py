@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .audio_io import AudioBuffer
@@ -13,64 +15,71 @@ __all__ = ["sft_voicing", "detect_pitch_autocorr", "count_voiced_in"]
 ENERGY_GATE_RATIO = 1e-6
 
 
-def sft_voicing(audio: AudioBuffer, grid: FrameGrid, theta_sft: float = 0.5) -> np.ndarray:
+def sft_voicing(blocks: Iterable[tuple[AudioBuffer, FrameGrid]], theta_sft: float = 0.5) -> np.ndarray:
     """Mark frames whose spectral flatness is at or below the threshold as voiced.
 
     Tonal/harmonic frames have low flatness; noise-like frames sit near 1.0
     and fall through.  Under heavy white noise this detector saturates
     unvoiced, which is the documented failure mode of the fast pipeline.
-    The STFT is taken one `dsp.stft_blocks` block at a time, so long files
-    never hold the full complex spectrum; decisions do not depend on the
-    blocking.
+    The utterance comes as consecutive blocks of frames, each a buffer and
+    the grid of its frames on it, and the STFT is taken one
+    `dsp.stft_blocks` block at a time, so long files are never held whole;
+    decisions do not depend on the blocking.
     """
     if not 0.0 < theta_sft < 1.0:
         raise ValueError("theta_sft must be in (0, 1)")
-    voiced = np.zeros(grid.num_frames, dtype=bool)
-    for rows, spec in stft_blocks(audio, grid):
-        voiced[rows] = spectral_flatness(spec) <= theta_sft
-    return voiced
+    voiced = [np.zeros(0, dtype=bool)]
+    for audio, grid in blocks:
+        for _, spec in stft_blocks(audio, grid):
+            voiced.append(spectral_flatness(spec) <= theta_sft)
+    return np.concatenate(voiced)
 
 
 def detect_pitch_autocorr(
-    audio: AudioBuffer,
-    grid: FrameGrid,
+    blocks: Iterable[tuple[AudioBuffer, FrameGrid]],
     f_min: float = 60.0,
     f_max: float = 400.0,
     rho: float = 0.6,
-    gate: float = 0.0,
 ) -> np.ndarray:
     """Mark frames with a strong normalized autocorrelation peak in the pitch range.
 
     Per frame, r(tau) = sum x(n)x(n+tau) normalized by the energies of the
     two overlapping stretches is searched over lags fs/f_max .. fs/f_min.
-    A frame is voiced when the peak reaches `rho` and the frame is not quiet:
-    its energy reaches `gate` and ENERGY_GATE_RATIO times the loudest frame
-    given.  All-zero frames are unvoiced by construction.  Called on
-    consecutive blocks of an utterance with `gate` at ENERGY_GATE_RATIO
-    times the loudest frame of the blocks before, the masks put together
-    and cut to the frames that reach ENERGY_GATE_RATIO times the loudest
-    frame of the utterance are the decisions of one call on all of it;
-    the peaks of frames already below the gate are never computed.
+    A frame is voiced when the peak reaches `rho` and the frame is not quiet
+    relative to the loudest frame of the utterance.  All-zero frames are
+    unvoiced by construction.  The utterance comes as consecutive blocks of
+    frames, each a buffer and the grid of its frames on it; a frame below
+    the gate of its own block is below the utterance's, so its peak is not
+    searched for.
     """
-    fs = audio.sample_rate_hz
-    if not 0.0 < f_min < f_max < fs / 2.0:
-        raise ValueError("need 0 < f_min < f_max < sample_rate/2")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
+    voiced, energies = [np.zeros(0, dtype=bool)], [np.zeros(0)]
+    for audio, grid in blocks:
+        frames = frame_matrix(audio.samples, grid)
+        energies.append(np.einsum("ij,ij->i", frames, frames))
+        voiced.append(_pitch_peaks(frames, energies[-1], audio.sample_rate_hz, f_min, f_max, rho))
+    e = np.concatenate(energies)
+    return np.concatenate(voiced) & (e >= ENERGY_GATE_RATIO * e.max(initial=0.0))
 
-    voiced = np.zeros(grid.num_frames, dtype=bool)
-    frames = frame_matrix(audio.samples, grid)
-    energies = np.einsum("ij,ij->i", frames, frames)
-    gate = max(gate, ENERGY_GATE_RATIO * energies.max(initial=0.0))
 
-    flen = grid.frame_len
+def _pitch_peaks(
+    frames: np.ndarray, energies: np.ndarray, fs: int, f_min: float, f_max: float, rho: float
+) -> np.ndarray:
+    """Frames of one block, at or above its own energy gate, whose
+    normalized autocorrelation peak in the pitch range reaches `rho`."""
+    if not 0.0 < f_min < f_max < fs / 2.0:
+        raise ValueError("need 0 < f_min < f_max < sample_rate/2")
+    num, flen = frames.shape
+    voiced = np.zeros(num, dtype=bool)
+    gate = ENERGY_GATE_RATIO * energies.max(initial=0.0)
     lag_lo = int(round(fs / f_max))
     lag_hi = min(int(round(fs / f_min)), flen - 1)
     if lag_lo < 1 or lag_lo > lag_hi:
         return voiced
     lags = np.arange(lag_lo, lag_hi + 1)
 
-    for m in range(grid.num_frames):
+    for m in range(num):
         if energies[m] <= 0.0 or energies[m] < gate:
             continue
         f = frames[m]

@@ -175,9 +175,9 @@ def front_whole(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None 
     if voicing is not None:
         mask = np.asarray(voicing, dtype=bool)
     elif cfg.mode == "fast":
-        mask = sft_voicing(work, grid, cfg.theta_sft)
+        mask = sft_voicing([(work, grid)], cfg.theta_sft)
     else:
-        mask = detect_pitch_autocorr(work, grid, cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
+        mask = detect_pitch_autocorr([(work, grid)], cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
     zeroed = noise_segments(high, mask, cfg.min_pitch_frames)
     zero_segments(work, grid, zeroed)
     noise = None

@@ -188,7 +188,7 @@ def test_criterion_5_first_pass_burst_removal():
         grid = make_grid(filtered)
         feats = compute_features(frame_energy(filtered, grid))
         segments = detect_high_energy(feats)
-        mask = detect_pitch_autocorr(filtered, grid)
+        mask = detect_pitch_autocorr([(filtered, grid)])
         out, zeroed = first_pass_denoise(filtered, grid, segments, mask)
 
         assert zeroed, f"seed {seed}: burst not classified as noise"
@@ -211,7 +211,7 @@ def test_criterion_6_threshold_monotonicity_and_gain_invariance():
         )
         filtered = highpass(buf)
         grid = make_grid(filtered)
-        mask = detect_pitch_autocorr(filtered, grid)
+        mask = detect_pitch_autocorr([(filtered, grid)])
         e = frame_energy(filtered, grid)
         extended = extend_segments(mask_to_segments(mask), 60, grid.num_frames)
         assert extended

@@ -125,7 +125,7 @@ class TestFirstPassDenoise:
         grid = make_grid(filtered)
         feats = compute_features(frame_energy(filtered, grid))
         segs = detect_high_energy(feats)
-        mask = detect_pitch_autocorr(filtered, grid)
+        mask = detect_pitch_autocorr([(filtered, grid)])
         out, zeroed = first_pass_denoise(filtered, grid, segs, mask)
 
         assert zeroed, "burst was not detected as a high-energy noise segment"

@@ -214,7 +214,7 @@ class TestRunRvad:
         r = run_rvad(buf, cfg)
         filtered = highpass(buf, cfg.hpf_cutoff_hz)
         grid = make_grid(filtered)
-        mask = sft_voicing(filtered, grid, cfg.theta_sft)
+        mask = sft_voicing([(filtered, grid)], cfg.theta_sft)
         extended = segments_to_mask(extend_segments(mask_to_segments(mask), cfg.ext_frames, grid.num_frames), grid.num_frames)
         assert np.all(extended[r.labels])
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvad import AudioBuffer
-from rvad.dsp import Spectrogram, block_frames, make_grid, spectral_flatness, stft
+from rvad.dsp import FrameGrid, Spectrogram, block_frames, make_grid, spectral_flatness, stft
 from rvad.voicing import count_voiced_in, detect_pitch_autocorr, sft_voicing
 
 from oracles import detect_sft
@@ -31,8 +31,8 @@ class TestDetectSft:
         sft_h = spectral_flatness(stft(harmonic, make_grid(harmonic)))
         sft_n = spectral_flatness(stft(noise, make_grid(noise)))
         assert np.median(sft_h) < 0.5 < np.median(sft_n)
-        mask_h = sft_voicing(harmonic, make_grid(harmonic), 0.5)
-        mask_n = sft_voicing(noise, make_grid(noise), 0.5)
+        mask_h = sft_voicing([(harmonic, make_grid(harmonic))], 0.5)
+        mask_n = sft_voicing([(noise, make_grid(noise))], 0.5)
         assert mask_h.mean() > 0.9
         assert mask_n.mean() < 0.1
 
@@ -42,7 +42,7 @@ class TestDetectSft:
         grid = make_grid(buf)
         prev = None
         for theta in (0.2, 0.4, 0.6, 0.8):
-            mask = sft_voicing(buf, grid, theta)
+            mask = sft_voicing([(buf, grid)], theta)
             if prev is not None:
                 assert np.all(mask[prev])  # raising theta never unmarks
             prev = mask
@@ -54,12 +54,12 @@ class TestDetectSft:
             with pytest.raises(ValueError):
                 detect_sft(spec, bad)
             with pytest.raises(ValueError):
-                sft_voicing(buf, make_grid(buf), bad)
+                sft_voicing([(buf, make_grid(buf))], bad)
 
     def test_mask_length(self):
         buf = AudioBuffer(np.zeros(1000), FS)
         g = make_grid(buf)
-        assert len(sft_voicing(buf, g, 0.5)) == g.num_frames
+        assert len(sft_voicing([(buf, g)], 0.5)) == g.num_frames
 
 
 class TestSftVoicingChunked:
@@ -71,7 +71,7 @@ class TestSftVoicingChunked:
         buf = AudioBuffer(sig, FS)
         g = make_grid(buf)
         expected = detect_sft(stft(buf, g), 0.5)
-        np.testing.assert_array_equal(sft_voicing(buf, g, 0.5), expected)
+        np.testing.assert_array_equal(sft_voicing([(buf, g)], 0.5), expected)
         # frame counts on either side of a block boundary, voiced across it
         block = block_frames(g.frame_len)
         assert expected[block - 2 : block + 2].all()
@@ -79,11 +79,11 @@ class TestSftVoicingChunked:
             part = AudioBuffer(sig[: (frames - 1) * g.frame_shift + g.frame_len], FS)
             pg = make_grid(part)
             assert pg.num_frames == frames
-            np.testing.assert_array_equal(sft_voicing(part, pg, 0.5), expected[:frames])
+            np.testing.assert_array_equal(sft_voicing([(part, pg)], 0.5), expected[:frames])
 
     def test_empty_signal(self):
         buf = AudioBuffer(np.zeros(10), FS)
-        assert len(sft_voicing(buf, make_grid(buf), 0.5)) == 0
+        assert len(sft_voicing([(buf, make_grid(buf))], 0.5)) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -102,14 +102,14 @@ class TestSftVoicingChunked:
         sig += rng.uniform(0.0, 0.5) * sum(np.cos(2 * np.pi * h * f0 * t) / h for h in range(1, 6))
         buf = AudioBuffer(sig, fs)
         g = make_grid(buf)
-        np.testing.assert_array_equal(sft_voicing(buf, g, theta), detect_sft(stft(buf, g), theta))
+        np.testing.assert_array_equal(sft_voicing([(buf, g)], theta), detect_sft(stft(buf, g), theta))
 
 
 class TestDetectPitchAutocorr:
     def test_150hz_sine_is_voiced(self):
         buf = AudioBuffer(sine(150.0, 1.0, amp=0.5), FS)
         g = make_grid(buf)
-        mask = detect_pitch_autocorr(buf, g)
+        mask = detect_pitch_autocorr([(buf, g)])
         assert mask.mean() > 0.95
 
         # oracle for one frame: normalized autocorrelation peaks near 1 at
@@ -125,21 +125,39 @@ class TestDetectPitchAutocorr:
         buf = AudioBuffer(white_noise(10.1, 0.1, rng=rng), FS)
         g = make_grid(buf)
         assert g.num_frames >= 1000
-        mask = detect_pitch_autocorr(buf, g)
+        mask = detect_pitch_autocorr([(buf, g)])
         assert mask.mean() <= 0.01
 
     def test_all_zero_frame_unvoiced(self):
         buf = AudioBuffer(np.zeros(400), FS)
-        mask = detect_pitch_autocorr(buf, make_grid(buf))
+        mask = detect_pitch_autocorr([(buf, make_grid(buf))])
         assert not mask.any()
 
     def test_quiet_frames_gated(self):
         # a tone 1e6 times weaker in energy than the loudest frame is gated off
         sig = np.concatenate([sine(150.0, 0.5, amp=0.5), sine(150.0, 0.5, amp=1e-5)])
         buf = AudioBuffer(sig, FS)
-        mask = detect_pitch_autocorr(buf, make_grid(buf))
+        mask = detect_pitch_autocorr([(buf, make_grid(buf))])
         assert mask[:30].all()
         assert not mask[-30:].any()
+
+    @pytest.mark.parametrize("cut", [1, 20, 48])
+    def test_blocks_give_the_decisions_of_one_call(self, cut):
+        # the first block holds only the quiet tone, whose own gate would pass
+        # it; the gate is the utterance's
+        sig = np.concatenate([sine(150.0, 0.5, amp=1e-5), sine(150.0, 0.5, amp=0.5)])
+        buf = AudioBuffer(sig, FS)
+        g = make_grid(buf)
+        whole = detect_pitch_autocorr([(buf, g)])
+        assert whole[60:].all() and not whole[:40].any()
+        split = cut * g.frame_shift
+        head = sig[: split + g.frame_len - g.frame_shift]
+        blocks = [
+            (AudioBuffer(head, FS), FrameGrid(g.frame_len, g.frame_shift, cut, len(head))),
+            (AudioBuffer(sig[split:], FS), FrameGrid(g.frame_len, g.frame_shift, g.num_frames - cut, len(sig) - split)),
+        ]
+        assert detect_pitch_autocorr(blocks).tobytes() == whole.tobytes()
+        assert detect_pitch_autocorr(blocks[:1])[: min(cut, 40)].all()
 
     @pytest.mark.parametrize("freq", [60.0, 100.0, 150.0, 250.0, 399.0])
     def test_in_band_sinusoid_mostly_voiced_at_20db(self, freq):
@@ -148,12 +166,12 @@ class TestDetectPitchAutocorr:
         noise = white_noise(1.5, 0.05, rng=rng)  # 20 dB below the tone RMS
         buf = AudioBuffer(tone + noise, FS)
         g = make_grid(buf)
-        mask = detect_pitch_autocorr(buf, g)
+        mask = detect_pitch_autocorr([(buf, g)])
         assert mask.mean() >= 0.90
 
     def test_out_of_band_rejected(self):
         buf = AudioBuffer(sine(1500.0, 1.0, amp=0.5), FS)
-        mask = detect_pitch_autocorr(buf, make_grid(buf))
+        mask = detect_pitch_autocorr([(buf, make_grid(buf))])
         # 1.5 kHz has no autocorrelation peak in the 60..400 Hz lag range that
         # persists, but harmonically related lags can still fire; the energy
         # gate stays open, so just require the detector not to saturate
@@ -163,18 +181,18 @@ class TestDetectPitchAutocorr:
         buf = AudioBuffer(np.zeros(400), FS)
         g = make_grid(buf)
         with pytest.raises(ValueError):
-            detect_pitch_autocorr(buf, g, f_min=0.0)
+            detect_pitch_autocorr([(buf, g)], f_min=0.0)
         with pytest.raises(ValueError):
-            detect_pitch_autocorr(buf, g, f_min=500.0, f_max=400.0)
+            detect_pitch_autocorr([(buf, g)], f_min=500.0, f_max=400.0)
         with pytest.raises(ValueError):
-            detect_pitch_autocorr(buf, g, f_max=5000.0)
+            detect_pitch_autocorr([(buf, g)], f_max=5000.0)
         with pytest.raises(ValueError):
-            detect_pitch_autocorr(buf, g, rho=1.0)
+            detect_pitch_autocorr([(buf, g)], rho=1.0)
 
     def test_mask_length(self):
         buf = AudioBuffer(np.zeros(1234), FS)
         g = make_grid(buf)
-        assert len(detect_pitch_autocorr(buf, g)) == g.num_frames
+        assert len(detect_pitch_autocorr([(buf, g)])) == g.num_frames
 
 
 class TestCountVoicedIn:
