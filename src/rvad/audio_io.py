@@ -7,6 +7,7 @@ import os
 import struct
 import warnings
 import wave
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,8 +43,8 @@ _SAMPLE_TYPES = {
     (_TAG_IEEE_FLOAT, 64): ("<f8", 1.0),
 }
 
-# A data chunk is decoded this many bytes at a time, so reading a file holds
-# its float64 samples and not also the file's bytes.
+# A whole data chunk is decoded, or scanned for non-finite samples, this
+# many bytes at a time, so no copy of the file's bytes is held.
 READ_BYTES = 1 << 16
 
 # Segment times are written with 6 decimals; this absorbs the parse rounding
@@ -59,27 +60,97 @@ class LabelFormatError(ValueError):
     """Raised for malformed frame-label files."""
 
 
-@dataclass
 class AudioBuffer:
-    """Mono audio held as float64 samples, nominally in [-1, 1]."""
+    """Mono audio as float64 samples, nominally in [-1, 1].
 
-    samples: np.ndarray
-    sample_rate_hz: int
+    A buffer made from an array holds that array.  One from `read_wav`
+    reads its file: `read(lo, hi)` decodes samples [lo, hi) only, opening
+    the file for that read, and `samples` decodes the whole data chunk on
+    first use and keeps it.  The file must not change while such a buffer
+    reads it.
+    """
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
+    def __init__(self, samples, sample_rate_hz: int):
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        # min and max carry a NaN through and meet any infinity, with no
-        # array the size of the signal
-        if self.samples.size and not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max())):
-            raise ValueError("samples must be finite")
-        if int(self.sample_rate_hz) <= 0:
+        _check_finite(samples)
+        if int(sample_rate_hz) <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        self.sample_rate_hz = int(self.sample_rate_hz)
+        self._samples, self._chunk, self.sample_rate_hz = samples, None, int(sample_rate_hz)
+
+    @classmethod
+    def _trusted(cls, samples: np.ndarray | None, sample_rate_hz: int, chunk: _DataChunk | None = None) -> AudioBuffer:
+        """A buffer built with no copy and no check: on float64 samples
+        computed from a checked buffer's, or, with `samples` None, on a data
+        chunk that `read_wav` checked."""
+        buf = cls.__new__(cls)
+        buf._samples, buf._chunk, buf.sample_rate_hz = samples, chunk, sample_rate_hz
+        return buf
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Every sample; a file's are decoded on first use and kept."""
+        if self._samples is None:
+            samples = np.empty(len(self._chunk))
+            for lo, piece in self._chunk.pieces():
+                samples[lo : lo + len(piece)] = piece
+            self._samples = samples
+        return self._samples
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples [lo, hi): a view of the held samples, or decoded from
+        the file when the buffer holds none."""
+        samples = self._samples
+        return self._chunk.read(lo, hi) if samples is None else samples[lo:hi]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._chunk) if self._chunk is not None else len(self._samples)
+
+
+def _check_finite(samples: np.ndarray) -> None:
+    # min and max carry a NaN through and meet any infinity, with no array
+    # the size of the signal
+    if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+        raise ValueError("samples must be finite")
+
+
+class _DataChunk:
+    """The samples of a WAV file's data chunk, decoded to mono float64 a
+    stretch at a time.  `source` is the bytes of a pipe or the file's
+    absolute path, which each read opens: a buffer holds no file open, and
+    threads sharing one share no file position."""
+
+    def __init__(self, source: str | bytes, at: int, count: int, tag: int, bits: int, channels: int):
+        self.source, self.at, self.count = source, at, count
+        self.tag, self.bits, self.channels = tag, bits, channels
+        self.frame_bytes = bits // 8 * channels
+        # whole multi-channel frames, READ_BYTES at a time
+        self.step = max(READ_BYTES // self.frame_bytes, 1)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples [lo, hi), clipped to the chunk's end."""
+        n = max(min(hi, self.count) - lo, 0)
+        start, size = self.at + lo * self.frame_bytes, n * self.frame_bytes
+        if isinstance(self.source, bytes):
+            data = memoryview(self.source)[start : start + size]
+        else:
+            with open(self.source, "rb") as fh:
+                fh.seek(start)
+                data = fh.read(size)
+            if len(data) != size:
+                raise AudioFormatError(f"{self.source}: the file shrank while its samples were read")
+        flat = _decode(data, self.tag, self.bits)
+        return flat if self.channels == 1 else flat.reshape(n, self.channels).mean(axis=1)
+
+    def pieces(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Each stretch of `step` samples with its first sample's index, so
+        no copy of the whole chunk's bytes is held."""
+        for lo in range(0, self.count, self.step):
+            yield lo, self.read(lo, lo + self.step)
 
 
 @dataclass
@@ -110,10 +181,16 @@ def read_wav(path) -> AudioBuffer:
     Multi-channel data is averaged down to one channel and integer samples
     are scaled by the type's full-scale value, so 16-bit 32767 maps to
     32767/32768.
+
+    The buffer reads the samples from the file when they are needed, see
+    `AudioBuffer`; a pipe, which cannot seek, is read whole and its bytes
+    are held.  A float file is scanned once for NaN and infinity, which
+    raise ValueError.
     """
     with open(path, "rb") as raw:
-        # a pipe cannot seek, so its bytes are held; a file is read in pieces
-        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        # a pipe cannot seek, so its bytes are held; a file is read when needed
+        source = os.fsdecode(os.path.abspath(path)) if raw.seekable() else raw.read()
+        fh = raw if isinstance(source, str) else io.BytesIO(source)
         file_size = fh.seek(0, os.SEEK_END)
         fh.seek(0)
         head = fh.read(12)
@@ -159,16 +236,11 @@ def read_wav(path) -> AudioBuffer:
         elif present % width:
             raise AudioFormatError(f"{path}: data chunk of {present} bytes ends in a partial {bits}-bit sample")
 
-        # whole multi-channel frames only, READ_BYTES at a time
-        count = present // width // channels
-        step = max(READ_BYTES // (width * channels), 1)
-        samples = np.empty(count)
-        fh.seek(data_at)
-        for first in range(0, count, step):
-            n = min(step, count - first)
-            flat = _decode(fh.read(n * width * channels), tag, bits)
-            samples[first : first + n] = flat if channels == 1 else flat.reshape(n, channels).mean(axis=1)
-    return AudioBuffer(samples, rate)
+    chunk = _DataChunk(source, data_at, present // width // channels, tag, bits, channels)
+    if tag == _TAG_IEEE_FLOAT:
+        for _, piece in chunk.pieces():
+            _check_finite(piece)
+    return AudioBuffer._trusted(None, rate, chunk)
 
 
 def _decode(data: bytes, tag: int, bits: int) -> np.ndarray:

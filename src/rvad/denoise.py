@@ -269,7 +269,7 @@ def reconstruct(spec: Spectrogram, grid: FrameGrid, state: OverlapAddState | Non
     if grid.num_frames and (grid.num_frames - 1) * shift + flen > grid.total_samples:
         raise ValueError("frames run past the end of the signal")
     if count == 0:
-        return AudioBuffer(np.zeros(grid.total_samples if whole else 0), spec.sample_rate_hz)
+        return AudioBuffer._trusted(np.zeros(grid.total_samples if whole else 0), spec.sample_rate_hz)
     end = first + count
     lo = first * shift
     hi = end * shift if end < grid.num_frames else (end - 1) * shift + flen
@@ -290,7 +290,7 @@ def reconstruct(spec: Spectrogram, grid: FrameGrid, state: OverlapAddState | Non
     state.next_frame, state.tail = end, sums[hi - lo :]
     if whole:
         finished = np.concatenate([finished, np.zeros(grid.total_samples - hi)])
-    return AudioBuffer(finished, spec.sample_rate_hz)
+    return AudioBuffer._trusted(finished, spec.sample_rate_hz)
 
 
 def _overlap_add(signal: np.ndarray, rows: np.ndarray, shift: int) -> None:

@@ -107,11 +107,11 @@ def highpass(audio: AudioBuffer, cutoff_hz: float = 60.0, state: HighpassState |
     if fs <= 2 * cutoff_hz:
         raise ValueError("sample rate too low for the chosen cutoff")
     if len(audio) == 0:
-        return AudioBuffer(np.zeros(0), fs)  # lfilter's state after no samples is undefined
+        return AudioBuffer._trusted(np.zeros(0), fs)  # lfilter's state after no samples is undefined
     a = 1.0 / (1.0 + 2.0 * np.pi * cutoff_hz / fs)
     state = HighpassState() if state is None else state
     y, state.zi = lfilter([a, -a], [1.0, -a], audio.samples, zi=state.zi)
-    return AudioBuffer(y, fs)
+    return AudioBuffer._trusted(y, fs)
 
 
 def frame_matrix(samples: np.ndarray, grid: FrameGrid) -> np.ndarray:
@@ -167,7 +167,7 @@ def stft_blocks(audio: AudioBuffer, grid: FrameGrid) -> Iterator[tuple[slice, Sp
     for first in range(0, grid.num_frames, step):
         count = min(step, grid.num_frames - first)
         lo, hi = grid.sample_span(first, first + count - 1)
-        block = AudioBuffer(audio.samples[lo:hi], audio.sample_rate_hz)
+        block = AudioBuffer._trusted(audio.samples[lo:hi], audio.sample_rate_hz)
         yield slice(first, first + count), stft(block, FrameGrid(grid.frame_len, grid.frame_shift, count, hi - lo))
 
 

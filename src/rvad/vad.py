@@ -256,7 +256,7 @@ class _FirstSweep:
             # fresh allocation, which doubled page faults over a batch of files
             filtered = own
             if len(halo):
-                filtered = AudioBuffer(np.concatenate([own.samples, halo.samples]), audio.sample_rate_hz)
+                filtered = AudioBuffer._trusted(np.concatenate([own.samples, halo.samples]), audio.sample_rate_hz)
             local = block.grid(self.grid)
             self.e1[block.rows] = frame_energy(filtered, local)
             self.last = filtered
@@ -289,7 +289,7 @@ def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None
 
 def _highpassed(audio: AudioBuffer, lo: int, hi: int, cfg: RvadConfig, state: HighpassState) -> AudioBuffer:
     """Samples [lo, hi) of the caller's signal, high-passed on from `state`."""
-    return highpass(AudioBuffer(audio.samples[lo:hi], audio.sample_rate_hz), cfg.hpf_cutoff_hz, state)
+    return highpass(AudioBuffer._trusted(audio.read(lo, hi), audio.sample_rate_hz), cfg.hpf_cutoff_hz, state)
 
 
 def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touched_only=False):
@@ -363,7 +363,7 @@ def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> np.nda
         pending = np.concatenate([pending, finished])
         ready = min(grid.num_frames, (done * shift + len(pending) - flen) // shift + 1) - done
         if ready > 0:
-            piece = AudioBuffer(pending, audio.sample_rate_hz)
+            piece = AudioBuffer._trusted(pending, audio.sample_rate_hz)
             e2[done : done + ready] = frame_energy(piece, FrameGrid(flen, shift, ready, len(pending)))
             pending = pending[ready * shift :]
             done += ready
@@ -388,7 +388,8 @@ def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndar
     `voicing` optionally injects an externally computed per-frame voiced
     mask in place of the built-in detectors.  Two sweeps over blocks of the
     caller's samples keep O(frames) state: the enhanced signal is never
-    held, only its frame energies.  `run_denoise` gives the waveform.
+    held, only its frame energies, and a buffer from `read_wav` is decoded
+    from its file a block at a time.  `run_denoise` gives the waveform.
     """
     cfg = cfg or RvadConfig()
     first = _first_sweep(audio, cfg, voicing)
@@ -420,7 +421,7 @@ def _denoise(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> tuple[A
     for _, _, finished in _second_sweep(audio, first, cfg, noise):
         out[done : done + len(finished)] = finished
         done += len(finished)
-    return AudioBuffer(out, audio.sample_rate_hz), noise
+    return AudioBuffer._trusted(out, audio.sample_rate_hz), noise
 
 
 @dataclass

@@ -1,10 +1,15 @@
 """WAV and label file I/O, and the test corpus's noise mixing."""
 
+import gc
 import os
+import pickle
 import struct
+import sys
 import threading
 import tracemalloc
+import warnings
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +22,18 @@ from rvad import (
     AudioFormatError,
     FrameLabels,
     LabelFormatError,
+    RvadConfig,
     read_labels,
     read_wav,
+    run_denoise,
+    run_rvad,
     write_labels,
     write_wav,
 )
+from rvad.dsp import block_frames
+from rvad.vad import SWEEP_BLOCKS
 
-from synth import mix_noise
+from synth import mix_noise, pulse_train
 
 FS = 8000
 
@@ -244,6 +254,170 @@ def test_read_wav_peak_is_file_plus_output(tmp_path):
         tracemalloc.stop()
     assert buf.samples.tobytes() == (samples / 32768.0).tobytes()
     assert peak <= path.stat().st_size + buf.samples.nbytes + 2**20
+
+
+_ENCODINGS = [(1, 8), (1, 16), (1, 24), (1, 32), (3, 32), (3, 64)]
+
+
+def _encode(x: np.ndarray, tag: int, bits: int) -> bytes:
+    """A data chunk holding x, (frames, channels) in [-1, 1], interleaved."""
+    flat = x.reshape(-1)
+    if tag == 3:
+        return flat.astype("<f4" if bits == 32 else "<f8").tobytes()
+    if bits == 8:
+        return np.round(flat * 127.0 + 128.0).astype(np.uint8).tobytes()
+    full = 2.0 ** (bits - 1)
+    whole = np.clip(np.round(flat * full), -full, full - 1).astype("<i4")
+    return whole.view(np.uint8).reshape(-1, 4)[:, : bits // 8].tobytes()
+
+
+def _utterance_frames(fs: int, n: int, channels: int, seed: int) -> np.ndarray:
+    """n frames of noise with voiced bursts and a loud noise burst, each
+    channel at its own gain with its own noise."""
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-3.0, -1.5) * rng.standard_normal(n)
+    for _ in range(int(rng.integers(0, 3))):
+        lo = int(rng.integers(0, n + 1))
+        tone = pulse_train(rng.uniform(100.0, 300.0), rng.uniform(0.1, 1.0), fs, amp=10.0 ** rng.uniform(-2.0, -0.5))
+        x[lo : lo + len(tone)] += tone[: n - lo]
+    lo = int(rng.integers(0, n + 1))
+    width = min(fs // 4, n - lo)
+    x[lo : lo + width] += 0.3 * rng.standard_normal(width)
+    gains = 1.0 - 0.3 * np.arange(channels)
+    return np.clip(x[:, None] * gains + 1e-3 * rng.standard_normal((n, channels)), -1.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    fs=st.sampled_from([8000, 16000, 44100, 48000]),
+    encoding=st.sampled_from(_ENCODINGS),
+    extensible=st.booleans(),
+    channels=st.integers(1, 3),
+    blocks=st.integers(0, 2),
+    frames=st.integers(-1, 1),
+    samples=st.integers(-2, 2),
+    cut=st.sampled_from([0, 0, 1, 2, 5]),
+    mode=st.sampled_from(["full", "fast"]),
+    enhance=st.sampled_from(["none", "msne", "msne-mod"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_file_buffer_runs_like_its_samples(tmp_path, fs, encoding, extensible, channels, blocks, frames, samples, cut, mode, enhance, seed):
+    # lengths at and around the edges of the sweeps' blocks, where a block's
+    # last frames read the next block's first samples
+    cfg = RvadConfig(mode=mode, enhance=enhance)
+    flen, shift = round(cfg.frame_len_ms * fs / 1000), round(cfg.frame_shift_ms * fs / 1000)
+    step = SWEEP_BLOCKS * block_frames(flen)
+    n = max((blocks * step - 1 + frames) * shift + flen + samples, 0)
+    tag, bits = encoding
+    sub_format = struct.pack("<H", tag) + _GUID_TAIL if extensible else None
+    path = tmp_path / "u.wav"
+    _write_raw_wav(path, tag, bits, channels, fs, _encode(_utterance_frames(fs, n, channels, seed), tag, bits), sub_format)
+    if cut:  # the data chunk loses its last bytes, mid-sample for most encodings
+        path.write_bytes(path.read_bytes()[: -min(cut, n * channels * bits // 8) or None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        from_file, whole = read_wav(path), read_wav(path).samples
+    held = AudioBuffer(whole, fs)
+    assert run_rvad(from_file, cfg).labels.tobytes() == run_rvad(held, cfg).labels.tobytes()
+    out_file, noise_file = run_denoise(from_file, cfg)
+    out_held, noise_held = run_denoise(held, cfg)
+    assert out_file.samples.tobytes() == out_held.samples.tobytes()
+    assert (noise_file is None) == (noise_held is None)
+    if noise_held is not None:
+        assert noise_file.shape == noise_held.shape and noise_file.tobytes() == noise_held.tobytes()
+    assert from_file.samples.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_wav_rejects_non_finite_float(tmp_path, bits, bad):
+    # the bad sample past the first stretch the scan decodes
+    path = tmp_path / "bad.wav"
+    x = np.zeros(3 * rvad.audio_io.READ_BYTES // (bits // 8))
+    x[-2] = bad
+    _write_raw_wav(path, 3, bits, 1, FS, x.astype(f"<f{bits // 8}").tobytes())
+    with pytest.raises(ValueError, match="finite"):
+        read_wav(path)
+
+
+def test_read_wav_rejects_channels_whose_mean_overflows(tmp_path):
+    path = tmp_path / "huge.wav"
+    _write_raw_wav(path, 3, 64, 2, FS, np.full(8, 1e308).tobytes())
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        read_wav(path)
+
+
+def _descriptors_on(path) -> list[str]:
+    """The process's open file descriptors that refer to `path`."""
+    fds = Path("/proc/self/fd")
+    target = os.path.realpath(path)
+    open_fds = []
+    for fd in os.listdir(fds):
+        try:
+            if os.readlink(fds / fd) == target:
+                open_fds.append(fd)
+        except OSError:  # the descriptor listing the directory is gone
+            pass
+    return open_fds
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="lists open files through /proc")
+def test_no_file_left_open(tmp_path):
+    # a buffer opens its file for each block it reads, so any number of
+    # buffers can be held at once
+    path = tmp_path / "u.wav"
+    write_wav(path, AudioBuffer(_utterance_frames(16000, 3 * 16000, 1, 5)[:, 0], 16000))
+    bad = tmp_path / "nan.wav"
+    _write_raw_wav(bad, 3, 32, 1, FS, np.array([0.0, np.nan], dtype="<f4").tobytes())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        buffers = [read_wav(path) for _ in range(3)]
+        assert not _descriptors_on(path)
+        run_rvad(buffers[0])
+        run_denoise(buffers[1])
+        assert buffers[2].samples.size == 3 * 16000
+        del buffers
+        gc.collect()
+        assert not _descriptors_on(path)
+        with pytest.raises(ValueError):
+            read_wav(bad)
+        assert not _descriptors_on(bad)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_threads_share_a_file_buffer(tmp_path):
+    # reads from several threads at once, switching often, each get their
+    # own samples
+    path = tmp_path / "u.wav"
+    _write_raw_wav(path, 1, 24, 2, FS, _encode(_utterance_frames(FS, 20000, 2, 3), 1, 24))
+    buf, whole = read_wav(path), read_wav(path).samples
+    bounds = np.random.default_rng(4).integers(0, len(whole) + 1, (8, 200, 2))
+    wrong = []
+
+    def reader(pairs):
+        for lo, hi in np.sort(pairs, axis=1):
+            if buf.read(lo, hi).tobytes() != whole[lo:hi].tobytes():
+                wrong.append((lo, hi))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(pairs,)) for pairs in bounds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def test_file_buffer_pickles(tmp_path):
+    path = tmp_path / "u.wav"
+    write_wav(path, AudioBuffer(np.linspace(-0.5, 0.5, 3000), FS))
+    back = pickle.loads(pickle.dumps(read_wav(path)))
+    assert back.sample_rate_hz == FS and back.samples.tobytes() == read_wav(path).samples.tobytes()
 
 
 class TestWriteWav:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rvad
-from rvad import AudioBuffer, RvadConfig, run_batch, run_denoise, run_rvad, write_wav
+from rvad import AudioBuffer, RvadConfig, read_wav, run_batch, run_denoise, run_rvad, write_wav
 from rvad.dsp import frame_energy, highpass, make_grid
 from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
 from rvad.vad import _energies, _first_sweep, _labels, post_process, segment_vad
@@ -456,6 +456,25 @@ def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
     assert rvad_peak <= 0.25 * buf.samples.nbytes
     returned = enhanced.samples.nbytes + (0 if noise is None else noise.nbytes)
     assert denoise_peak <= returned + 0.5 * buf.samples.nbytes
+
+
+def test_file_path_peak_memory_is_per_frame(tmp_path):
+    # two minutes of 16 kHz 16-bit WAV: the sweeps decode one block of the
+    # file at a time, so not even the input's float64 samples are held
+    rng = np.random.default_rng(84)
+    fs = 16000
+    bursts = [(3.0 * k + 0.5, 1.2, 120.0 + 2.0 * k) for k in range(40)]
+    samples = utterance(bursts, 120.0, fs, noise_rms=0.01, rng=rng).samples
+    path = tmp_path / "long.wav"
+    write_wav(path, AudioBuffer(np.clip(samples, -1.0, 1.0), fs))
+    tracemalloc.start()
+    try:
+        result = run_rvad(read_wav(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.num_speech_frames > 0
+    assert peak <= 0.25 * samples.nbytes
 
 
 class TestRunDenoise:
