@@ -4,9 +4,9 @@ driven by minimum-statistics noise tracking."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
@@ -80,14 +80,22 @@ def noise_segments(segments: list[Segment], voiced_mask: np.ndarray, min_pitch_f
 class MsneState:
     """What minimum statistics carries from one block of frames to the next.
 
-    `smoothed` holds the last max(window_frames - 1, 1) smoothed periodogram
-    rows of frames that updated the tracker (all of them near the start) and
-    `estimate` the noise estimate of the last such frame, which frozen frames
-    repeat.  A fresh state has neither: the first update starts the
-    smoothing from its own periodogram, and frames frozen before it hold zeros.
+    The frames that update the tracker are counted in `live`, and their
+    smoothed rows are cut into window-long segments from the first one on.
+    The first `live % window_frames` rows of `rows` are the smoothed rows
+    of the open segment, and `prefix` is their minimum.  `suffix` holds
+    the suffix minima of the last complete segment: row j is the minimum
+    of its rows j on, so its last row is that segment's last smoothed row.
+    `estimate` is the noise estimate of the last frame that updated, which
+    frozen frames repeat.  A fresh state has none of these: the first
+    update starts the smoothing from its own periodogram, and frames frozen
+    before it hold zeros.
     """
 
-    smoothed: np.ndarray | None = None
+    live: int = 0
+    rows: np.ndarray | None = None
+    prefix: np.ndarray | None = None
+    suffix: np.ndarray | None = None
     estimate: np.ndarray | None = None
 
 
@@ -98,6 +106,7 @@ def msne_noise_track(
     bias: float = DEFAULT_BIAS,
     window_frames: int = DEFAULT_WINDOW_FRAMES,
     state: MsneState | None = None,
+    power: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise power per (frame, bin) by minimum statistics.
 
@@ -107,7 +116,9 @@ def msne_noise_track(
     do not update the tracker: they repeat the estimate of the last frame
     that did, or zeros before the first one.  Calls on consecutive blocks of
     frames that share one `state` give the rows of a single call on all of
-    them; without a state the frames are tracked from scratch.
+    them; without a state the frames are tracked from scratch.  A caller
+    that has the periodogram `np.abs(spec.frames) ** 2` may pass it as
+    `power`, which is read and not changed.
     """
     if not 0.0 < smoothing < 1.0:
         raise ValueError("smoothing must be in (0, 1)")
@@ -116,10 +127,10 @@ def msne_noise_track(
     if window_frames < 1:
         raise ValueError("window_frames must be >= 1")
     state = MsneState() if state is None else state
-    power = np.abs(spec.frames) ** 2
-    if frozen is None:
+    power = np.abs(spec.frames) ** 2 if power is None else power
+    live = None if frozen is None else ~np.asarray(frozen, dtype=bool)
+    if live is None or live.all():
         return _min_stats(power, state, smoothing, bias, window_frames)
-    live = ~np.asarray(frozen, dtype=bool)
     held = np.zeros(power.shape[1]) if state.estimate is None else state.estimate
     # row 0 is the estimate before this block; frame m repeats the row of
     # the last live frame at or before it
@@ -127,82 +138,97 @@ def msne_noise_track(
     return track[np.cumsum(live)]
 
 
-def _min_stats(power: np.ndarray, state: MsneState, smoothing: float, bias: float, window_frames: int) -> np.ndarray:
-    """Bias times the trailing-window minimum of the recursively smoothed rows
-    of `power`, which is overwritten by the smoothed rows; advances `state`."""
-    if len(power) == 0:
-        return power
-    if state.smoothed is None:
+def _min_stats(power: np.ndarray, state: MsneState, smoothing: float, bias: float, window: int) -> np.ndarray:
+    """Bias times the trailing-window minimum of the recursively smoothed
+    rows of `power`, clipped at the first row ever seen; advances `state`.
+
+    The smoothed rows live in `lfilter`'s output, and `power` is not
+    changed.  The minimum is van Herk / Gil-Werman's, streamed over blocks:
+    a row takes the minimum of its segment's prefix minimum and the suffix
+    minimum of the previous segment from the row one window back, so each
+    row is scanned a fixed number of times however the frames are cut.
+    """
+    count, bins = power.shape
+    if count == 0:
+        return np.empty((0, bins))
+    b, a = [1.0 - smoothing], [1.0, -smoothing]
+    if state.live == 0:
         # the first row ever seen is its own smoothed value
-        history, start, previous = power[:0], 1, power[:1]
+        smoothed = power.copy()
+        if count > 1:
+            smoothed[1:], _ = lfilter(b, a, power[1:], axis=0, zi=smoothing * power[:1])
     else:
-        history, start, previous = state.smoothed, 0, state.smoothed[-1:]
-    if len(power) > start:
-        power[start:], _ = lfilter([1.0 - smoothing], [1.0, -smoothing], power[start:], axis=0, zi=smoothing * previous)
-    track = _trailing_min(history, power, window_frames)
+        first = state.live % window
+        previous = state.rows[first - 1] if first else state.suffix[-1]
+        smoothed, _ = lfilter(b, a, power, axis=0, zi=smoothing * previous[None])
+    track = np.empty_like(smoothed)
+    done = 0
+    while done < count:
+        # the rows up to the end of the open segment, or all that are left
+        piece = slice(done, min(count, done + window - state.live % window))
+        _segment_piece(smoothed[piece], track[piece], state, window)
+        done = piece.stop
     track *= bias
-    keep = max(window_frames - 1, 1)
-    state.smoothed = power[-keep:] if len(power) >= keep else np.concatenate([history, power])[-keep:]
     state.estimate = track[-1].copy()
     return track
 
 
-def _trailing_min(history: np.ndarray, rows: np.ndarray, window: int) -> np.ndarray:
-    """Per row of `rows`, the minimum over the `window` rows of history and
-    rows that end on it, clipped at the first row ever seen.
-
-    `history` ends with the window - 1 rows before `rows`, or holds all of
-    them when fewer exist.  Within `rows` this is van Herk / Gil-Werman:
-    cut into window-long segments, each row takes the minimum of its
-    segment's prefix minimum and the previous segment's suffix minimum.
-    The first segment takes the suffix minima of `history` instead.
-    A `minimum_filter1d` over history plus rows gives the same minima but
-    filters the window - 1 history rows again on every block: on a
-    10-minute 16 kHz file it made `run_rvad` about 16 % slower (2-vCPU host).
-    """
-    count, bins = rows.shape
-    seg = window if count > window else count
-    pad = -count % seg
-    padded = np.concatenate([rows, np.full((pad, bins), np.inf)]) if pad else rows
-    segments = padded.reshape(-1, seg, bins)
-    track = np.minimum.accumulate(segments, axis=1)
-    if len(segments) > 1:
-        # suffix minima of each segment from its second row on, meeting the
-        # next segment's rows up to its second-last
-        suffix = np.minimum.accumulate(segments[:-1, :0:-1], axis=1)[:, ::-1]
-        np.minimum(track[1:, :-1], suffix, out=track[1:, :-1])
-    track = track.reshape(-1, bins)[:count]
-    reach = min(count, window - 1)  # rows whose window reaches back into history
-    if len(history) and reach:
-        behind = window - 1 - len(history)  # rows whose window also starts before the first row
-        history_suffix = np.minimum.accumulate(history[::-1], axis=0)[::-1]
-        np.minimum(track[: min(behind, reach)], history_suffix[0], out=track[: min(behind, reach)])
-        if reach > behind:
-            np.minimum(track[behind:reach], history_suffix[: reach - behind], out=track[behind:reach])
-    return track
+def _segment_piece(rows: np.ndarray, out: np.ndarray, state: MsneState, window: int) -> None:
+    """Write into `out` the trailing-window minima of `rows`, the next
+    smoothed rows of the open segment, which they do not run past, and
+    append them to it; a segment they complete becomes the last complete
+    one.  A row j of a segment takes the minimum of the segment's rows up
+    to j and of the last complete segment's rows j + 1 on."""
+    first = state.live % window
+    np.minimum.accumulate(rows, axis=0, out=out)
+    if first:
+        np.minimum(out, state.prefix, out=out)
+    state.prefix = out[-1].copy()
+    if state.suffix is not None:
+        reach = min(len(rows), window - 1 - first)  # rows whose window reaches into the last segment
+        np.minimum(out[:reach], state.suffix[first + 1 : first + 1 + reach], out=out[:reach])
+    held = 0 if state.rows is None else len(state.rows)
+    if first + len(rows) > held:
+        # grown up to a window as rows come, so a window longer than the
+        # input holds only the rows there are
+        grown = np.empty((min(window, 2 * max(held, first + len(rows))), rows.shape[1]))
+        if first:
+            grown[:first] = state.rows[:first]
+        state.rows = grown
+    state.rows[first : first + len(rows)] = rows
+    state.live += len(rows)
+    if state.live % window == 0:
+        state.suffix = np.empty_like(state.rows) if state.suffix is None else state.suffix
+        np.minimum.accumulate(state.rows[::-1], axis=0, out=state.suffix[::-1])
 
 
 def spectral_subtract(
     spec: Spectrogram,
     noise_power: np.ndarray,
     floor: float = DEFAULT_SUBTRACT_FLOOR,
+    power: np.ndarray | None = None,
 ) -> Spectrogram:
     """Power-domain subtraction with a spectral floor, keeping the noisy phase.
 
     Output power per bin is max(|X|^2 - noise, floor*noise), so it never
     drops below the floor level and never exceeds the observed power plus
     the floor.  The frames of `spec` are overwritten and `spec` returned.
+    A caller that has `np.abs(spec.frames) ** 2` may pass it as `power`,
+    which is then overwritten too.
     """
     noise_power = np.asarray(noise_power, dtype=np.float64)
     frames = spec.frames
     if noise_power.shape != frames.shape:
         raise ValueError("noise power shape does not match the spectrogram")
-    power = np.abs(frames) ** 2
+    power = np.abs(frames) ** 2 if power is None else power
     out_power = np.subtract(power, noise_power)
     np.maximum(out_power, floor * noise_power, out=out_power)
     magnitude = np.sqrt(power, out=power)
     new_magnitude = np.sqrt(out_power, out=out_power)
     nonzero = magnitude > 0
+    if nonzero.all():
+        np.multiply(frames, np.divide(new_magnitude, magnitude, out=magnitude), out=frames)
+        return spec
     scale = np.divide(new_magnitude, magnitude, out=np.zeros_like(magnitude), where=nonzero)
     np.multiply(frames, scale, out=frames)
     # bins with zero input keep zero phase but still honor the floor
@@ -280,12 +306,7 @@ def reconstruct(spec: Spectrogram, grid: FrameGrid, state: OverlapAddState | Non
     if state.tail is not None:
         sums[: len(state.tail)] = state.tail
     _overlap_add(sums, time_frames, shift)
-    # the envelope of every frame that reaches a sample in [lo, hi)
-    reach = min((flen - 1) // shift, first)
-    envelope = np.zeros((count + reach - 1) * shift + flen)
-    _overlap_add(envelope, np.broadcast_to(window * window, (count + reach, flen)), shift)
-    envelope = envelope[reach * shift : reach * shift + hi - lo]
-    np.maximum(envelope, _ENVELOPE_FLOOR, out=envelope)
+    envelope = _envelope(flen, shift, count, min((flen - 1) // shift, first), hi - lo)
     finished = np.divide(sums[: hi - lo], envelope, out=sums[: hi - lo])
     state.next_frame, state.tail = end, sums[hi - lo :]
     if whole:
@@ -293,8 +314,25 @@ def reconstruct(spec: Spectrogram, grid: FrameGrid, state: OverlapAddState | Non
     return AudioBuffer._trusted(finished, spec.sample_rate_hz)
 
 
+# A file's blocks have three geometries: its first block, the blocks after
+# it, and its last block.
+@lru_cache(maxsize=4)
+def _envelope(frame_len: int, shift: int, count: int, reach: int, length: int) -> np.ndarray:
+    """The floored squared-window envelope that `reconstruct` divides a
+    block's `length` finished samples by: the sum over the block's `count`
+    frames and the `reach` frames before it that still cover its samples,
+    in ascending frame order.  Computed once per block geometry and read-only.
+    """
+    envelope = np.zeros((count + reach - 1) * shift + frame_len)
+    window = hamming(frame_len)
+    _overlap_add(envelope, np.broadcast_to(window * window, (count + reach, frame_len)), shift)
+    envelope = np.maximum(envelope[reach * shift : reach * shift + length], _ENVELOPE_FLOOR)
+    envelope.flags.writeable = False
+    return envelope
+
+
 def _overlap_add(signal: np.ndarray, rows: np.ndarray, shift: int) -> None:
-    """Add row m of `rows` into `signal` from sample m * shift on.
+    """Add row m of `rows` into the contiguous `signal` from sample m * shift on.
 
     The frames are added one shift-wide piece at a time, each piece of all
     frames in one strided pass.  A sample takes its frames at descending
@@ -304,8 +342,9 @@ def _overlap_add(signal: np.ndarray, rows: np.ndarray, shift: int) -> None:
     count, frame_len = rows.shape
     if count and (count - 1) * shift + frame_len > len(signal):
         raise ValueError("frames run past the end of the signal")
-    step = signal.strides[0]
+    step = signal.itemsize
     for lo in range((frame_len - 1) // shift * shift, -1, -shift):
         width = min(shift, frame_len - lo)
-        view = as_strided(signal[lo:], (count, width), (shift * step, step))
+        # a view made by the constructor costs a fifth of `as_strided`'s call
+        view = np.ndarray((count, width), signal.dtype, signal, lo * step, (shift * step, step))
         view += rows[:, lo : lo + width]

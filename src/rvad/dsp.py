@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
@@ -115,13 +114,18 @@ def highpass(audio: AudioBuffer, cutoff_hz: float = 60.0, state: HighpassState |
 
 
 def frame_matrix(samples: np.ndarray, grid: FrameGrid) -> np.ndarray:
-    """(num_frames, frame_len) view onto the signal; rows share its memory."""
+    """(num_frames, frame_len) read-only view onto the signal; rows share
+    its memory, or that of a contiguous copy when it has gaps."""
     if grid.num_frames == 0:
         return np.empty((0, grid.frame_len))
     if (grid.num_frames - 1) * grid.frame_shift + grid.frame_len > len(samples):
         raise ValueError("frame grid runs past the end of the signal")
-    step = samples.strides[0]
-    return as_strided(samples, (grid.num_frames, grid.frame_len), (grid.frame_shift * step, step), writeable=False)
+    samples = np.ascontiguousarray(samples)
+    step = samples.itemsize
+    # a view made by the constructor costs a fifth of `as_strided`'s call
+    frames = np.ndarray((grid.num_frames, grid.frame_len), samples.dtype, samples, 0, (grid.frame_shift * step, step))
+    frames.flags.writeable = False
+    return frames
 
 
 def frame_energy(audio: AudioBuffer, grid: FrameGrid) -> np.ndarray:
@@ -180,7 +184,13 @@ def spectral_flatness(spec: Spectrogram) -> np.ndarray:
     """
     mag = np.abs(spec.frames)
     np.maximum(mag, MAG_FLOOR, out=mag)
-    arithmetic = np.mean(mag, axis=1)
+    # the sums divided by the bin count, as `np.mean` computes them
+    bins = mag.shape[1]
+    arithmetic = np.add.reduce(mag, axis=1)
+    arithmetic /= bins
     np.log(mag, out=mag)
-    geometric = np.exp(np.mean(mag, axis=1))
-    return np.clip(geometric / arithmetic, 0.0, 1.0)
+    geometric = np.add.reduce(mag, axis=1)
+    geometric /= bins
+    ratio = np.divide(np.exp(geometric, out=geometric), arithmetic, out=geometric)
+    # a ratio of positive means is never negative; rounding can lift it past 1
+    return np.minimum(ratio, 1.0, out=ratio)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -41,7 +42,9 @@ THRESHOLD_BASES = ("distance", "energy")
 
 @dataclass
 class RvadConfig:
-    """Every numeric constant of the pipeline, with production defaults."""
+    """Every numeric constant of the pipeline, with production defaults.
+
+    Out-of-range values raise `ValueError`; every float must be finite."""
 
     frame_len_ms: float = 25.0
     frame_shift_ms: float = 10.0
@@ -72,6 +75,10 @@ class RvadConfig:
     lowfreq_cutoff_hz: float = 217.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.enhance not in ENHANCERS:
@@ -104,6 +111,8 @@ class RvadConfig:
         for name in (
             "subtract_floor",
             "hpf_cutoff_hz",
+            "lowfreq_cutoff_hz",
+            "energy_ratio",
             "smooth_n",
             "min_pitch_frames",
             "ext_frames",
@@ -323,6 +332,7 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
             continue
         for rows, spec in stft_blocks(filtered, block.grid(grid)):
             rows = slice(block.rows.start + rows.start, block.rows.start + rows.stop)
+            power = np.abs(spec.frames) ** 2
             track = dn.msne_noise_track(
                 spec,
                 None if frozen is None else frozen[rows],
@@ -330,10 +340,11 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
                 cfg.msne_bias,
                 cfg.msne_window_frames,
                 tracker,
+                power,
             )
             if noise is not None:
                 noise[rows] = track
-            dn.spectral_subtract(spec, track, cfg.subtract_floor)
+            dn.spectral_subtract(spec, track, cfg.subtract_floor, power)
             if cfg.enhance == "msne-mod":
                 dn.lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
             yield block, filtered, dn.reconstruct(spec, grid, ola).samples

@@ -126,12 +126,27 @@ class TestVadCommand:
             ("--subtract-floor", "-1"),
             ("--hpf-cutoff-hz", "-10"),
             ("--noise-forget", "2"),
+            ("--subtract-floor", "nan"),
+            ("--subtract-floor", "inf"),
+            ("--msne-bias", "inf"),
+            ("--msne-bias", "nan"),
+            ("--hpf-cutoff-hz", "nan"),
+            ("--lowfreq-cutoff-hz", "nan"),
+            ("--lowfreq-cutoff-hz", "-5"),
+            ("--frame-len-ms", "inf"),
+            ("--pitch-f-max", "inf"),
+            ("--beta", "nan"),
+            ("--energy-ratio", "nan"),
+            ("--energy-ratio", "-0.1"),
         ],
     )
     def test_out_of_range_config_is_usage_error(self, tmp_path, tone_wav, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", flag, value])
-        assert exc.value.code == 2
+        # both commands build the same config, and neither writes anything
+        for command in ("vad", "denoise"):
+            with pytest.raises(SystemExit) as exc:
+                _run([command, "--in", tone_wav, "--out", tmp_path / "o", flag, value])
+            assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_corrupt_file_gives_exit_one(self, tmp_path, tone_wav):
         bad = tmp_path / "bad.wav"

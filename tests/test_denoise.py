@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from rvad import AudioBuffer
 from rvad.denoise import (
+    MsneState,
     OverlapAddState,
+    _envelope,
     detect_high_energy,
     lowfreq_suppress,
     msne_noise_track,
@@ -245,6 +247,75 @@ class TestMsne:
         assert np.array_equal(got, expected)
 
 
+@st.composite
+def _cuts(draw, unit):
+    """Block lengths that tile some frames: 1-row blocks, blocks one short
+    of, equal to and one past `unit`, longer ones, and empty ones."""
+    sizes = st.one_of(st.sampled_from([1, max(unit - 1, 1), unit, unit + 1, 2 * unit + 1]), st.integers(0, 3 * unit))
+    return draw(st.lists(sizes, min_size=1, max_size=10))
+
+
+class TestStreamedTracker:
+    """One `MsneState` carried over blocks cut anywhere, against the loop
+    tracker on all frames at once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        window=st.one_of(st.sampled_from([1, 2]), st.integers(3, 24)),
+        data=st.data(),
+        bins=st.integers(1, 5),
+        smoothing=st.floats(0.01, 0.99),
+        freeze=st.sampled_from(["none", "random", "segment-edges", "whole-blocks", "all"]),
+        pass_power=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_loop_oracle(self, window, data, bins, smoothing, freeze, pass_power, seed):
+        cuts = data.draw(_cuts(window))
+        rng = np.random.default_rng(seed)
+        frames = sum(cuts)
+        spec = _power_spec(rng.random((frames, bins)) * rng.choice([1e-3, 1.0, 1e6], size=(frames, 1)))
+        edges = np.cumsum([0, *cuts])
+        frozen = np.zeros(frames, dtype=bool)
+        if freeze == "random":
+            frozen = rng.random(frames) < 0.4
+        elif freeze == "segment-edges":
+            # frozen runs that start as the tracker closes a window-long
+            # segment of live frames, or one live frame before it does
+            live = m = 0
+            while m < frames:
+                if live % window in (0, window - 1) and rng.random() < 0.6:
+                    run = int(rng.integers(1, 4))
+                    frozen[m : m + run] = True
+                    m += run
+                else:
+                    live += 1
+                    m += 1
+        elif freeze == "whole-blocks":
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                frozen[lo:hi] = rng.random() < 0.5
+        elif freeze == "all":
+            frozen[:] = True
+        mask = None if freeze == "none" else frozen
+
+        state = MsneState()
+        pieces = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            block = Spectrogram(spec.frames[lo:hi], spec.nfft, FS)
+            power = np.abs(block.frames) ** 2
+            before = power.copy()
+            pieces.append(
+                msne_noise_track(
+                    block, None if mask is None else mask[lo:hi], smoothing, 1.5, window, state, power if pass_power else None
+                )
+            )
+            assert power.tobytes() == before.tobytes()
+        got = np.concatenate(pieces)
+        expected = msne_noise_track_loop(spec, mask, smoothing, 1.5, window)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert state.live == frames - np.count_nonzero(frozen if mask is not None else np.zeros(frames, bool))
+
+
 class TestSpectralSubtract:
     def test_zero_noise_identity(self):
         rng = np.random.default_rng(55)
@@ -385,6 +456,53 @@ class TestReconstruct:
         spec = stft(buf, grid)
         expected = reconstruct_loop(spec, grid).samples
         assert reconstruct(spec, grid).samples.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        geometry=st.sampled_from([(200, 80), (400, 160), (1200, 480), (7, 3), (6, 6), (9, 2), (5, 4)]),
+        data=st.data(),
+        spare=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_loop_oracle(self, geometry, data, spare, seed):
+        flen, shift = geometry
+        cuts = data.draw(_cuts(max(flen // shift, 1) + 1))
+        num = sum(cuts)
+        total = (num - 1) * shift + flen + spare if num else spare
+        rng = np.random.default_rng(seed)
+        buf = AudioBuffer(rng.standard_normal(total), FS)
+        grid = FrameGrid(flen, shift, num, total)
+        spec = stft(buf, grid)
+        expected = reconstruct_loop(spec, grid).samples
+        state, pieces = OverlapAddState(), []
+        edges = np.cumsum([0, *cuts])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            pieces.append(reconstruct(Spectrogram(spec.frames[lo:hi], spec.nfft, FS), grid, state).samples)
+        got = np.concatenate(pieces)
+        covered = (num - 1) * shift + flen if num else 0
+        assert len(got) == covered
+        assert got.tobytes() == expected[:covered].tobytes()
+        assert state.next_frame == num
+
+    def test_envelope_is_cached_and_read_only(self):
+        first = _envelope(400, 160, 64, 2, 64 * 160)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        again = _envelope(400, 160, 64, 2, 64 * 160)
+        assert again.tobytes() == first.tobytes()
+        # reconstructing the same blocks again gives the same bytes
+        buf = AudioBuffer(np.random.default_rng(62).standard_normal(16000), 16000)
+        grid = make_grid(buf)
+        spec = stft(buf, grid)
+        runs = []
+        for _ in range(2):
+            state, pieces = OverlapAddState(), []
+            for lo in range(0, grid.num_frames, 20):
+                block = Spectrogram(spec.frames[lo : lo + 20], spec.nfft, 16000)
+                pieces.append(reconstruct(block, grid, state).samples.tobytes())
+            runs.append(b"".join(pieces))
+        assert runs[0] == runs[1]
 
     def test_frame_count_mismatch_rejected(self):
         buf = AudioBuffer(np.zeros(1000), FS)

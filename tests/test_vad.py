@@ -626,6 +626,19 @@ class TestRvadConfig:
             {"hpf_cutoff_hz": -10.0},
             {"noise_forget": -0.1},
             {"noise_forget": 1.1},
+            {"subtract_floor": float("nan")},
+            {"subtract_floor": float("inf")},
+            {"msne_bias": float("inf")},
+            {"msne_bias": float("nan")},
+            {"hpf_cutoff_hz": float("nan")},
+            {"lowfreq_cutoff_hz": float("nan")},
+            {"lowfreq_cutoff_hz": -5.0},
+            {"frame_len_ms": float("inf")},
+            {"pitch_f_max": float("inf")},
+            {"beta": float("nan")},
+            {"energy_ratio": float("nan")},
+            {"energy_ratio": -0.1},
+            {"theta_sft": float("nan")},
         ):
             with pytest.raises(ValueError):
                 RvadConfig(**bad)
@@ -636,6 +649,8 @@ class TestRvadConfig:
             {"hpf_cutoff_hz": 0.0},
             {"noise_forget": 0.0},
             {"noise_forget": 1.0},
+            {"lowfreq_cutoff_hz": 0.0},
+            {"energy_ratio": 0.0},
         ):
             RvadConfig(**edge)
 
