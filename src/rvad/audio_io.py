@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .segments import mask_to_segments
+
 __all__ = [
     "AudioBuffer",
     "FrameLabels",
@@ -333,9 +335,6 @@ def write_labels(path, labels: FrameLabels, fmt: str = "frames") -> None:
         text = "".join("1\n" if v else "0\n" for v in labels.labels)
     elif fmt == "segments":
         shift_s = labels.frame_shift_ms / 1000.0
-        # local import keeps segments.py free of file I/O concerns
-        from .segments import mask_to_segments
-
         parts = []
         for start, end in mask_to_segments(labels.labels):
             parts.append(f"{start * shift_s:.6f} {(end + 1) * shift_s:.6f}\n")

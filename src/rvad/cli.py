@@ -1,7 +1,8 @@
 """Command-line entry points: `rvad vad`, `rvad denoise`, `rvad eval`.
 
 Exit codes: 0 on full success, 1 when any per-file step failed, 2 on usage
-errors (bad flags, unknown config keys, unpairable inputs).
+errors (bad flags, unknown config keys, unpairable inputs, an unreadable
+voicing file, inputs that share an output name).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .audio_io import FrameLabels, read_labels, read_wav, write_labels, write_wav
 from .metrics import EvalResult, aggregate, count_errors, rates_from_counts
-from .vad import ENHANCERS, MODES, THRESHOLD_BASES, RvadConfig, run_batch, run_denoise, run_rvad
+from .vad import ENHANCERS, MODES, THRESHOLD_BASES, RvadConfig, _process_one, run_batch, run_denoise
 
 _CHOICES = {
     "mode": MODES,
@@ -91,39 +92,39 @@ def _input_wavs(spec: str, parser: argparse.ArgumentParser) -> list[str]:
     files = [line for line in lines if line and not line.startswith("#")]
     if not files:
         parser.error(f"input list {spec} names no files")
+    # outputs are named by stem, so two inputs with one stem would collide
+    by_stem = {}
+    for name in files:
+        first = by_stem.setdefault(Path(name).stem, name)
+        if Path(first).resolve() != Path(name).resolve():
+            parser.error(f"inputs {first} and {name} share the output name {Path(name).stem!r}")
     return files
 
 
 def _cmd_vad(args, parser) -> int:
     cfg = _build_config(args, parser)
     paths = _input_wavs(args.input, parser)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     voicing = None
     if args.voicing_file:
         if len(paths) != 1:
             parser.error("--voicing-file requires a single wav input")
-        voicing = read_labels(args.voicing_file, cfg.frame_shift_ms, cfg.frame_len_ms).labels
+        try:
+            voicing = read_labels(args.voicing_file, cfg.frame_shift_ms, cfg.frame_len_ms).labels
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read --voicing-file: {exc}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
-    if voicing is not None:
-        try:
-            results = [(paths[0], run_rvad(read_wav(paths[0]), cfg, voicing), None)]
-        except Exception as exc:
-            results = [(paths[0], None, f"{type(exc).__name__}: {exc}")]
-    else:
-        results = [(item.path, item.result, item.error) for item in run_batch(paths, cfg, args.workers)]
-
-    for path, result, error in results:
-        if error is not None:
-            print(f"rvad: {path}: {error}", file=sys.stderr)
+    items = run_batch(paths, cfg, args.workers) if voicing is None else [_process_one(paths[0], cfg, voicing)]
+    for item in items:
+        if not item.ok:
+            print(f"rvad: {item.path}: {item.error}", file=sys.stderr)
             failures += 1
             continue
-        target = out_dir / (Path(path).stem + ".vad")
-        labels = FrameLabels(result.labels, cfg.frame_shift_ms, cfg.frame_len_ms)
-        write_labels(target, labels, fmt=args.labels)
-    print(f"rvad: processed {len(results) - failures}/{len(results)} file(s)", file=sys.stderr)
+        labels = FrameLabels(item.result.labels, cfg.frame_shift_ms, cfg.frame_len_ms)
+        write_labels(out_dir / (Path(item.path).stem + ".vad"), labels, fmt=args.labels)
+    print(f"rvad: processed {len(items) - failures}/{len(items)} file(s)", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -177,39 +178,26 @@ def _pair_labels(ref_spec: str, hyp_spec: str, parser) -> list[tuple[str, Path, 
     return [(ref.stem, ref, hyp) for ref, hyp in zip(refs, hyps)]
 
 
+# the eval report's columns and their text formats: the row's file id,
+# then fields of its EvalResult
+_REPORT_COLUMNS = {
+    "file": "{}", "n_frames": "{}", "p_miss": "{:.4f}", "p_fa": "{:.4f}", "fer": "{:.4f}", "dcf": "{:.6f}"
+}
+
+
 def _emit_report(rows: list[dict], fmt: str, stream) -> None:
     if fmt == "json-lines":
         for row in rows:
             stream.write(json.dumps(row) + "\n")
         return
     sep = "," if fmt == "csv" else "\t"
-    columns = ["file", "n_frames", "p_miss", "p_fa", "fer", "dcf"]
-    stream.write(sep.join(columns) + "\n")
+    stream.write(sep.join(_REPORT_COLUMNS) + "\n")
     for row in rows:
-        stream.write(
-            sep.join(
-                [
-                    str(row["file"]),
-                    str(row["n_frames"]),
-                    f"{row['p_miss']:.4f}",
-                    f"{row['p_fa']:.4f}",
-                    f"{row['fer']:.4f}",
-                    f"{row['dcf']:.6f}",
-                ]
-            )
-            + "\n"
-        )
+        stream.write(sep.join(spec.format(row[name]) for name, spec in _REPORT_COLUMNS.items()) + "\n")
 
 
 def _report_row(file_id: str, rates: EvalResult) -> dict:
-    return {
-        "file": file_id,
-        "n_frames": rates.n_frames,
-        "p_miss": rates.p_miss,
-        "p_fa": rates.p_fa,
-        "fer": rates.fer,
-        "dcf": rates.dcf,
-    }
+    return {name: file_id if name == "file" else getattr(rates, name) for name in _REPORT_COLUMNS}
 
 
 def _cmd_eval(args, parser) -> int:

@@ -13,7 +13,6 @@ from .audio_io import AudioBuffer
 from .dsp import FrameGrid, Spectrogram, hamming
 from .features import FrameFeatures
 from .segments import Segment, mask_to_segments
-from .voicing import count_voiced_in
 
 __all__ = [
     "detect_high_energy",
@@ -73,7 +72,7 @@ def zero_segments(audio: AudioBuffer, grid: FrameGrid, segments: list[Segment], 
 def noise_segments(segments: list[Segment], voiced_mask: np.ndarray, min_pitch_frames: int = 2) -> list[Segment]:
     """The high-energy segments the first pass zeroes: those holding at most
     `min_pitch_frames` voiced frames."""
-    return [seg for seg in segments if count_voiced_in(voiced_mask, seg) <= min_pitch_frames]
+    return [(s, t) for s, t in segments if np.count_nonzero(voiced_mask[s : t + 1]) <= min_pitch_frames]
 
 
 @dataclass

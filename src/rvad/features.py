@@ -12,7 +12,6 @@ __all__ = [
     "NoiseEnergyTrack",
     "rank_low_energy",
     "track_noise_energy",
-    "posterior_snr_db",
     "log_energy_ratio_db",
     "weighted_energy_difference",
     "central_smooth",
@@ -38,15 +37,6 @@ class NoiseEnergyTrack:
 
     e_v: np.ndarray
     e_v_smooth: np.ndarray
-    super_len: int
-    num_frames: int
-
-    def per_frame(self) -> np.ndarray:
-        """Smoothed noise energy expanded to one value per frame."""
-        reps = np.full(len(self.e_v_smooth), self.super_len)
-        if len(reps):
-            reps[-1] = self.num_frames - self.super_len * (len(reps) - 1)
-        return np.repeat(self.e_v_smooth, reps)
 
 
 def track_noise_energy(e: np.ndarray, super_len: int = 200, forget: float = 0.9) -> NoiseEnergyTrack:
@@ -64,7 +54,7 @@ def track_noise_energy(e: np.ndarray, super_len: int = 200, forget: float = 0.9)
     smooth = e_v.copy()
     for p in range(1, len(e_v)):
         smooth[p] = forget * smooth[p - 1] + (1.0 - forget) * e_v[p]
-    return NoiseEnergyTrack(e_v, smooth, super_len, len(e))
+    return NoiseEnergyTrack(e_v, smooth)
 
 
 def log_energy_ratio_db(e, noise) -> np.ndarray:
@@ -72,15 +62,6 @@ def log_energy_ratio_db(e, noise) -> np.ndarray:
     num = np.maximum(e, ENERGY_FLOOR)
     den = np.maximum(noise, ENERGY_FLOOR)
     return 10.0 * np.log10(num / den)
-
-
-def posterior_snr_db(e: np.ndarray, track: NoiseEnergyTrack) -> np.ndarray:
-    """A posteriori SNR per frame: 10*log10 of frame energy over tracked noise energy."""
-    e = np.asarray(e, dtype=np.float64)
-    noise = track.per_frame()
-    if len(e) != len(noise):
-        raise ValueError("energy sequence does not match the noise track")
-    return log_energy_ratio_db(e, noise)
 
 
 def weighted_energy_difference(e: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
@@ -135,8 +116,10 @@ def compute_features(
     smooth_n: int = 18,
     forget: float = 0.9,
 ) -> FrameFeatures:
-    """Full feature stack for one utterance's frame energies."""
+    """Full feature stack for one utterance's frame energies; the a posteriori
+    SNR is each frame's energy over its super-segment's smoothed noise energy."""
+    e = np.asarray(e, dtype=np.float64)
     track = track_noise_energy(e, super_len, forget)
-    snr_db = posterior_snr_db(e, track)
+    snr_db = log_energy_ratio_db(e, track.e_v_smooth[np.arange(len(e)) // super_len])
     d = weighted_energy_difference(e, snr_db)
-    return FrameFeatures(np.asarray(e, dtype=np.float64), snr_db, d, central_smooth(d, smooth_n))
+    return FrameFeatures(e, snr_db, d, central_smooth(d, smooth_n))

@@ -44,7 +44,8 @@ THRESHOLD_BASES = ("distance", "energy")
 class RvadConfig:
     """Every numeric constant of the pipeline, with production defaults.
 
-    Out-of-range values raise `ValueError`; every float must be finite."""
+    Out-of-range values raise `ValueError`; every float must be finite, and
+    every integer field an integer (a NumPy one too, not a bool)."""
 
     frame_len_ms: float = 25.0
     frame_shift_ms: float = 10.0
@@ -77,6 +78,8 @@ class RvadConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if type(f.default) is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         if self.mode not in MODES:
@@ -448,8 +451,12 @@ class BatchItem:
         return self.error is None
 
 
-def _process_one(path: str, cfg: RvadConfig) -> VadResult:
-    return run_rvad(read_wav(path), cfg)
+def _process_one(path: str, cfg: RvadConfig, voicing: np.ndarray | None = None) -> BatchItem:
+    """One file's VAD, with its failure as the item's error."""
+    try:
+        return BatchItem(path, result=run_rvad(read_wav(path), cfg, voicing))
+    except Exception as exc:
+        return BatchItem(path, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_batch(paths, cfg: RvadConfig | None = None, workers: int = 1) -> list[BatchItem]:
@@ -463,20 +470,14 @@ def run_batch(paths, cfg: RvadConfig | None = None, workers: int = 1) -> list[Ba
     cfg = cfg or RvadConfig()
     paths = [str(p) for p in paths]
     workers = min(workers, len(paths))
-    items: list[BatchItem] = []
     if workers <= 1:
-        for path in paths:
-            try:
-                items.append(BatchItem(path, result=_process_one(path, cfg)))
-            except Exception as exc:
-                items.append(BatchItem(path, error=f"{type(exc).__name__}: {exc}"))
-        return items
-
+        return [_process_one(path, cfg) for path in paths]
+    items: list[BatchItem] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_process_one, path, cfg) for path in paths]
         for path, future in zip(paths, futures):
             try:
-                items.append(BatchItem(path, result=future.result()))
-            except Exception as exc:
+                items.append(future.result())
+            except Exception as exc:  # the worker process died
                 items.append(BatchItem(path, error=f"{type(exc).__name__}: {exc}"))
     return items

@@ -9,7 +9,7 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .dsp import FrameGrid, frame_matrix, spectral_flatness, stft_blocks
 
-__all__ = ["sft_voicing", "detect_pitch_autocorr", "count_voiced_in"]
+__all__ = ["sft_voicing", "detect_pitch_autocorr"]
 
 # Frames quieter than this fraction of the loudest frame are never voiced.
 ENERGY_GATE_RATIO = 1e-6
@@ -93,12 +93,3 @@ def _pitch_peaks(
             voiced[m] = (corr[valid] / denom[valid]).max() >= rho
     return voiced
 
-
-def count_voiced_in(mask: np.ndarray, seg: tuple[int, int]) -> int:
-    """Number of voiced frames in the inclusive frame interval `seg`."""
-    start, end = seg
-    if start > end:
-        raise ValueError("empty interval: start > end")
-    if start < 0 or end >= len(mask):
-        raise ValueError("interval out of range")
-    return int(np.count_nonzero(np.asarray(mask, dtype=bool)[start : end + 1]))

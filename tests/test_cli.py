@@ -81,6 +81,40 @@ class TestVadCommand:
         with pytest.raises(SystemExit) as exc:
             _run(["vad", "--in", lst, "--out", tmp_path / "o", "--voicing-file", tmp_path / "v"])
         assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [None, "0\n1\nmaybe\n", "0.5 0.2\n"], ids=["missing", "frames", "segments"])
+    def test_unreadable_voicing_file_is_usage_error(self, tmp_path, tone_wav, capsys, content):
+        mask_file = tmp_path / "voicing.txt"
+        if content is not None:
+            mask_file.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", "--voicing-file", mask_file])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert "cannot read --voicing-file" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["vad", "denoise"])
+    def test_inputs_sharing_a_stem_are_usage_error(self, tmp_path, command):
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "x.wav")
+            write_wav(paths[-1], utterance([(0.4, 0.8, 150.0)], 2.0))
+        lst = tmp_path / "files.list"
+        lst.write_text("".join(f"{p}\n" for p in paths))
+        with pytest.raises(SystemExit) as exc:
+            _run([command, "--in", lst, "--out", tmp_path / "o", "--enhance", "none"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["vad", "denoise"])
+    def test_same_input_twice_is_allowed(self, tmp_path, tone_wav, command):
+        lst = tmp_path / "files.list"
+        lst.write_text(f"{tone_wav}\n{tmp_path}/./tone.wav\n")
+        assert _run([command, "--in", lst, "--out", tmp_path / "o", "--enhance", "none"]) == 0
+        assert len(list((tmp_path / "o").iterdir())) == 1
 
     def test_beta_flag_changes_output(self, tmp_path):
         p = tmp_path / "u.wav"

@@ -15,6 +15,7 @@ from rvad.denoise import (
     detect_high_energy,
     lowfreq_suppress,
     msne_noise_track,
+    noise_segments,
     reconstruct,
     spectral_subtract,
     zero_segments,
@@ -81,6 +82,23 @@ class TestDetectHighEnergy:
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError):
             detect_high_energy(_features_from(np.zeros(10)), basis="both")
+
+
+class TestNoiseSegments:
+    def test_boundary_at_min_pitch_frames(self):
+        # (0, 4) holds exactly two voiced frames and is zeroed; (5, 9) holds three and is kept
+        mask = np.zeros(10, dtype=bool)
+        mask[[1, 2, 6, 7, 8]] = True
+        segs = [(0, 4), (5, 9)]
+        assert noise_segments(segs, mask, min_pitch_frames=2) == [(0, 4)]
+        assert noise_segments(segs, mask, min_pitch_frames=3) == segs
+        assert noise_segments(segs, mask, min_pitch_frames=1) == []
+
+    def test_counts_only_inside_each_segment(self):
+        mask = np.ones(10, dtype=bool)
+        mask[3:8] = False
+        assert noise_segments([(3, 7), (2, 8), (0, 9)], mask) == [(3, 7), (2, 8)]
+        assert noise_segments([], mask) == []
 
 
 class TestFirstPassDenoise:

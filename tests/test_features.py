@@ -6,7 +6,7 @@ import pytest
 from rvad.features import (
     central_smooth,
     compute_features,
-    posterior_snr_db,
+    log_energy_ratio_db,
     rank_low_energy,
     track_noise_energy,
     weighted_energy_difference,
@@ -42,10 +42,12 @@ class TestTrackNoiseEnergy:
         assert len(track.e_v) == 2
         # rank ceil(0.1*37) = 4 (1-based) of a constant block is the constant
         assert track.e_v[1] == 5.0
-        per_frame = track.per_frame()
-        assert len(per_frame) == 237
-        assert per_frame[199] == track.e_v_smooth[0]
-        assert per_frame[200] == track.e_v_smooth[1]
+        # each frame's SNR is taken against its own super-segment's noise energy
+        snr_db = compute_features(e, super_len=200).snr_db
+        assert len(snr_db) == 237
+        for m, p in ((0, 0), (199, 0), (200, 1), (236, 1)):
+            assert snr_db[m] == pytest.approx(log_energy_ratio_db(e[m], track.e_v_smooth[p]), rel=1e-12)
+        assert snr_db[199] == 0.0 and snr_db[200] > 0.0
 
     def test_permutation_invariance_within_super_segment(self):
         rng = np.random.default_rng(21)
@@ -66,7 +68,7 @@ class TestTrackNoiseEnergy:
 
     def test_zero_frames_give_empty_tracks(self):
         track = track_noise_energy(np.zeros(0))
-        assert track.e_v.shape == track.e_v_smooth.shape == track.per_frame().shape == (0,)
+        assert track.e_v.shape == track.e_v_smooth.shape == (0,)
         feats = compute_features(np.zeros(0))
         for values in (feats.e, feats.snr_db, feats.d, feats.d_smooth):
             assert values.shape == (0,) and values.dtype == np.float64
@@ -77,20 +79,20 @@ class TestTrackNoiseEnergy:
 class TestPosteriorSnr:
     def test_equal_energies_zero_db(self):
         e = np.full(300, 2.0)
-        track = track_noise_energy(e, super_len=200)
-        np.testing.assert_allclose(posterior_snr_db(e, track), 0.0, atol=1e-12)
+        np.testing.assert_allclose(compute_features(e, super_len=200).snr_db, 0.0, atol=1e-12)
 
     def test_factor_ten_is_ten_db(self):
-        e = np.full(200, 4.0)
-        track = track_noise_energy(e, super_len=200)
-        snr = posterior_snr_db(10.0 * e, track)
-        np.testing.assert_allclose(snr, 10.0, atol=1e-12)
+        # the 20 frames ranked lowest (10 % of 200) set the noise energy
+        e = np.full(200, 40.0)
+        e[::10] = 4.0
+        snr = compute_features(e, super_len=200).snr_db
+        np.testing.assert_allclose(snr[e == 40.0], 10.0, atol=1e-12)
+        np.testing.assert_allclose(snr[e == 4.0], 0.0, atol=1e-12)
 
     def test_zero_energy_floored_not_infinite(self):
         e = np.full(200, 1.0)
         e[50] = 0.0
-        track = track_noise_energy(np.full(200, 1.0), super_len=200)
-        snr = posterior_snr_db(e, track)
+        snr = compute_features(e, super_len=200).snr_db
         assert np.isfinite(snr[50])
         assert snr[50] < -100.0
 

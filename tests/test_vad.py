@@ -1,7 +1,11 @@
 """Per-segment VAD decisions, post-processing, and the full pipeline."""
 
+import ast
 import tracemalloc
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,6 +575,38 @@ class TestRunBatch:
         assert started == [2]
         assert [i.path for i in items] == paths and all(i.ok for i in items)
 
+    def test_dead_worker_reported_not_fatal(self, tmp_path, monkeypatch):
+        class DyingPool:
+            """Stands in for the process pool: the worker for the second file dies."""
+
+            def __init__(self, max_workers):
+                self.calls = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.calls += 1
+                future = Future()
+                if self.calls == 2:
+                    future.set_exception(BrokenProcessPool("worker died"))
+                else:
+                    future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(rvad.vad, "ProcessPoolExecutor", DyingPool)
+        paths = self._corpus(tmp_path, 2)
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"not audio")
+        items = run_batch([paths[0], paths[1], str(bad)], RvadConfig(enhance="none"), workers=3)
+        assert [i.path for i in items] == [paths[0], paths[1], str(bad)]
+        assert items[0].ok
+        assert items[1].error == "BrokenProcessPool: worker died"
+        assert items[2].error.startswith("AudioFormatError")
+
     def test_parallel_matches_sequential(self, tmp_path):
         paths = self._corpus(tmp_path, 4)
         seq = run_batch(paths, RvadConfig(enhance="none"), workers=1)
@@ -642,6 +678,15 @@ class TestRvadConfig:
         ):
             with pytest.raises(ValueError):
                 RvadConfig(**bad)
+        # the nine integer fields take integers only, and say which field is wrong
+        int_fields = [f.name for f in fields(RvadConfig) if type(f.default) is int]
+        assert len(int_fields) == 9
+        for name in int_fields:
+            for bad in (2.5, 3.0, True, False, "3", None, np.float64(3.0), np.bool_(True)):
+                with pytest.raises(ValueError, match=name):
+                    RvadConfig(**{name: bad})
+            assert getattr(RvadConfig(**{name: np.int64(3)}), name) == 3
+        RvadConfig(super_len=np.int32(100), ext_frames=np.uint8(0))
         # the closed ends of the ranges stay valid
         for edge in (
             {"super_len": 1},
@@ -681,3 +726,28 @@ def test_public_api_is_the_pipeline():
         ]
     )
     assert all(hasattr(rvad, name) for name in rvad.__all__)
+
+
+def test_kernel_modules_do_not_import_the_pipeline():
+    # the stage kernels sit below the orchestration, and first-pass zeroing
+    # counts voiced frames itself instead of reaching into voicing
+    src = Path(rvad.__file__).parent
+    direct = {}
+    for path in src.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names.update([node.module] if node.module else [a.name for a in node.names])
+        direct[path.stem] = names
+
+    def closure(module):
+        seen, todo = set(), [module]
+        while todo:
+            for name in direct[todo.pop()] - seen:
+                seen.add(name)
+                todo.append(name)
+        return seen
+
+    for module in ("dsp", "features", "segments", "voicing", "denoise"):
+        assert not closure(module) & {"vad", "cli"}, module
+    assert "voicing" not in closure("denoise")

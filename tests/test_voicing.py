@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rvad import AudioBuffer
 from rvad.dsp import FrameGrid, Spectrogram, block_frames, make_grid, spectral_flatness, stft
-from rvad.voicing import count_voiced_in, detect_pitch_autocorr, sft_voicing
+from rvad.voicing import detect_pitch_autocorr, sft_voicing
 
 from oracles import detect_sft
 from synth import FS, pulse_train, sine, white_noise
@@ -194,21 +194,3 @@ class TestDetectPitchAutocorr:
         g = make_grid(buf)
         assert len(detect_pitch_autocorr([(buf, g)])) == g.num_frames
 
-
-class TestCountVoicedIn:
-    def test_basic_counts(self):
-        mask = np.array([True, True, False, False])
-        assert count_voiced_in(mask, (0, 3)) == 2
-
-    def test_all_true_subrange(self):
-        assert count_voiced_in(np.ones(10, dtype=bool), (3, 7)) == 5
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            count_voiced_in(np.ones(4, dtype=bool), (2, 1))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            count_voiced_in(np.ones(4, dtype=bool), (0, 4))
-        with pytest.raises(ValueError):
-            count_voiced_in(np.ones(4, dtype=bool), (-1, 2))
