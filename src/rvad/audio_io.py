@@ -134,8 +134,11 @@ class _DataChunk:
         return self.count
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        """Samples [lo, hi), clipped to the chunk's end."""
+        """Samples [lo, hi), clipped to the chunk's end; an empty range
+        opens nothing."""
         n = max(min(hi, self.count) - lo, 0)
+        if n == 0:
+            return np.zeros(0)
         start, size = self.at + lo * self.frame_bytes, n * self.frame_bytes
         if isinstance(self.source, bytes):
             data = memoryview(self.source)[start : start + size]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on full success, 1 when any per-file step failed, 2 on usage
 errors (bad flags, unknown config keys, unpairable inputs, an unreadable
-voicing file, inputs that share an output name).
+voicing file, inputs that share an output name, `--workers` below 1,
+`--gamma` outside [0, 1]).
 """
 
 from __future__ import annotations
@@ -92,13 +93,34 @@ def _input_wavs(spec: str, parser: argparse.ArgumentParser) -> list[str]:
     files = [line for line in lines if line and not line.startswith("#")]
     if not files:
         parser.error(f"input list {spec} names no files")
-    # outputs are named by stem, so two inputs with one stem would collide
+    # outputs are named by stem, so two inputs with one stem would collide;
+    # only a repeated stem needs its paths resolved
     by_stem = {}
     for name in files:
         first = by_stem.setdefault(Path(name).stem, name)
-        if Path(first).resolve() != Path(name).resolve():
+        if first != name and Path(first).resolve() != Path(name).resolve():
             parser.error(f"inputs {first} and {name} share the output name {Path(name).stem!r}")
     return files
+
+
+def _workers(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _gamma(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
 
 
 def _cmd_vad(args, parser) -> int:
@@ -237,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vad.add_argument("--out", required=True, metavar="DIR")
     vad.add_argument("--labels", choices=("frames", "segments"), default="frames")
     vad.add_argument("--voicing-file", metavar="PATH", help="externally computed 0/1 voicing mask")
-    vad.add_argument("--workers", type=int, default=1)
+    vad.add_argument("--workers", type=_workers, default=1)
     _add_config_flags(vad)
     vad.set_defaults(func=_cmd_vad)
 
@@ -251,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score hypothesis labels against references")
     ev.add_argument("--ref", required=True, metavar="DIR|LIST")
     ev.add_argument("--hyp", required=True, metavar="DIR|LIST")
-    ev.add_argument("--gamma", type=float, default=0.25)
+    ev.add_argument("--gamma", type=_gamma, default=0.25)
     ev.add_argument("--report", choices=("csv", "tsv", "json-lines"), default="csv")
     ev.set_defaults(func=_cmd_eval)
 

@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import FrameGrid, frame_matrix, spectral_flatness, stft_blocks
+from .dsp import FrameGrid, Spectrogram, frame_matrix, spectral_flatness, stft_blocks
 
 __all__ = ["sft_voicing", "detect_pitch_autocorr"]
 
@@ -15,7 +15,11 @@ __all__ = ["sft_voicing", "detect_pitch_autocorr"]
 ENERGY_GATE_RATIO = 1e-6
 
 
-def sft_voicing(blocks: Iterable[tuple[AudioBuffer, FrameGrid]], theta_sft: float = 0.5) -> np.ndarray:
+def sft_voicing(
+    blocks: Iterable[tuple[AudioBuffer, FrameGrid]],
+    theta_sft: float = 0.5,
+    spectra: list[tuple[slice, Spectrogram]] | None = None,
+) -> np.ndarray:
     """Mark frames whose spectral flatness is at or below the threshold as voiced.
 
     Tonal/harmonic frames have low flatness; noise-like frames sit near 1.0
@@ -24,14 +28,18 @@ def sft_voicing(blocks: Iterable[tuple[AudioBuffer, FrameGrid]], theta_sft: floa
     The utterance comes as consecutive blocks of frames, each a buffer and
     the grid of its frames on it, and the STFT is taken one
     `dsp.stft_blocks` block at a time, so long files are never held whole;
-    decisions do not depend on the blocking.
+    decisions do not depend on the blocking.  Each `stft_blocks` block's
+    rows of its grid and spectrogram are appended to `spectra` if given;
+    the flatness reads them and leaves them as they are.
     """
     if not 0.0 < theta_sft < 1.0:
         raise ValueError("theta_sft must be in (0, 1)")
     voiced = [np.zeros(0, dtype=bool)]
     for audio, grid in blocks:
-        for _, spec in stft_blocks(audio, grid):
+        for rows, spec in stft_blocks(audio, grid):
             voiced.append(spectral_flatness(spec) <= theta_sft)
+            if spectra is not None:
+                spectra.append((rows, spec))
     return np.concatenate(voiced)
 
 

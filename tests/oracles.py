@@ -164,10 +164,13 @@ class WholeFront:
     noise: np.ndarray | None
 
 
-def front_whole(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None = None) -> WholeFront:
+def front_whole(
+    audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None = None, zeroed: list[Segment] | None = None
+) -> WholeFront:
     """Reference for the two sweeps of `rvad.vad`: the whole high-passed
     signal as one working buffer, zeroed over the noise segments, then
-    enhanced over its whole spectrogram at once."""
+    enhanced over its whole spectrogram at once.  `zeroed`, if given, is
+    zeroed in place of the noise segments found."""
     work = highpass(audio, cfg.hpf_cutoff_hz)
     grid = make_grid(work, cfg.frame_len_ms, cfg.frame_shift_ms)
     feats = compute_features(frame_energy(work, grid), cfg.super_len, cfg.smooth_n, cfg.noise_forget)
@@ -178,7 +181,8 @@ def front_whole(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None 
         mask = sft_voicing([(work, grid)], cfg.theta_sft)
     else:
         mask = detect_pitch_autocorr([(work, grid)], cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
-    zeroed = noise_segments(high, mask, cfg.min_pitch_frames)
+    if zeroed is None:
+        zeroed = noise_segments(high, mask, cfg.min_pitch_frames)
     zero_segments(work, grid, zeroed)
     noise = None
     if cfg.enhance != "none":

@@ -413,6 +413,26 @@ def test_threads_share_a_file_buffer(tmp_path):
     assert not wrong
 
 
+def test_empty_read_opens_nothing(tmp_path, monkeypatch):
+    # the first sweep reads each block's halo, empty for the last block; a
+    # one-block file is then opened once, for its own samples
+    path = tmp_path / "u.wav"
+    write_wav(path, AudioBuffer(_utterance_frames(FS, 3 * FS, 1, 6)[:, 0], FS))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    buf = read_wav(path)
+    monkeypatch.setattr(rvad.audio_io, "open", counting_open, raising=False)
+    for lo, hi in [(0, 0), (5, 5), (9, 2), (3 * FS, 3 * FS + 50), (3 * FS + 7, 3 * FS + 9)]:
+        assert buf.read(lo, hi).shape == (0,)
+    assert not opened
+    run_rvad(buf, RvadConfig(mode="fast", enhance="msne-mod"))
+    assert opened == [str(path.resolve())]
+
+
 def test_file_buffer_pickles(tmp_path):
     path = tmp_path / "u.wav"
     write_wav(path, AudioBuffer(np.linspace(-0.5, 0.5, 3000), FS))

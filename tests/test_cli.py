@@ -182,6 +182,14 @@ class TestVadCommand:
             assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2", "1.5"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, tone_wav, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", "--workers", workers])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+        assert "rvad vad: error: argument --workers" in capsys.readouterr().err
+
     def test_corrupt_file_gives_exit_one(self, tmp_path, tone_wav):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"nope")
@@ -280,6 +288,21 @@ class TestEvalCommand:
         with pytest.raises(SystemExit) as exc:
             _run(["eval", "--ref", ref_dir, "--hyp", hyp_dir])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("gamma", ["1.5", "-0.1", "nan", "inf"])
+    def test_gamma_outside_unit_interval_is_usage_error(self, tmp_path, capsys, gamma):
+        ref_dir, hyp_dir, _ = self._make_label_dirs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            _run(["eval", "--ref", ref_dir, "--hyp", hyp_dir, "--gamma", gamma])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "rvad eval: error: argument --gamma" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("gamma", ["0", "1"])
+    def test_gamma_at_interval_ends_is_accepted(self, tmp_path, gamma):
+        ref_dir, hyp_dir, _ = self._make_label_dirs(tmp_path)
+        assert _run(["eval", "--ref", ref_dir, "--hyp", hyp_dir, "--gamma", gamma]) == 0
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

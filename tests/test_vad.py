@@ -4,7 +4,7 @@ import ast
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import rvad
 from rvad import AudioBuffer, RvadConfig, read_wav, run_batch, run_denoise, run_rvad, write_wav
-from rvad.dsp import frame_energy, highpass, make_grid
+from rvad.dsp import block_frames, frame_energy, highpass, make_grid, stft
 from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
-from rvad.vad import _energies, _first_sweep, _labels, post_process, segment_vad
+from rvad.vad import SWEEP_BLOCKS, _denoise, _energies, _first_sweep, _labels, post_process, segment_vad
 from rvad.voicing import sft_voicing
 
 from oracles import front_whole
@@ -428,6 +428,113 @@ class TestPipelineProperties:
     def test_white_noise_no_speech(self, rms, seconds, mode, seed):
         noise = white_noise(seconds, rms, FS, np.random.default_rng(seed))
         assert run_rvad(AudioBuffer(noise, FS), RvadConfig(mode=mode)).num_speech_frames == 0
+
+
+class TestVoicingSpectraReuse:
+    """A one-block utterance in fast mode with enhancement feeds its voicing
+    spectra to the second sweep, except for blocks of frames that zeroed
+    samples touch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fs=st.sampled_from([8000, 16000, 44100, 48000]),
+        length=st.sampled_from(["random", "limit-1", "limit", "limit+1"]),
+        enhance=st.sampled_from(["msne", "msne-mod"]),
+        where=st.lists(st.sampled_from(["inside", "across", "ends-at", "starts-at"]), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_whole_buffer_oracle(self, fs, length, enhance, where, seed):
+        # loud noise bursts, which the first pass zeroes, placed against the
+        # `stft_blocks` block edges: inside a block, across an edge, or
+        # ending or starting at one
+        rng = np.random.default_rng(seed)
+        cfg = RvadConfig(mode="fast", enhance=enhance)
+        flen, shift = int(round(0.025 * fs)), int(round(0.010 * fs))
+        step = block_frames(flen)
+        limit = SWEEP_BLOCKS * step
+        num = {"limit-1": limit - 1, "limit": limit, "limit+1": limit + 1}.get(length) or int(rng.integers(1, limit))
+        n = (num - 1) * shift + flen + int(rng.integers(0, shift))
+        samples = 0.003 * rng.standard_normal(n)
+        tone = pulse_train(rng.uniform(100.0, 250.0), rng.uniform(0.2, 0.6) * n / fs, fs, amp=0.2)
+        lo = int(rng.integers(0, n - len(tone) + 1))
+        samples[lo : lo + len(tone)] += tone
+        for kind in where:
+            edge = int(rng.integers(0, num // step + 1)) * step * shift
+            width = int(rng.integers(flen, 3 * step * shift + flen))
+            lo = {
+                "inside": edge + int(rng.integers(0, step * shift)),
+                "across": edge - width // 2,
+                "ends-at": edge - width,
+                "starts-at": edge,
+            }[kind]
+            lo, hi = max(lo, 0), min(lo + width, n)
+            samples[lo:hi] += 0.3 * rng.standard_normal(max(hi - lo, 0))
+        audio = AudioBuffer(np.clip(samples, -1.0, 1.0), fs)
+        assert make_grid(audio).num_frames == num
+
+        expected = front_whole(audio, cfg)
+        labels = run_rvad(audio, cfg).labels
+        assert labels.tobytes() == _labels(expected.mask, expected.e2, cfg).tobytes()
+        enhanced, noise = run_denoise(audio, cfg)
+        assert enhanced.samples.tobytes() == expected.enhanced.samples.tobytes()
+        assert noise.tobytes() == expected.noise.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fs=st.sampled_from([8000, 16000, 44100, 48000]),
+        length=st.sampled_from(["random", "limit"]),
+        enhance=st.sampled_from(["msne", "msne-mod"]),
+        where=st.lists(st.sampled_from(["inside", "across", "ends-at", "starts-at"]), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zeroed_frames_at_block_edges(self, fs, length, enhance, where, seed):
+        # zeroed segments set by hand, starting or ending a few frames either
+        # side of a `stft_blocks` block edge: the last frames of a block also
+        # read samples past the next block's first one
+        rng = np.random.default_rng(seed)
+        cfg = RvadConfig(mode="fast", enhance=enhance)
+        flen, shift = int(round(0.025 * fs)), int(round(0.010 * fs))
+        step = block_frames(flen)
+        num = SWEEP_BLOCKS * step if length == "limit" else int(rng.integers(1, SWEEP_BLOCKS * step))
+        audio = AudioBuffer(0.1 * rng.standard_normal((num - 1) * shift + flen + int(rng.integers(0, shift))), fs)
+        mask = np.zeros(num, dtype=bool)
+        for kind in where:
+            edge = int(rng.integers(0, num // step + 1)) * step + int(rng.integers(-3, 4))
+            lo, hi = {
+                "inside": (edge + 3, edge + 3 + int(rng.integers(0, step - 6))),
+                "across": (edge - int(rng.integers(1, step)), edge + int(rng.integers(0, step))),
+                "ends-at": (edge - int(rng.integers(0, step)), edge),
+                "starts-at": (edge, edge + int(rng.integers(0, step))),
+            }[kind]
+            mask[max(lo, 0) : max(hi + 1, 0)] = True
+        zeroed = mask_to_segments(mask)
+
+        expected = front_whole(audio, cfg, zeroed=zeroed)
+        first = replace(_first_sweep(audio, cfg, None), zeroed=zeroed)
+        assert first.spectra is not None
+        enhanced, noise = _denoise(audio, first, cfg)
+        assert enhanced.samples.tobytes() == expected.enhanced.samples.tobytes()
+        assert noise.tobytes() == expected.noise.tobytes()
+        # subtraction has worked on the kept spectra, so another second
+        # sweep over the same state takes every spectrum again
+        assert _energies(audio, first, cfg).tobytes() == expected.e2.tobytes()
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 48000])
+    def test_one_stft_per_block_of_frames(self, fs, monkeypatch):
+        audio = utterance([(0.1, 0.4, 150.0)], 0.6, fs)
+        cfg = RvadConfig(mode="fast", enhance="msne")
+        assert not _first_sweep(audio, cfg, None).zeroed
+        grid = make_grid(audio)
+        calls = []
+
+        def counting_stft(*args):
+            calls.append(1)
+            return stft(*args)
+
+        monkeypatch.setattr(rvad.dsp, "stft", counting_stft)
+        monkeypatch.setattr(rvad.vad, "stft", counting_stft)
+        run_rvad(audio, cfg)
+        assert len(calls) == -(-grid.num_frames // block_frames(grid.frame_len))
 
 
 @pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
