@@ -23,7 +23,7 @@ from .audio_io import (
     write_wav,
 )
 from .metrics import AggregateResult, EvalCounts, EvalResult, aggregate, count_errors, score
-from .vad import BatchItem, RvadConfig, VadResult, run_batch, run_denoise, run_rvad
+from .vad import BatchItem, Denoised, RvadConfig, VadResult, run_batch, run_denoise, run_rvad
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,7 @@ __all__ = [
     "run_rvad",
     "run_denoise",
     "run_batch",
+    "Denoised",
     "RvadConfig",
     "VadResult",
     "BatchItem",

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RvadConfig
 from .segments import mask_to_segments
 
 __all__ = [
@@ -77,9 +78,10 @@ class AudioBuffer:
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         _check_finite(samples)
-        if int(sample_rate_hz) <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        self._samples, self._chunk, self.sample_rate_hz = samples, None, int(sample_rate_hz)
+        rate = float(sample_rate_hz)
+        if not (rate.is_integer() and rate > 0):
+            raise ValueError(f"sample_rate_hz must be a positive integer, got {sample_rate_hz!r}")
+        self._samples, self._chunk, self.sample_rate_hz = samples, None, int(rate)
 
     @classmethod
     def _trusted(cls, samples: np.ndarray | None, sample_rate_hz: int, chunk: _DataChunk | None = None) -> AudioBuffer:
@@ -163,8 +165,8 @@ class FrameLabels:
     """Per-frame boolean speech labels with the frame geometry they assume."""
 
     labels: np.ndarray
-    frame_shift_ms: float = 10.0
-    frame_len_ms: float = 25.0
+    frame_shift_ms: float = RvadConfig.frame_shift_ms
+    frame_len_ms: float = RvadConfig.frame_len_ms
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=bool)
@@ -276,16 +278,9 @@ def write_wav(path, audio: AudioBuffer) -> None:
         w.writeframes(q.tobytes())
 
 
-def _parse_label_lines(path):
-    lines = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if stripped:
-            lines.append((lineno, stripped.split()))
-    return lines
-
-
-def read_labels(path, frame_shift_ms: float = 10.0, frame_len_ms: float = 25.0) -> FrameLabels:
+def read_labels(
+    path, frame_shift_ms: float = RvadConfig.frame_shift_ms, frame_len_ms: float = RvadConfig.frame_len_ms
+) -> FrameLabels:
     """Read frame labels from either supported text format.
 
     Format A is one "0"/"1" line per frame.  Format B is one
@@ -293,7 +288,8 @@ def read_labels(path, frame_shift_ms: float = 10.0, frame_len_ms: float = 25.0) 
     when its start time m*shift falls inside [start, end).  An empty file
     yields an empty label sequence.
     """
-    lines = _parse_label_lines(path)
+    numbered = enumerate(Path(path).read_text().splitlines(), 1)
+    lines = [(lineno, line.split()) for lineno, line in numbered if line.strip()]
     if not lines:
         return FrameLabels(np.zeros(0, dtype=bool), frame_shift_ms, frame_len_ms)
 

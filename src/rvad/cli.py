@@ -16,15 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import FrameLabels, read_labels, read_wav, write_labels, write_wav
-from .metrics import EvalResult, aggregate, count_errors, rates_from_counts
-from .vad import ENHANCERS, MODES, THRESHOLD_BASES, RvadConfig, _process_one, run_batch, run_denoise
-
-_CHOICES = {
-    "mode": MODES,
-    "enhance": ENHANCERS,
-    "he_threshold_basis": THRESHOLD_BASES,
-}
+from .audio_io import read_labels, read_wav, write_labels, write_wav
+from .config import CHOICES, RvadConfig
+from .metrics import DEFAULT_GAMMA, EvalResult, aggregate, count_errors, rates_from_counts
+from .vad import _process_one, run_batch, run_denoise
 
 # accepted config-file spellings for awkward keys
 _KEY_ALIASES = {"he_threshold": "he_threshold_basis"}
@@ -37,8 +32,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--config", metavar="PATH", help="key = value file applied before flags")
     for name, ftype in _CONFIG_FIELDS.items():
         flag = "--" + name.replace("_", "-")
-        if name in _CHOICES:
-            group.add_argument(flag, choices=_CHOICES[name], default=None)
+        if name in CHOICES:
+            group.add_argument(flag, choices=CHOICES[name], default=None)
         else:
             group.add_argument(flag, type=ftype, default=None, metavar=ftype.__name__.upper())
 
@@ -69,7 +64,7 @@ def _build_config(args, parser: argparse.ArgumentParser) -> RvadConfig:
             if key not in _CONFIG_FIELDS:
                 parser.error(f"unknown config key: {key}")
             try:
-                values[key] = _CONFIG_FIELDS[key](text) if key not in _CHOICES else text
+                values[key] = _CONFIG_FIELDS[key](text) if key not in CHOICES else text
             except ValueError:
                 parser.error(f"bad value for config key {key}: {text!r}")
     for name in _CONFIG_FIELDS:
@@ -144,8 +139,7 @@ def _cmd_vad(args, parser) -> int:
             print(f"rvad: {item.path}: {item.error}", file=sys.stderr)
             failures += 1
             continue
-        labels = FrameLabels(item.result.labels, cfg.frame_shift_ms, cfg.frame_len_ms)
-        write_labels(out_dir / (Path(item.path).stem + ".vad"), labels, fmt=args.labels)
+        write_labels(out_dir / (Path(item.path).stem + ".vad"), item.result, fmt=args.labels)
     print(f"rvad: processed {len(items) - failures}/{len(items)} file(s)", file=sys.stderr)
     return 1 if failures else 0
 
@@ -273,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score hypothesis labels against references")
     ev.add_argument("--ref", required=True, metavar="DIR|LIST")
     ev.add_argument("--hyp", required=True, metavar="DIR|LIST")
-    ev.add_argument("--gamma", type=_gamma, default=0.25)
+    ev.add_argument("--gamma", type=_gamma, default=DEFAULT_GAMMA)
     ev.add_argument("--report", choices=("csv", "tsv", "json-lines"), default="csv")
     ev.set_defaults(func=_cmd_eval)
 

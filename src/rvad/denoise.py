@@ -10,6 +10,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
+from .config import THRESHOLD_BASES, RvadConfig
 from .dsp import FrameGrid, Spectrogram, hamming
 from .features import FrameFeatures
 from .segments import Segment, mask_to_segments
@@ -26,20 +27,14 @@ __all__ = [
     "reconstruct",
 ]
 
-DEFAULT_SMOOTHING = 0.85
-DEFAULT_BIAS = 1.5
-DEFAULT_WINDOW_FRAMES = 150
-DEFAULT_SUBTRACT_FLOOR = 0.002
-DEFAULT_LOWFREQ_CUTOFF_HZ = 217.0
-
 _ENVELOPE_FLOOR = 1e-8
 
 
 def detect_high_energy(
     features: FrameFeatures,
-    super_len: int = 200,
-    alpha: float = 0.25,
-    basis: str = "distance",
+    super_len: int = RvadConfig.super_len,
+    alpha: float = RvadConfig.alpha,
+    basis: str = RvadConfig.he_threshold_basis,
 ) -> list[Segment]:
     """Group frames whose smoothed energy difference tops a per-super-segment threshold.
 
@@ -47,7 +42,7 @@ def detect_high_energy(
     difference itself; basis="energy" compares against the frame-energy
     maximum instead.
     """
-    if basis not in ("distance", "energy"):
+    if basis not in THRESHOLD_BASES:
         raise ValueError(f"unknown threshold basis: {basis!r}")
     reference = features.d_smooth if basis == "distance" else features.e
     d_smooth = features.d_smooth
@@ -69,7 +64,9 @@ def zero_segments(audio: AudioBuffer, grid: FrameGrid, segments: list[Segment], 
     return audio
 
 
-def noise_segments(segments: list[Segment], voiced_mask: np.ndarray, min_pitch_frames: int = 2) -> list[Segment]:
+def noise_segments(
+    segments: list[Segment], voiced_mask: np.ndarray, min_pitch_frames: int = RvadConfig.min_pitch_frames
+) -> list[Segment]:
     """The high-energy segments the first pass zeroes: those holding at most
     `min_pitch_frames` voiced frames."""
     return [(s, t) for s, t in segments if np.count_nonzero(voiced_mask[s : t + 1]) <= min_pitch_frames]
@@ -101,9 +98,9 @@ class MsneState:
 def msne_noise_track(
     spec: Spectrogram,
     frozen: np.ndarray | None = None,
-    smoothing: float = DEFAULT_SMOOTHING,
-    bias: float = DEFAULT_BIAS,
-    window_frames: int = DEFAULT_WINDOW_FRAMES,
+    smoothing: float = RvadConfig.msne_smoothing,
+    bias: float = RvadConfig.msne_bias,
+    window_frames: int = RvadConfig.msne_window_frames,
     state: MsneState | None = None,
     power: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -204,7 +201,7 @@ def _segment_piece(rows: np.ndarray, out: np.ndarray, state: MsneState, window: 
 def spectral_subtract(
     spec: Spectrogram,
     noise_power: np.ndarray,
-    floor: float = DEFAULT_SUBTRACT_FLOOR,
+    floor: float = RvadConfig.subtract_floor,
     power: np.ndarray | None = None,
 ) -> Spectrogram:
     """Power-domain subtraction with a spectral floor, keeping the noisy phase.
@@ -235,7 +232,7 @@ def spectral_subtract(
     return spec
 
 
-def lowfreq_suppress(spec: Spectrogram, cutoff_hz: float = DEFAULT_LOWFREQ_CUTOFF_HZ) -> Spectrogram:
+def lowfreq_suppress(spec: Spectrogram, cutoff_hz: float = RvadConfig.lowfreq_cutoff_hz) -> Spectrogram:
     """Zero the bins below `cutoff_hz` in frames dominated by low-frequency energy.
 
     A frame qualifies when strictly more than half of its spectral energy

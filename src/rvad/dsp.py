@@ -10,6 +10,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
+from .config import RvadConfig
 
 __all__ = [
     "FrameGrid",
@@ -74,12 +75,16 @@ class Spectrogram:
         return self.sample_rate_hz / self.nfft
 
 
-def make_grid(audio: AudioBuffer, frame_len_ms: float = 25.0, frame_shift_ms: float = 10.0) -> FrameGrid:
+def make_grid(
+    audio: AudioBuffer, frame_len_ms: float = RvadConfig.frame_len_ms, frame_shift_ms: float = RvadConfig.frame_shift_ms
+) -> FrameGrid:
     """Frame geometry for the buffer, durations rounded to the nearest sample."""
     if not frame_len_ms >= frame_shift_ms > 0:
         raise ValueError("need frame_len_ms >= frame_shift_ms > 0")
     flen = int(round(frame_len_ms * audio.sample_rate_hz / 1000.0))
     shift = int(round(frame_shift_ms * audio.sample_rate_hz / 1000.0))
+    if shift == 0:  # and so the frame length, which rounds to no less
+        raise ValueError(f"a frame shift of {frame_shift_ms} ms rounds to 0 samples at {audio.sample_rate_hz} Hz")
     total = len(audio)
     num = 0 if total < flen else (total - flen) // shift + 1
     return FrameGrid(flen, shift, num, total)
@@ -93,7 +98,9 @@ class HighpassState:
     zi: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
 
-def highpass(audio: AudioBuffer, cutoff_hz: float = 60.0, state: HighpassState | None = None) -> AudioBuffer:
+def highpass(
+    audio: AudioBuffer, cutoff_hz: float = RvadConfig.hpf_cutoff_hz, state: HighpassState | None = None
+) -> AudioBuffer:
     """First-order high-pass: y(n) = a*(y(n-1) + x(n) - x(n-1)).
 
     With a = 1/(1 + 2*pi*fc/fs) this removes DC and rumble below the cutoff

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RvadConfig
+
 __all__ = [
     "ENERGY_FLOOR",
     "FrameFeatures",
@@ -39,7 +41,9 @@ class NoiseEnergyTrack:
     e_v_smooth: np.ndarray
 
 
-def track_noise_energy(e: np.ndarray, super_len: int = 200, forget: float = 0.9) -> NoiseEnergyTrack:
+def track_noise_energy(
+    e: np.ndarray, super_len: int = RvadConfig.super_len, forget: float = RvadConfig.noise_forget
+) -> NoiseEnergyTrack:
     """Track noise energy over super-segments of `super_len` frames.
 
     Each super-segment contributes the energy ranked at 10% of lowest within
@@ -112,9 +116,9 @@ class FrameFeatures:
 
 def compute_features(
     e: np.ndarray,
-    super_len: int = 200,
-    smooth_n: int = 18,
-    forget: float = 0.9,
+    super_len: int = RvadConfig.super_len,
+    smooth_n: int = RvadConfig.smooth_n,
+    forget: float = RvadConfig.noise_forget,
 ) -> FrameFeatures:
     """Full feature stack for one utterance's frame energies; the a posteriori
     SNR is each frame's energy over its super-segment's smoothed noise energy."""

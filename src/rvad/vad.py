@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from . import denoise as dn
-from .audio_io import AudioBuffer, read_wav
+from .audio_io import AudioBuffer, FrameLabels, read_wav
+from .config import RvadConfig
 from .dsp import (
     FrameGrid,
     HighpassState,
@@ -33,7 +33,10 @@ from .features import (
 from .segments import Segment, extend_segments, mask_to_segments, segments_to_mask
 from .voicing import detect_pitch_autocorr, sft_voicing
 
-__all__ = ["RvadConfig", "VadResult", "BatchItem", "segment_vad", "post_process", "run_rvad", "run_denoise", "run_batch"]
+__all__ = [
+    "RvadConfig", "VadResult", "Denoised", "BatchItem", "segment_vad", "post_process",
+    "run_rvad", "run_denoise", "run_batch",
+]
 
 MIN_SAMPLE_RATE_HZ = 4000
 
@@ -46,114 +49,29 @@ MIN_SAMPLE_RATE_HZ = 4000
 # of `run_rvad` on two minutes at 16 kHz from 2.7 to 3.4 MB.
 SWEEP_BLOCKS = 4
 
-MODES = ("full", "fast")
-ENHANCERS = ("none", "msne", "msne-mod")
-THRESHOLD_BASES = ("distance", "energy")
 
+class VadResult(FrameLabels):
+    """Per-frame speech labels with their frame geometry, and the same decisions as segments."""
 
-@dataclass
-class RvadConfig:
-    """Every numeric constant of the pipeline, with production defaults.
-
-    Out-of-range values raise `ValueError`; every float must be finite, and
-    every integer field an integer (a NumPy one too, not a bool)."""
-
-    frame_len_ms: float = 25.0
-    frame_shift_ms: float = 10.0
-    hpf_cutoff_hz: float = 60.0
-    super_len: int = 200
-    noise_forget: float = 0.9
-    smooth_n: int = 18
-    alpha: float = 0.25
-    min_pitch_frames: int = 2
-    ext_frames: int = 60
-    beta: float = 0.4
-    pp_far_left: int = 33
-    pp_far_right: int = 47
-    pp_near_left: int = 5
-    pp_near_right: int = 12
-    energy_ratio: float = 0.05
-    theta_sft: float = 0.5
-    mode: str = "full"
-    enhance: str = "msne"
-    he_threshold_basis: str = "distance"
-    pitch_f_min: float = 60.0
-    pitch_f_max: float = 400.0
-    pitch_rho: float = 0.6
-    msne_smoothing: float = 0.85
-    msne_bias: float = 1.5
-    msne_window_frames: int = 150
-    subtract_floor: float = 0.002
-    lowfreq_cutoff_hz: float = 217.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{f.name} must be an integer")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.enhance not in ENHANCERS:
-            raise ValueError(f"enhance must be one of {ENHANCERS}")
-        if self.he_threshold_basis not in THRESHOLD_BASES:
-            raise ValueError(f"he_threshold_basis must be one of {THRESHOLD_BASES}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        if not 0.0 < self.theta_sft < 1.0:
-            raise ValueError("theta_sft must be in (0, 1)")
-        if not self.frame_len_ms >= self.frame_shift_ms > 0.0:
-            raise ValueError("need frame_len_ms >= frame_shift_ms > 0")
-        if not 0.0 < self.msne_smoothing < 1.0:
-            raise ValueError("msne_smoothing must be in (0, 1)")
-        if self.msne_bias < 1.0:
-            raise ValueError("msne_bias must be >= 1")
-        if self.msne_window_frames < 1:
-            raise ValueError("msne_window_frames must be >= 1")
-        if self.super_len < 1:
-            raise ValueError("super_len must be >= 1")
-        if not 0.0 < self.pitch_rho < 1.0:
-            raise ValueError("pitch_rho must be in (0, 1)")
-        # pitch_f_max < sample_rate/2 is checked per file
-        if not 0.0 < self.pitch_f_min < self.pitch_f_max:
-            raise ValueError("need 0 < pitch_f_min < pitch_f_max")
-        if not 0.0 <= self.noise_forget <= 1.0:
-            raise ValueError("noise_forget must be in [0, 1]")
-        for name in (
-            "subtract_floor",
-            "hpf_cutoff_hz",
-            "lowfreq_cutoff_hz",
-            "energy_ratio",
-            "smooth_n",
-            "min_pitch_frames",
-            "ext_frames",
-            "pp_far_left",
-            "pp_far_right",
-            "pp_near_left",
-            "pp_near_right",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
-@dataclass
-class VadResult:
-    """Per-frame speech labels and the same decisions as segments."""
-
-    labels: np.ndarray
-    speech_segments: list[Segment]
-    frame_shift_ms: float = 10.0
-    frame_len_ms: float = 25.0
+    @property
+    def speech_segments(self) -> list[Segment]:
+        return mask_to_segments(self.labels)
 
     @property
     def num_speech_frames(self) -> int:
         return int(np.count_nonzero(self.labels))
 
 
-def segment_vad(e_seg: np.ndarray, voiced_seg: np.ndarray, beta: float = 0.4, smooth_n: int = 18) -> np.ndarray:
+class Denoised(NamedTuple):
+    """The enhanced audio, and the noise power per (frame, bin), None when enhancement is off."""
+
+    audio: AudioBuffer
+    noise: Optional[np.ndarray]
+
+
+def segment_vad(
+    e_seg: np.ndarray, voiced_seg: np.ndarray, beta: float = RvadConfig.beta, smooth_n: int = RvadConfig.smooth_n
+) -> np.ndarray:
     """Speech/non-speech decision within one extended pitch segment.
 
     The noise energy is re-estimated locally as the energy ranked at 10% of
@@ -461,14 +379,11 @@ def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndar
     cfg = cfg or RvadConfig()
     first = _first_sweep(audio, cfg, voicing)
     labels = _labels(first.mask, _energies(audio, first, cfg), cfg)
-    return VadResult(labels, mask_to_segments(labels), cfg.frame_shift_ms, cfg.frame_len_ms)
+    return VadResult(labels, cfg.frame_shift_ms, cfg.frame_len_ms)
 
 
-def run_denoise(
-    audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None
-) -> tuple[AudioBuffer, Optional[np.ndarray]]:
-    """Both denoising passes only; returns the enhanced audio and the noise
-    power track per (frame, bin), None when enhancement is off.
+def run_denoise(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> Denoised:
+    """Both denoising passes only, without the VAD stage.
 
     The same two sweeps as `run_rvad`, with the finished samples written
     into the output.  With enhancement on, samples past the last frame come
@@ -479,7 +394,7 @@ def run_denoise(
     return _denoise(audio, _first_sweep(audio, cfg, voicing), cfg)
 
 
-def _denoise(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> tuple[AudioBuffer, Optional[np.ndarray]]:
+def _denoise(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> Denoised:
     """The second sweep's finished samples put in place, and its noise track."""
     grid = first.grid
     out = np.zeros(grid.total_samples)
@@ -488,7 +403,7 @@ def _denoise(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> tuple[A
     for _, _, finished in _second_sweep(audio, first, cfg, noise):
         out[done : done + len(finished)] = finished
         done += len(finished)
-    return AudioBuffer._trusted(out, audio.sample_rate_hz), noise
+    return Denoised(AudioBuffer._trusted(out, audio.sample_rate_hz), noise)
 
 
 @dataclass

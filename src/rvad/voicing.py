@@ -7,6 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .config import RvadConfig
 from .dsp import FrameGrid, Spectrogram, frame_matrix, spectral_flatness, stft_blocks
 
 __all__ = ["sft_voicing", "detect_pitch_autocorr"]
@@ -17,7 +18,7 @@ ENERGY_GATE_RATIO = 1e-6
 
 def sft_voicing(
     blocks: Iterable[tuple[AudioBuffer, FrameGrid]],
-    theta_sft: float = 0.5,
+    theta_sft: float = RvadConfig.theta_sft,
     spectra: list[tuple[slice, Spectrogram]] | None = None,
 ) -> np.ndarray:
     """Mark frames whose spectral flatness is at or below the threshold as voiced.
@@ -45,9 +46,9 @@ def sft_voicing(
 
 def detect_pitch_autocorr(
     blocks: Iterable[tuple[AudioBuffer, FrameGrid]],
-    f_min: float = 60.0,
-    f_max: float = 400.0,
-    rho: float = 0.6,
+    f_min: float = RvadConfig.pitch_f_min,
+    f_max: float = RvadConfig.pitch_f_max,
+    rho: float = RvadConfig.pitch_rho,
 ) -> np.ndarray:
     """Mark frames with a strong normalized autocorrelation peak in the pitch range.
 

@@ -13,10 +13,6 @@ import numpy as np
 
 from rvad.audio_io import AudioBuffer
 from rvad.denoise import (
-    DEFAULT_BIAS,
-    DEFAULT_SMOOTHING,
-    DEFAULT_SUBTRACT_FLOOR,
-    DEFAULT_WINDOW_FRAMES,
     detect_high_energy,
     lowfreq_suppress,
     msne_noise_track,
@@ -39,9 +35,9 @@ class MinimumStatisticsNoiseEstimator:
     def __init__(
         self,
         num_bins: int,
-        smoothing: float = DEFAULT_SMOOTHING,
-        bias: float = DEFAULT_BIAS,
-        window_frames: int = DEFAULT_WINDOW_FRAMES,
+        smoothing: float = RvadConfig.msne_smoothing,
+        bias: float = RvadConfig.msne_bias,
+        window_frames: int = RvadConfig.msne_window_frames,
     ):
         if not 0.0 < smoothing < 1.0:
             raise ValueError("smoothing must be in (0, 1)")
@@ -82,9 +78,9 @@ class MinimumStatisticsNoiseEstimator:
 def msne_noise_track_loop(
     spec: Spectrogram,
     frozen: np.ndarray | None = None,
-    smoothing: float = DEFAULT_SMOOTHING,
-    bias: float = DEFAULT_BIAS,
-    window_frames: int = DEFAULT_WINDOW_FRAMES,
+    smoothing: float = RvadConfig.msne_smoothing,
+    bias: float = RvadConfig.msne_bias,
+    window_frames: int = RvadConfig.msne_window_frames,
 ) -> np.ndarray:
     """Reference for `rvad.denoise.msne_noise_track`: one estimator update per frame."""
     estimator = MinimumStatisticsNoiseEstimator(spec.num_bins, smoothing, bias, window_frames)
@@ -108,7 +104,9 @@ def detect_sft(spec: Spectrogram, theta_sft: float = 0.5) -> np.ndarray:
     return spectral_flatness(spec) <= theta_sft
 
 
-def spectral_subtract_whole(spec: Spectrogram, noise_power: np.ndarray, floor: float = DEFAULT_SUBTRACT_FLOOR) -> Spectrogram:
+def spectral_subtract_whole(
+    spec: Spectrogram, noise_power: np.ndarray, floor: float = RvadConfig.subtract_floor
+) -> Spectrogram:
     """Reference for `rvad.denoise.spectral_subtract`: whole arrays, input left as it is."""
     power = np.abs(spec.frames) ** 2
     out_power = np.maximum(power - noise_power, floor * noise_power)

@@ -608,8 +608,13 @@ class TestAudioBuffer:
         AudioBuffer(np.array([1e308, -1e308] * 5), FS)  # huge but finite
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            AudioBuffer(np.zeros(4), 0)
+        for bad in (0, -8000, 8000.7, 0.5, np.float64(16000.5), np.nan, np.inf):
+            with pytest.raises(ValueError):
+                AudioBuffer(np.zeros(4), bad)
+        # a whole number of hertz is taken as an int, whatever its type
+        for good in (16000.0, np.int64(16000), np.int32(16000), np.float32(16000)):
+            rate = AudioBuffer(np.zeros(4), good).sample_rate_hz
+            assert rate == 16000 and type(rate) is int
 
     def test_empty_is_fine(self):
         assert len(AudioBuffer(np.zeros(0), FS)) == 0

@@ -102,6 +102,11 @@ class TestMakeGrid:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             make_grid(AudioBuffer(np.zeros(100), FS), frame_len_ms=5, frame_shift_ms=10)
+        # a shift, or both durations, that round to no sample at the rate
+        for flen_ms, shift_ms in ((25.0, 0.05), (0.05, 0.05), (25.0, 0.0625)):
+            with pytest.raises(ValueError, match="0 samples"):
+                make_grid(AudioBuffer(np.zeros(800), 8000), flen_ms, shift_ms)
+        assert make_grid(AudioBuffer(np.zeros(800), 8000), 25.0, 0.07).frame_shift == 1
 
 
 class TestFrameEnergy:

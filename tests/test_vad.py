@@ -785,6 +785,11 @@ class TestRvadConfig:
         ):
             with pytest.raises(ValueError):
                 RvadConfig(**bad)
+        # no numeric field takes a negative value
+        for f in fields(RvadConfig):
+            if type(f.default) is not str:
+                with pytest.raises(ValueError):
+                    RvadConfig(**{f.name: type(f.default)(-1)})
         # the nine integer fields take integers only, and say which field is wrong
         int_fields = [f.name for f in fields(RvadConfig) if type(f.default) is int]
         assert len(int_fields) == 9
@@ -813,6 +818,7 @@ def test_public_api_is_the_pipeline():
             "run_rvad",
             "run_denoise",
             "run_batch",
+            "Denoised",
             "RvadConfig",
             "VadResult",
             "BatchItem",
@@ -858,3 +864,25 @@ def test_kernel_modules_do_not_import_the_pipeline():
     for module in ("dsp", "features", "segments", "voicing", "denoise"):
         assert not closure(module) & {"vad", "cli"}, module
     assert "voicing" not in closure("denoise")
+    # the kernels take their defaults from config, which sits below them all
+    assert closure("config") == set()
+
+
+def test_kernel_defaults_are_written_once():
+    # a default that equals an RvadConfig field's is that field, read as
+    # `RvadConfig.<field>`, not the number written again
+    config_defaults = {f.default for f in fields(RvadConfig) if type(f.default) in (int, float)}
+    src = Path(rvad.__file__).parent
+    written = []
+    for module in ("dsp", "features", "voicing", "denoise", "segments", "vad", "audio_io"):
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = [*node.args.defaults, *node.args.kw_defaults]
+            elif isinstance(node, ast.ClassDef):  # dataclass and NamedTuple fields
+                defaults = [stmt.value for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            else:
+                continue
+            for default in defaults:
+                if isinstance(default, ast.Constant) and default.value in config_defaults:
+                    written.append(f"{module}.py:{default.lineno}: {default.value!r}")
+    assert not written
