@@ -68,9 +68,9 @@ class AudioBuffer:
 
     A buffer made from an array holds that array.  One from `read_wav`
     reads its file: `read(lo, hi)` decodes samples [lo, hi) only, opening
-    the file for that read, and `samples` decodes the whole data chunk on
-    first use and keeps it.  The file must not change while such a buffer
-    reads it.
+    the file for that read unless `read_wav` kept the chunk's bytes, and
+    `samples` decodes the whole data chunk on first use and keeps it.  The
+    file must not change while such a buffer reads it.
     """
 
     def __init__(self, samples, sample_rate_hz: int):
@@ -121,9 +121,10 @@ def _check_finite(samples: np.ndarray) -> None:
 
 class _DataChunk:
     """The samples of a WAV file's data chunk, decoded to mono float64 a
-    stretch at a time.  `source` is the bytes of a pipe or the file's
-    absolute path, which each read opens: a buffer holds no file open, and
-    threads sharing one share no file position."""
+    stretch at a time.  `source` is the bytes of a pipe or of a short data
+    chunk, or else the file's absolute path, which each read opens: a
+    buffer holds no file open, and threads sharing one share no file
+    position."""
 
     def __init__(self, source: str | bytes, at: int, count: int, tag: int, bits: int, channels: int):
         self.source, self.at, self.count = source, at, count
@@ -190,9 +191,10 @@ def read_wav(path) -> AudioBuffer:
     32767/32768.
 
     The buffer reads the samples from the file when they are needed, see
-    `AudioBuffer`; a pipe, which cannot seek, is read whole and its bytes
-    are held.  A float file is scanned once for NaN and infinity, which
-    raise ValueError.
+    `AudioBuffer`.  Its bytes are held instead for a pipe, which cannot seek
+    and is read whole, and for a data chunk of at most READ_BYTES, which is
+    read in the open that parses the header.  A float file is scanned once
+    for NaN and infinity, which raise ValueError.
     """
     with open(path, "rb") as raw:
         # a pipe cannot seek, so its bytes are held; a file is read when needed
@@ -233,6 +235,11 @@ def read_wav(path) -> AudioBuffer:
             raise AudioFormatError(f"{path}: unsupported encoding (tag={tag}, bits={bits})")
         width = bits // 8
         present = min(declared, file_size - data_at)
+        if isinstance(source, str) and present <= READ_BYTES:
+            # a short chunk is read in this open, so no read opens the file again
+            fh.seek(data_at)
+            source, data_at = fh.read(present), 0
+            present = len(source)
         if present < declared:
             warnings.warn(
                 f"{path}: data chunk declares {declared} bytes but the file holds {present};"
@@ -286,8 +293,11 @@ def read_labels(
     Format A is one "0"/"1" line per frame.  Format B is one
     "<start_sec> <end_sec>" line per speech segment; frame m is marked
     when its start time m*shift falls inside [start, end).  An empty file
-    yields an empty label sequence.
+    yields an empty label sequence.  Both durations must be finite and
+    positive, or ValueError is raised.
     """
+    if not (0.0 < frame_shift_ms < np.inf and 0.0 < frame_len_ms < np.inf):
+        raise ValueError("frame_shift_ms and frame_len_ms must be finite and positive")
     numbered = enumerate(Path(path).read_text().splitlines(), 1)
     lines = [(lineno, line.split()) for lineno, line in numbered if line.strip()]
     if not lines:

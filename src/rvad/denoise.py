@@ -7,11 +7,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio_io import AudioBuffer
 from .config import THRESHOLD_BASES, RvadConfig
-from .dsp import FrameGrid, Spectrogram, hamming
+from .dsp import FrameGrid, Spectrogram, hamming, recursion
 from .features import FrameFeatures
 from .segments import Segment, mask_to_segments
 
@@ -138,26 +137,27 @@ def _min_stats(power: np.ndarray, state: MsneState, smoothing: float, bias: floa
     """Bias times the trailing-window minimum of the recursively smoothed
     rows of `power`, clipped at the first row ever seen; advances `state`.
 
-    The smoothed rows live in `lfilter`'s output, and `power` is not
-    changed.  The minimum is van Herk / Gil-Werman's, streamed over blocks:
-    a row takes the minimum of its segment's prefix minimum and the suffix
-    minimum of the previous segment from the row one window back, so each
-    row is scanned a fixed number of times however the frames are cut.
+    Each bin's smoothing is solved where it lies in a copy of `power`
+    stored bin by bin, which is then laid out row by row for the minima;
+    `power` is not changed.  The minimum is van Herk / Gil-Werman's,
+    streamed over blocks: a row takes the minimum of its segment's prefix
+    minimum and the suffix minimum of the previous segment from the row one
+    window back, so each row is scanned a fixed number of times however the
+    frames are cut.
     """
     count, bins = power.shape
     if count == 0:
         return np.empty((0, bins))
-    b, a = [1.0 - smoothing], [1.0, -smoothing]
+    smoothed = np.multiply(power, 1.0 - smoothing, order="F")
     if state.live == 0:
         # the first row ever seen is its own smoothed value
-        smoothed = power.copy()
-        if count > 1:
-            smoothed[1:], _ = lfilter(b, a, power[1:], axis=0, zi=smoothing * power[:1])
+        smoothed[0] = power[0]
+        recursion(smoothed[0], smoothed[1:], smoothing)
     else:
         first = state.live % window
-        previous = state.rows[first - 1] if first else state.suffix[-1]
-        smoothed, _ = lfilter(b, a, power, axis=0, zi=smoothing * previous[None])
-    track = np.empty_like(smoothed)
+        recursion(state.rows[first - 1] if first else state.suffix[-1], smoothed, smoothing)
+    smoothed = np.ascontiguousarray(smoothed)
+    track = np.empty((count, bins))
     done = 0
     while done < count:
         # the rows up to the end of the open segment, or all that are left
@@ -176,7 +176,7 @@ def _segment_piece(rows: np.ndarray, out: np.ndarray, state: MsneState, window: 
     one.  A row j of a segment takes the minimum of the segment's rows up
     to j and of the last complete segment's rows j + 1 on."""
     first = state.live % window
-    np.minimum.accumulate(rows, axis=0, out=out)
+    _running_min(rows, out)
     if first:
         np.minimum(out, state.prefix, out=out)
     state.prefix = out[-1].copy()
@@ -195,7 +195,36 @@ def _segment_piece(rows: np.ndarray, out: np.ndarray, state: MsneState, window: 
     state.live += len(rows)
     if state.live % window == 0:
         state.suffix = np.empty_like(state.rows) if state.suffix is None else state.suffix
-        np.minimum.accumulate(state.rows[::-1], axis=0, out=state.suffix[::-1])
+        _running_min(state.rows, state.suffix, reverse=True)
+
+
+def _running_min(rows: np.ndarray, out: np.ndarray, reverse: bool = False) -> None:
+    """Write into `out` the running minimum of `rows` down axis 0: row j is
+    the minimum of rows 0 to j, or with `reverse` of rows j on.
+
+    Log-step doubling: each step takes the minimum of every row and the
+    row `step` before it (after it), for steps 1, 2, 4, ..., passing between
+    `out` and a spare array so that no step reads what it writes.  Minima
+    are exact, so this gives `np.minimum.accumulate`'s rows, in a few
+    passes over whole rows rather than one strided pass per column.
+    """
+    n = len(rows)
+    if n < 2:
+        out[...] = rows
+        return
+    spare = np.empty_like(out)
+    # the last of the ceil(log2(n)) steps writes into `out`
+    src, dst = rows, out if (n - 1).bit_length() % 2 else spare
+    step = 1
+    while step < n:
+        if reverse:
+            dst[n - step :] = src[n - step :]
+            np.minimum(src[: n - step], src[step:], out=dst[: n - step])
+        else:
+            dst[:step] = src[:step]
+            np.minimum(src[step:], src[: n - step], out=dst[step:])
+        src, dst = dst, spare if dst is out else out
+        step *= 2
 
 
 def spectral_subtract(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 from .audio_io import AudioBuffer
 from .config import RvadConfig
@@ -18,6 +18,7 @@ __all__ = [
     "MAG_FLOOR",
     "HighpassState",
     "highpass",
+    "recursion",
     "make_grid",
     "frame_matrix",
     "frame_energy",
@@ -40,6 +41,12 @@ MAG_FLOOR = 1e-10
 # each block's temporaries back to the system and faulted them in again.
 # A byte budget rather than a frame count keeps that balance at every rate.
 BLOCK_BYTES = 1 << 18
+
+# `recursion` solves this many steps at a time against one band matrix per
+# coefficient (128 KB), so its memory does not grow with the input, as a
+# band as long as the input, 16 bytes a step, would.  Half as many steps
+# cost twice the LAPACK calls, a few percent of a high-pass call.
+RECURSION_STEPS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -79,8 +86,8 @@ def make_grid(
     audio: AudioBuffer, frame_len_ms: float = RvadConfig.frame_len_ms, frame_shift_ms: float = RvadConfig.frame_shift_ms
 ) -> FrameGrid:
     """Frame geometry for the buffer, durations rounded to the nearest sample."""
-    if not frame_len_ms >= frame_shift_ms > 0:
-        raise ValueError("need frame_len_ms >= frame_shift_ms > 0")
+    if not np.inf > frame_len_ms >= frame_shift_ms > 0:
+        raise ValueError("need finite frame_len_ms >= frame_shift_ms > 0")
     flen = int(round(frame_len_ms * audio.sample_rate_hz / 1000.0))
     shift = int(round(frame_shift_ms * audio.sample_rate_hz / 1000.0))
     if shift == 0:  # and so the frame length, which rounds to no less
@@ -92,10 +99,11 @@ def make_grid(
 
 @dataclass
 class HighpassState:
-    """What `highpass` carries from one piece of a signal to the next: the
-    filter's delay, zero in a fresh state, as before a signal's first sample."""
+    """What `highpass` carries from one piece of a signal to the next: its
+    last input and output samples, zero in a fresh state, as before a
+    signal's first sample."""
 
-    zi: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    zi: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
 
 def highpass(
@@ -105,19 +113,68 @@ def highpass(
 
     With a = 1/(1 + 2*pi*fc/fs) this removes DC and rumble below the cutoff
     while leaving the band above it essentially untouched (about -0.2 dB at
-    1 kHz for fs = 8 kHz).  Calls on consecutive pieces of a signal that
-    share one `state` give, piece by piece, the samples of one call on the
-    whole signal, bit for bit; without a state the signal starts from rest.
+    1 kHz for fs = 8 kHz).  Each output is a*(x(n) - x(n-1)) + a*y(n-1),
+    rounded in that order: within a few units in the last place of the
+    direct form's a*x(n) + (a*y(n-1) - a*x(n-1)), and with one array fewer
+    than a*x(n) - a*x(n-1) would take.  A cutoff of 0 Hz returns a copy of
+    the samples.  Calls on consecutive pieces of a signal that share one
+    `state` give, piece by piece, the samples of one call on the whole
+    signal, bit for bit; without a state the signal starts from rest.
     """
     fs = audio.sample_rate_hz
     if fs <= 2 * cutoff_hz:
         raise ValueError("sample rate too low for the chosen cutoff")
-    if len(audio) == 0:
-        return AudioBuffer._trusted(np.zeros(0), fs)  # lfilter's state after no samples is undefined
+    x = audio.samples
+    if len(x) == 0:
+        return AudioBuffer._trusted(np.zeros(0), fs)
     a = 1.0 / (1.0 + 2.0 * np.pi * cutoff_hz / fs)
     state = HighpassState() if state is None else state
-    y, state.zi = lfilter([a, -a], [1.0, -a], audio.samples, zi=state.zi)
+    if a == 1.0:
+        # y(n) - x(n) stays what it was before the first sample: zero
+        y = x.copy()
+    else:
+        y = np.empty(len(x))
+        y[0] = x[0] - state.zi[0]
+        np.subtract(x[1:], x[:-1], out=y[1:])
+        y *= a
+        recursion(state.zi[1], y, a)
+    state.zi = np.array([x[-1], y[-1]])
     return AudioBuffer._trusted(y, fs)
+
+
+def recursion(first: float | np.ndarray, rhs: np.ndarray, c: float) -> np.ndarray:
+    """w[j] = rhs[j] + c*w[j-1] down axis 0 of `rhs`, from w[-1] = `first`,
+    written over `rhs`, which is returned.
+
+    A matrix `rhs` holds one recursion per column; stored column by column
+    (Fortran order), each is solved where it lies.  The steps are a unit
+    lower-bidiagonal solve, which LAPACK's transposed upper-band solver
+    takes one dot product of length one at a time, so each step rounds
+    c*w[j-1] and then the sum, as `scipy.signal.lfilter` does for
+    y(n) = x(n) + c*y(n-1).  That holds for the OpenBLAS that scipy's wheels
+    ship; a BLAS that fused the two could differ in the last place.
+    """
+    band = _band(c)
+    for lo in range(0, len(rhs), RECURSION_STEPS):
+        block = rhs[lo : lo + RECURSION_STEPS]
+        block[0] += c * first
+        columns = block.reshape(len(block), -1)
+        w, _ = dtbtrs(band[:, : len(block)], columns, uplo="U", trans="T", diag="U", overwrite_b=1)
+        if w is not columns:
+            # a block not stored column by column is solved in a copy
+            block[...] = w
+        first = block[-1]
+    return rhs
+
+
+@lru_cache(maxsize=8)
+def _band(c: float) -> np.ndarray:
+    """The unit upper-bidiagonal matrix with -c above the diagonal, of
+    RECURSION_STEPS columns in LAPACK's band storage; read-only."""
+    band = np.ones((2, RECURSION_STEPS), order="F")
+    band[0] = -c
+    band.flags.writeable = False
+    return band
 
 
 def frame_matrix(samples: np.ndarray, grid: FrameGrid) -> np.ndarray:

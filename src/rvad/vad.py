@@ -43,7 +43,7 @@ MIN_SAMPLE_RATE_HZ = 4000
 # Each sweep takes this many `stft_blocks` blocks of frames at a time:
 # 512 frames (5.12 s) at 8 kHz, 256 (2.56 s) at 16 kHz and 64 (0.64 s) at
 # 44.1 and 48 kHz, at most about 330 KB of float64 samples.  Every block
-# costs `lfilter` calls and Python per sweep: with one `stft_blocks` block
+# costs high-pass calls and Python per sweep: with one `stft_blocks` block
 # per sweep block, 204 four-second 8 kHz files in fast mode took 43 % longer
 # than with the whole signal at once.  Twice this size raised the peak
 # of `run_rvad` on two minutes at 16 kHz from 2.7 to 3.4 MB.

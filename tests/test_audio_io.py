@@ -414,23 +414,35 @@ def test_threads_share_a_file_buffer(tmp_path):
 
 
 def test_empty_read_opens_nothing(tmp_path, monkeypatch):
-    # the first sweep reads each block's halo, empty for the last block; a
-    # one-block file is then opened once, for its own samples
-    path = tmp_path / "u.wav"
-    write_wav(path, AudioBuffer(_utterance_frames(FS, 3 * FS, 1, 6)[:, 0], FS))
+    # the first sweep reads each block's halo, empty for the last block.  A
+    # data chunk of at most READ_BYTES is read in the open that parses the
+    # header, so a 3 s 8 kHz file is never opened again; a 5 s one, past
+    # READ_BYTES, is opened once per read, and once for its one block
+    short, long = tmp_path / "short.wav", tmp_path / "long.wav"
+    write_wav(short, AudioBuffer(_utterance_frames(FS, 3 * FS, 1, 6)[:, 0], FS))
+    write_wav(long, AudioBuffer(_utterance_frames(FS, 5 * FS, 1, 7)[:, 0], FS))
+    assert 2 * 3 * FS <= rvad.audio_io.READ_BYTES < 2 * 5 * FS
+    cfg = RvadConfig(mode="fast", enhance="msne-mod")
     opened = []
 
     def counting_open(file, *args, **kwargs):
         opened.append(file)
         return open(file, *args, **kwargs)
 
-    buf = read_wav(path)
+    buf = read_wav(short)
     monkeypatch.setattr(rvad.audio_io, "open", counting_open, raising=False)
     for lo, hi in [(0, 0), (5, 5), (9, 2), (3 * FS, 3 * FS + 50), (3 * FS + 7, 3 * FS + 9)]:
         assert buf.read(lo, hi).shape == (0,)
     assert not opened
-    run_rvad(buf, RvadConfig(mode="fast", enhance="msne-mod"))
-    assert opened == [str(path.resolve())]
+    run_rvad(buf, cfg)
+    assert not opened
+
+    buf = read_wav(long)
+    assert opened == [long]
+    for lo, hi in [(0, 0), (0, 10), (5 * FS, 5 * FS + 50), (FS, 2 * FS)]:
+        buf.read(lo, hi)
+    run_rvad(buf, cfg)
+    assert opened == [long] + 3 * [str(long.resolve())]
 
 
 def test_file_buffer_pickles(tmp_path):
@@ -504,6 +516,15 @@ class TestLabels:
         p.write_text("0.5 0.5\n")
         with pytest.raises(LabelFormatError):
             read_labels(p)
+
+    @pytest.mark.parametrize("bad", [0.0, -10.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["frame_shift_ms", "frame_len_ms"])
+    @pytest.mark.parametrize("text", ["0.10 0.30\n", "0\n1\n", ""])
+    def test_bad_frame_durations_rejected(self, tmp_path, bad, name, text):
+        p = tmp_path / "l.lab"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="finite and positive"):
+            read_labels(p, **{name: bad})
 
     def test_frame_format_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from rvad import AudioBuffer
 from rvad.denoise import (
@@ -263,6 +264,30 @@ class TestMsne:
         expected = msne_noise_track_loop(spec, frozen, smoothing, bias, window)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        bins=st.sampled_from([1, 2, 129, 257]),
+        smoothing=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_smoothing_equals_lfilter(self, cuts, bins, smoothing, seed):
+        # with a one-frame window and no bias the track is the smoothed
+        # periodogram, which starts from the first frame's
+        rng = np.random.default_rng(seed)
+        power = rng.random((sum(cuts), bins)) * 10.0 ** rng.uniform(-6, 6, (sum(cuts), 1))
+        expected = power.copy()
+        if len(power) > 1:
+            expected[1:], _ = lfilter([1.0 - smoothing], [1.0, -smoothing], power[1:], axis=0, zi=smoothing * power[:1])
+        state = MsneState()
+        edges = np.cumsum([0, *cuts])
+        got = [
+            msne_noise_track(_power_spec(power[lo:hi]), None, smoothing, 1.0, 1, state, power[lo:hi])
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        assert np.concatenate(got).tobytes() == expected.tobytes()
 
 
 @st.composite

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from rvad import AudioBuffer
 from rvad.dsp import (
+    RECURSION_STEPS,
     HighpassState,
     Spectrogram,
     block_frames,
@@ -14,6 +16,7 @@ from rvad.dsp import (
     highpass,
     make_grid,
     next_pow2,
+    recursion,
     spectral_flatness,
     stft,
     stft_blocks,
@@ -80,6 +83,58 @@ class TestHighpass:
         assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fs=st.sampled_from([8000, 16000, 44100, 48000]),
+        n=st.integers(0, 20000),
+        cuts=st.lists(st.integers(0, 20000), max_size=6),
+        cutoff=st.one_of(st.just(0.0), st.floats(1.0, 2000.0)),
+        offset=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lfilter_oracle(self, fs, n, cuts, cutoff, offset, seed):
+        # the direct form rounds differently, so the two agree to a few
+        # units in the last place of the output's peak
+        rng = np.random.default_rng(seed)
+        x = offset + 10.0 ** rng.uniform(-3, 0) * rng.standard_normal(n)
+        a = 1.0 / (1.0 + 2.0 * np.pi * cutoff / fs)
+        expected = lfilter([a, -a], [1.0, -a], x)
+        state = HighpassState()
+        bounds = [0, *sorted(c for c in cuts if c <= n), n]
+        got = [highpass(AudioBuffer(x[lo:hi], fs), cutoff, state).samples for lo, hi in zip(bounds, bounds[1:])]
+        assert np.abs(np.concatenate(got) - expected).max(initial=0.0) <= 1e-13 * np.abs(expected).max(initial=0.0)
+
+    def test_zero_cutoff_passes_samples_through(self):
+        x = np.random.default_rng(9).standard_normal(5000) + 0.3
+        state = HighpassState()
+        pieces = [highpass(AudioBuffer(x[lo : lo + 1700], FS), 0.0, state).samples for lo in range(0, 5000, 1700)]
+        assert np.concatenate(pieces).tobytes() == x.tobytes()
+        assert highpass(AudioBuffer(x, FS), 0.0).samples.tobytes() == x.tobytes()
+
+
+class TestRecursion:
+    """`recursion` against `lfilter` on y(n) = x(n) + c*y(n-1), which rounds
+    c*y(n-1) and then the sum: byte for byte, across solve steps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 2, RECURSION_STEPS - 1, RECURSION_STEPS, RECURSION_STEPS + 1, 2 * RECURSION_STEPS + 3]),
+        columns=st.sampled_from([None, 1, 3]),
+        order=st.sampled_from(["C", "F"]),
+        c=st.floats(0.01, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_lfilter(self, n, columns, order, c, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n,) if columns is None else (n, columns)
+        rhs = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6), order=order)
+        first = rng.standard_normal(shape[1:])
+        expected, _ = lfilter([1.0], [1.0, -c], rhs, axis=0, zi=c * first[None] if columns else [c * first])
+        got = recursion(first, rhs.copy(order=order), c)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestMakeGrid:
     def test_800_samples_at_8k(self):
         g = _grid(800)
@@ -102,6 +157,9 @@ class TestMakeGrid:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             make_grid(AudioBuffer(np.zeros(100), FS), frame_len_ms=5, frame_shift_ms=10)
+        for flen_ms, shift_ms in ((np.inf, 10.0), (np.inf, np.inf), (np.nan, 10.0), (25.0, np.nan), (25.0, -10.0)):
+            with pytest.raises(ValueError, match="need finite"):
+                make_grid(AudioBuffer(np.zeros(100), FS), flen_ms, shift_ms)
         # a shift, or both durations, that round to no sample at the rate
         for flen_ms, shift_ms in ((25.0, 0.05), (0.05, 0.05), (25.0, 0.0625)):
             with pytest.raises(ValueError, match="0 samples"):

@@ -1,6 +1,9 @@
 """Per-segment VAD decisions, post-processing, and the full pipeline."""
 
 import ast
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -866,6 +869,19 @@ def test_kernel_modules_do_not_import_the_pipeline():
     assert "voicing" not in closure("denoise")
     # the kernels take their defaults from config, which sits below them all
     assert closure("config") == set()
+
+
+@pytest.mark.parametrize("command", [["-c", "import rvad"], ["-m", "rvad.cli", "vad", "--help"]])
+def test_start_up_does_not_import_scipy_signal(command):
+    # scipy.signal alone took about 1 s and 48 MB of every process's start-up;
+    # the filters solve their recursions with scipy.linalg.lapack instead
+    src = str(Path(rvad.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-X", "importtime", *command], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "rvad.dsp" in imported and "scipy.linalg" in imported
+    assert not {name for name in imported if name.split(".")[:2] == ["scipy", "signal"]}
 
 
 def test_kernel_defaults_are_written_once():
