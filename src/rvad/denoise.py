@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .config import THRESHOLD_BASES, RvadConfig
+from .config import RvadConfig
 from .dsp import FrameGrid, Spectrogram, hamming, recursion
 from .features import FrameFeatures
 from .segments import Segment, mask_to_segments
@@ -41,8 +41,6 @@ def detect_high_energy(
     difference itself; basis="energy" compares against the frame-energy
     maximum instead.
     """
-    if basis not in THRESHOLD_BASES:
-        raise ValueError(f"unknown threshold basis: {basis!r}")
     reference = features.d_smooth if basis == "distance" else features.e
     d_smooth = features.d_smooth
     hot = np.zeros(len(d_smooth), dtype=bool)
@@ -115,12 +113,6 @@ def msne_noise_track(
     that has the periodogram `np.abs(spec.frames) ** 2` may pass it as
     `power`, which is read and not changed.
     """
-    if not 0.0 < smoothing < 1.0:
-        raise ValueError("smoothing must be in (0, 1)")
-    if bias < 1.0:
-        raise ValueError("bias must be >= 1")
-    if window_frames < 1:
-        raise ValueError("window_frames must be >= 1")
     state = MsneState() if state is None else state
     power = np.abs(spec.frames) ** 2 if power is None else power
     live = None if frozen is None else ~np.asarray(frozen, dtype=bool)

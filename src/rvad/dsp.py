@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +16,6 @@ __all__ = [
     "FrameGrid",
     "Spectrogram",
     "MAG_FLOOR",
-    "HighpassState",
     "highpass",
     "recursion",
     "make_grid",
@@ -97,17 +96,8 @@ def make_grid(
     return FrameGrid(flen, shift, num, total)
 
 
-@dataclass
-class HighpassState:
-    """What `highpass` carries from one piece of a signal to the next: its
-    last input and output samples, zero in a fresh state, as before a
-    signal's first sample."""
-
-    zi: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-
 def highpass(
-    audio: AudioBuffer, cutoff_hz: float = RvadConfig.hpf_cutoff_hz, state: HighpassState | None = None
+    audio: AudioBuffer, cutoff_hz: float = RvadConfig.hpf_cutoff_hz, zi: tuple[float, float] | None = None
 ) -> AudioBuffer:
     """First-order high-pass: y(n) = a*(y(n-1) + x(n) - x(n-1)).
 
@@ -117,9 +107,11 @@ def highpass(
     rounded in that order: within a few units in the last place of the
     direct form's a*x(n) + (a*y(n-1) - a*x(n-1)), and with one array fewer
     than a*x(n) - a*x(n-1) would take.  A cutoff of 0 Hz returns a copy of
-    the samples.  Calls on consecutive pieces of a signal that share one
-    `state` give, piece by piece, the samples of one call on the whole
-    signal, bit for bit; without a state the signal starts from rest.
+    the samples.  `zi` is the input and output sample just before the
+    buffer, zeros (the default) for a signal from rest: calls on consecutive
+    pieces of a signal, each given the last input and output samples of the
+    piece before, give the samples of one call on the whole signal, bit for
+    bit.
     """
     fs = audio.sample_rate_hz
     if fs <= 2 * cutoff_hz:
@@ -128,17 +120,15 @@ def highpass(
     if len(x) == 0:
         return AudioBuffer._trusted(np.zeros(0), fs)
     a = 1.0 / (1.0 + 2.0 * np.pi * cutoff_hz / fs)
-    state = HighpassState() if state is None else state
     if a == 1.0:
         # y(n) - x(n) stays what it was before the first sample: zero
-        y = x.copy()
-    else:
-        y = np.empty(len(x))
-        y[0] = x[0] - state.zi[0]
-        np.subtract(x[1:], x[:-1], out=y[1:])
-        y *= a
-        recursion(state.zi[1], y, a)
-    state.zi = np.array([x[-1], y[-1]])
+        return AudioBuffer._trusted(x.copy(), fs)
+    x_prev, y_prev = (0.0, 0.0) if zi is None else zi
+    y = np.empty(len(x))
+    y[0] = x[0] - x_prev
+    np.subtract(x[1:], x[:-1], out=y[1:])
+    y *= a
+    recursion(y_prev, y, a)
     return AudioBuffer._trusted(y, fs)
 
 

@@ -52,8 +52,6 @@ def track_noise_energy(
     no frames give empty tracks.
     """
     e = np.asarray(e, dtype=np.float64)
-    if super_len < 1:
-        raise ValueError("super_len must be >= 1")
     e_v = np.array([rank_low_energy(e[i : i + super_len]) for i in range(0, len(e), super_len)])
     smooth = e_v.copy()
     for p in range(1, len(e_v)):
@@ -92,8 +90,6 @@ def central_smooth(x: np.ndarray, n: int) -> np.ndarray:
     constant sequence stays constant all the way to the boundaries.
     """
     x = np.asarray(x, dtype=np.float64)
-    if n < 0:
-        raise ValueError("window half-width must be >= 0")
     m = len(x)
     if m == 0 or n == 0:
         return x.copy()

@@ -42,8 +42,6 @@ def merge_touching(segments) -> list[Segment]:
 
 def extend_segments(segments, ext: int, num_frames: int) -> list[Segment]:
     """Widen each interval by `ext` frames on both sides, clamp, and merge."""
-    if ext < 0:
-        raise ValueError("ext must be >= 0")
     if num_frames <= 0:
         return []
     widened = [(max(start - ext, 0), min(end + ext, num_frames - 1)) for start, end in segments]

@@ -13,7 +13,6 @@ from .audio_io import AudioBuffer, FrameLabels, read_wav
 from .config import RvadConfig
 from .dsp import (
     FrameGrid,
-    HighpassState,
     Spectrogram,
     block_frames,
     frame_energy,
@@ -166,7 +165,7 @@ def _blocks(grid: FrameGrid) -> list[_Block]:
 class _FirstSweep:
     """What the first sweep leaves for the second one and the VAD stage,
     filled in as it goes: per-frame arrays, the noise segments to zero, the
-    high-pass state at each block's first sample, and the last block's
+    high-pass `zi` at each block's first sample, and the last block's
     high-passed samples, which the second sweep zeroes in place instead of
     filtering them again.  An utterance of one block in fast mode with
     enhancement on also keeps the `stft_blocks` spectra its voicing took,
@@ -176,7 +175,7 @@ class _FirstSweep:
     grid: FrameGrid
     blocks: list[_Block]
     e1: np.ndarray
-    starts: list[np.ndarray] = field(default_factory=list)
+    starts: list[tuple[float, float] | None] = field(default_factory=list)
     last: AudioBuffer | None = None
     mask: np.ndarray | None = None
     zeroed: list[Segment] = field(default_factory=list)
@@ -184,24 +183,18 @@ class _FirstSweep:
 
     def high_passed(self, audio: AudioBuffer, cfg: RvadConfig) -> Iterator[tuple[AudioBuffer, FrameGrid]]:
         """Each block's high-passed samples and the grid of its frames on
-        them, keeping the filter state at each block's first sample, the
+        them, keeping the filter's `zi` at each block's first sample, the
         frame energies and the last block's samples on the way.
 
-        A block's own samples are filtered on from the previous block's
-        state; the samples after them that its last frames also read are
-        filtered from a copy of that state, so no high-passed signal longer
-        than a block is ever held.
+        A block's samples [lo, hi) are filtered in one call.  Those from
+        `split` on, which its last frames also read, are filtered again as
+        the next block's own, so no high-passed signal longer than a block
+        is ever held.
         """
-        state = HighpassState()
+        zi = None
         for block in self.blocks:
-            self.starts.append(state.zi)
-            own = _highpassed(audio, block.lo, block.split, cfg, state)
-            halo = _highpassed(audio, block.split, block.hi, cfg, HighpassState(state.zi))
-            # the last block has no halo; a copy of its samples would cost a
-            # fresh allocation, which doubled page faults over a batch of files
-            filtered = own
-            if len(halo):
-                filtered = AudioBuffer._trusted(np.concatenate([own.samples, halo.samples]), audio.sample_rate_hz)
+            self.starts.append(zi)
+            filtered, zi = _highpassed(audio, block, cfg, zi)
             local = block.grid(self.grid)
             self.e1[block.rows] = frame_energy(filtered, local)
             self.last = filtered
@@ -237,13 +230,20 @@ def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None
     return first
 
 
-def _highpassed(audio: AudioBuffer, lo: int, hi: int, cfg: RvadConfig, state: HighpassState) -> AudioBuffer:
-    """Samples [lo, hi) of the caller's signal, high-passed on from `state`."""
-    return highpass(AudioBuffer._trusted(audio.read(lo, hi), audio.sample_rate_hz), cfg.hpf_cutoff_hz, state)
+def _highpassed(
+    audio: AudioBuffer, block: _Block, cfg: RvadConfig, zi: tuple[float, float] | None
+) -> tuple[AudioBuffer, tuple[float, float] | None]:
+    """The block's samples [lo, hi) of the caller's signal, high-passed on
+    from `zi`, and the next block's `zi`: the input and output samples just
+    before `split`, None for an empty signal."""
+    x = audio.read(block.lo, block.hi)
+    filtered = highpass(AudioBuffer._trusted(x, audio.sample_rate_hz), cfg.hpf_cutoff_hz, zi)
+    end = block.split - block.lo - 1
+    return filtered, (x[end], filtered.samples[end]) if end >= 0 else None
 
 
 def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touched_only=False):
-    """Each block high-passed again from its stored state (the last block's
+    """Each block high-passed again from its stored `zi` (the last block's
     samples are at hand), its noise segments zeroed and, with enhancement
     on, taken through STFT, noise tracking, subtraction and overlap-add,
     carrying the tracker and the open sums.
@@ -269,7 +269,7 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
         if block is first.blocks[-1]:
             filtered = first.last
         else:
-            filtered = _highpassed(audio, block.lo, block.hi, cfg, HighpassState(zi))
+            filtered, _ = _highpassed(audio, block, cfg, zi)
         dn.zero_segments(filtered, grid, first.zeroed[hit], block.lo)
         if cfg.enhance == "none":
             yield block, filtered, filtered.samples[: block.split - block.lo]

@@ -33,8 +33,6 @@ def sft_voicing(
     rows of its grid and spectrogram are appended to `spectra` if given;
     the flatness reads them and leaves them as they are.
     """
-    if not 0.0 < theta_sft < 1.0:
-        raise ValueError("theta_sft must be in (0, 1)")
     voiced = [np.zeros(0, dtype=bool)]
     for audio, grid in blocks:
         for rows, spec in stft_blocks(audio, grid):
@@ -61,8 +59,6 @@ def detect_pitch_autocorr(
     the gate of its own block is below the utterance's, so its peak is not
     searched for.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must be in (0, 1)")
     voiced, energies = [np.zeros(0, dtype=bool)], [np.zeros(0)]
     for audio, grid in blocks:
         frames = frame_matrix(audio.samples, grid)

@@ -414,10 +414,10 @@ def test_threads_share_a_file_buffer(tmp_path):
 
 
 def test_empty_read_opens_nothing(tmp_path, monkeypatch):
-    # the first sweep reads each block's halo, empty for the last block.  A
-    # data chunk of at most READ_BYTES is read in the open that parses the
-    # header, so a 3 s 8 kHz file is never opened again; a 5 s one, past
-    # READ_BYTES, is opened once per read, and once for its one block
+    # an empty range opens nothing.  A data chunk of at most READ_BYTES is
+    # read in the open that parses the header, so a 3 s 8 kHz file is never
+    # opened again; a 5 s one, past READ_BYTES, is opened once per read,
+    # and once for its one block
     short, long = tmp_path / "short.wav", tmp_path / "long.wav"
     write_wav(short, AudioBuffer(_utterance_frames(FS, 3 * FS, 1, 6)[:, 0], FS))
     write_wav(long, AudioBuffer(_utterance_frames(FS, 5 * FS, 1, 7)[:, 0], FS))

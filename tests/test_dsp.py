@@ -9,7 +9,6 @@ from scipy.signal import lfilter
 from rvad import AudioBuffer
 from rvad.dsp import (
     RECURSION_STEPS,
-    HighpassState,
     Spectrogram,
     block_frames,
     frame_energy,
@@ -67,6 +66,18 @@ class TestHighpass:
         with pytest.raises(ValueError):
             highpass(AudioBuffer(np.zeros(10), 100))
 
+    @staticmethod
+    def _in_pieces(x, fs, cutoff, bounds):
+        """`highpass` on x[lo:hi] for each piece of `bounds`, each piece
+        given the last input and output samples of the piece before."""
+        pieces, zi = [], None
+        for lo, hi in zip(bounds, bounds[1:]):
+            y = highpass(AudioBuffer(x[lo:hi], fs), cutoff, zi).samples
+            if hi > lo:
+                zi = (x[hi - 1], y[-1])
+            pieces.append(y)
+        return np.concatenate(pieces)
+
     @settings(max_examples=100, deadline=None)
     @given(
         fs=st.sampled_from([8000, 16000, 44100, 48000]),
@@ -77,10 +88,8 @@ class TestHighpass:
     def test_blocks_with_carried_state_equal_one_call(self, fs, n, cuts, seed):
         x = np.random.default_rng(seed).standard_normal(n)
         whole = highpass(AudioBuffer(x, fs)).samples
-        state = HighpassState()
         bounds = [0, *sorted(c for c in cuts if c <= n), n]
-        pieces = [highpass(AudioBuffer(x[lo:hi], fs), 60.0, state).samples for lo, hi in zip(bounds, bounds[1:])]
-        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        assert self._in_pieces(x, fs, 60.0, bounds).tobytes() == whole.tobytes()
 
 
     @settings(max_examples=100, deadline=None)
@@ -99,16 +108,13 @@ class TestHighpass:
         x = offset + 10.0 ** rng.uniform(-3, 0) * rng.standard_normal(n)
         a = 1.0 / (1.0 + 2.0 * np.pi * cutoff / fs)
         expected = lfilter([a, -a], [1.0, -a], x)
-        state = HighpassState()
         bounds = [0, *sorted(c for c in cuts if c <= n), n]
-        got = [highpass(AudioBuffer(x[lo:hi], fs), cutoff, state).samples for lo, hi in zip(bounds, bounds[1:])]
-        assert np.abs(np.concatenate(got) - expected).max(initial=0.0) <= 1e-13 * np.abs(expected).max(initial=0.0)
+        got = self._in_pieces(x, fs, cutoff, bounds)
+        assert np.abs(got - expected).max(initial=0.0) <= 1e-13 * np.abs(expected).max(initial=0.0)
 
     def test_zero_cutoff_passes_samples_through(self):
         x = np.random.default_rng(9).standard_normal(5000) + 0.3
-        state = HighpassState()
-        pieces = [highpass(AudioBuffer(x[lo : lo + 1700], FS), 0.0, state).samples for lo in range(0, 5000, 1700)]
-        assert np.concatenate(pieces).tobytes() == x.tobytes()
+        assert self._in_pieces(x, FS, 0.0, [0, 1700, 3400, 5000]).tobytes() == x.tobytes()
         assert highpass(AudioBuffer(x, FS), 0.0).samples.tobytes() == x.tobytes()
 
 

@@ -1,7 +1,6 @@
 """Segment grouping, extension, and merging."""
 
 import numpy as np
-import pytest
 
 from rvad.segments import extend_segments, mask_to_segments, merge_touching, segments_to_mask
 
@@ -66,10 +65,6 @@ class TestExtendSegments:
             cur = segments_to_mask(extend_segments(segs, ext, 500), 500)
             assert np.all(cur[prev])
             prev = cur
-
-    def test_negative_extension_rejected(self):
-        with pytest.raises(ValueError):
-            extend_segments([(0, 1)], -1, 10)
 
     def test_disjoint_sorted_invariant(self):
         rng = np.random.default_rng(44)

@@ -19,7 +19,7 @@ import rvad
 from rvad import AudioBuffer, RvadConfig, read_wav, run_batch, run_denoise, run_rvad, write_wav
 from rvad.dsp import block_frames, frame_energy, highpass, make_grid, stft
 from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
-from rvad.vad import SWEEP_BLOCKS, _denoise, _energies, _first_sweep, _labels, post_process, segment_vad
+from rvad.vad import SWEEP_BLOCKS, _blocks, _denoise, _energies, _first_sweep, _labels, post_process, segment_vad
 from rvad.voicing import sft_voicing
 
 from oracles import front_whole
@@ -540,6 +540,26 @@ class TestVoicingSpectraReuse:
         assert len(calls) == -(-grid.num_frames // block_frames(grid.frame_len))
 
 
+@pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
+def test_first_sweep_high_passes_each_block_once(fs, monkeypatch):
+    # a block's samples and the next block's first few, which its last
+    # frames also read, are filtered in one call
+    probe = make_grid(AudioBuffer(np.zeros(fs), fs))
+    frames = 2 * SWEEP_BLOCKS * block_frames(probe.frame_len) + 7
+    x = np.random.default_rng(fs).standard_normal((frames - 1) * probe.frame_shift + probe.frame_len)
+    audio = AudioBuffer(x, fs)
+    assert len(_blocks(make_grid(audio))) == 3
+    calls = []
+
+    def counting_highpass(*args, **kwargs):
+        calls.append(1)
+        return highpass(*args, **kwargs)
+
+    monkeypatch.setattr(rvad.vad, "highpass", counting_highpass)
+    _first_sweep(audio, RvadConfig(mode="fast", enhance="none"), None)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
 @pytest.mark.parametrize("mode", ["fast", "full"])
 def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
@@ -785,6 +805,7 @@ class TestRvadConfig:
             {"energy_ratio": float("nan")},
             {"energy_ratio": -0.1},
             {"theta_sft": float("nan")},
+            {"he_threshold_basis": "both"},
         ):
             with pytest.raises(ValueError):
                 RvadConfig(**bad)

@@ -49,12 +49,9 @@ class TestDetectSft:
 
     def test_threshold_validation(self):
         spec = Spectrogram(np.zeros((1, 129), dtype=complex), 256, FS)
-        buf = AudioBuffer(np.zeros(1000), FS)
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 detect_sft(spec, bad)
-            with pytest.raises(ValueError):
-                sft_voicing([(buf, make_grid(buf))], bad)
 
     def test_mask_length(self):
         buf = AudioBuffer(np.zeros(1000), FS)
@@ -186,8 +183,6 @@ class TestDetectPitchAutocorr:
             detect_pitch_autocorr([(buf, g)], f_min=500.0, f_max=400.0)
         with pytest.raises(ValueError):
             detect_pitch_autocorr([(buf, g)], f_max=5000.0)
-        with pytest.raises(ValueError):
-            detect_pitch_autocorr([(buf, g)], rho=1.0)
 
     def test_mask_length(self):
         buf = AudioBuffer(np.zeros(1234), FS)
