@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
+from importlib.util import find_spec, module_from_spec
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .audio_io import AudioBuffer
 from .config import RvadConfig
@@ -46,6 +50,40 @@ BLOCK_BYTES = 1 << 18
 # band as long as the input, 16 bytes a step, would.  Half as many steps
 # cost twice the LAPACK calls, a few percent of a high-pass call.
 RECURSION_STEPS = 1 << 13
+
+
+def _flapack() -> ModuleType:
+    """scipy's compiled LAPACK module, `scipy.linalg._flapack`, without the
+    `scipy.linalg` package.
+
+    rvad calls one routine of scipy, `dtbtrs`, which lives in that extension
+    module.  Imported through its package, it costs about 300 ms and 24 MB
+    of every process's start-up: scipy.linalg's __init__ runs, through
+    scipy._lib._array_api, `from numpy import *`, which imports numpy.f2py,
+    numpy.testing, numpy.ma and numpy.random.  Loaded from its file alone it
+    takes about 5 ms.  A module that scipy.linalg has already loaded is
+    reused.  Otherwise the entry that the module's single-phase init leaves
+    in sys.modules is removed, so that a later `import scipy.linalg` builds
+    its package as usual, with the same routines.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy = find_spec("scipy")
+    for base in scipy.submodule_search_locations if scipy else ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(name, path)
+                module = module_from_spec(ModuleSpec(name, loader, origin=path))
+                loader.exec_module(module)
+                sys.modules.pop(name, None)
+                return module
+    raise ImportError("rvad needs scipy >= 1.10, whose scipy.linalg._flapack was not found")
+
+
+dtbtrs = _flapack().dtbtrs
 
 
 @dataclass(frozen=True)

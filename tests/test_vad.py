@@ -892,17 +892,53 @@ def test_kernel_modules_do_not_import_the_pipeline():
     assert closure("config") == set()
 
 
-@pytest.mark.parametrize("command", [["-c", "import rvad"], ["-m", "rvad.cli", "vad", "--help"]])
-def test_start_up_does_not_import_scipy_signal(command):
-    # scipy.signal alone took about 1 s and 48 MB of every process's start-up;
-    # the filters solve their recursions with scipy.linalg.lapack instead
+def _python(*args: str) -> str:
+    """Run a fresh interpreter that imports this tree's rvad; return its stderr."""
     src = str(Path(rvad.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-X", "importtime", *command], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
-    assert "rvad.dsp" in imported and "scipy.linalg" in imported
-    assert not {name for name in imported if name.split(".")[:2] == ["scipy", "signal"]}
+    return done.stderr
+
+
+@pytest.mark.parametrize("command", [["-c", "import rvad"], ["-m", "rvad.cli", "vad", "--help"]])
+def test_start_up_does_not_import_scipy_signal(command):
+    # scipy.signal took about 1 s and 48 MB of every process's start-up, and
+    # the scipy.linalg package about 300 ms and 24 MB more, through what its
+    # __init__ imports; the recursions load its LAPACK extension alone
+    stderr = _python("-X", "importtime", *command)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
+    assert "rvad.dsp" in imported
+    unwanted = ("scipy.linalg", "scipy.signal", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+    assert not {name for name in imported if any(name == u or name.startswith(u + ".") for u in unwanted)}
+
+
+@pytest.mark.parametrize("rvad_first", [True, False], ids=["rvad-then-scipy", "scipy-then-rvad"])
+def test_lapack_extension_shared_in_either_import_order(rvad_first):
+    # rvad loads scipy.linalg._flapack without its package; scipy.linalg,
+    # imported before or after, must still have it, and rvad must take one
+    # scipy.linalg already loaded rather than load a second copy
+    _python(
+        "-c",
+        f"""
+import sys
+import numpy as np
+if {rvad_first}:
+    from rvad import dsp
+    assert "scipy.linalg" not in sys.modules and "scipy.linalg._flapack" not in sys.modules
+import scipy.linalg, scipy.signal
+flapack = sys.modules["scipy.linalg._flapack"]
+if not {rvad_first}:
+    from rvad import dsp
+    assert sys.modules["scipy.linalg._flapack"] is flapack and dsp.dtbtrs is flapack.dtbtrs
+assert scipy.linalg._flapack is flapack
+rng = np.random.default_rng(7)
+for shape, order in [((dsp.RECURSION_STEPS + 3,), "C"), ((dsp.RECURSION_STEPS + 3, 2), "F")]:
+    rhs, first, c = np.asarray(rng.standard_normal(shape), order=order), rng.standard_normal(shape[1:]), 0.97
+    expected, _ = scipy.signal.lfilter([1.0], [1.0, -c], rhs, axis=0, zi=c * first[None])
+    assert dsp.recursion(first, rhs.copy(order=order), c).tobytes() == expected.tobytes()
+""",
+    )
 
 
 def test_kernel_defaults_are_written_once():
