@@ -8,10 +8,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
-from importlib.util import find_spec, module_from_spec
+from importlib.util import module_from_spec
 from types import ModuleType
 
 import numpy as np
+import scipy
 
 from .audio_io import AudioBuffer
 from .config import RvadConfig
@@ -61,26 +62,37 @@ def _flapack() -> ModuleType:
     of every process's start-up: scipy.linalg's __init__ runs, through
     scipy._lib._array_api, `from numpy import *`, which imports numpy.f2py,
     numpy.testing, numpy.ma and numpy.random.  Loaded from its file alone it
-    takes about 5 ms.  A module that scipy.linalg has already loaded is
+    takes about 5 ms.  The top-level `scipy` package is imported first, for
+    about 15 ms: its __init__ checks the numpy version and runs the
+    distributor's set-up, which on some platforms is what makes the LAPACK
+    library that the module links against loadable (Windows wheels add their
+    DLL directory there).  A module that scipy.linalg has already loaded is
     reused.  Otherwise the entry that the module's single-phase init leaves
     in sys.modules is removed, so that a later `import scipy.linalg` builds
-    its package as usual, with the same routines.
+    its package as usual, with the same routines.  A first import of
+    scipy.linalg in another thread while rvad is being imported is not
+    supported.
     """
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is not None:
         return module
-    scipy = find_spec("scipy")
-    for base in scipy.submodule_search_locations if scipy else ():
+    searched = [os.path.join(base, "linalg") for base in scipy.__path__]
+    for directory in searched:
         for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            path = os.path.join(directory, "_flapack" + suffix)
             if os.path.isfile(path):
                 loader = ExtensionFileLoader(name, path)
                 module = module_from_spec(ModuleSpec(name, loader, origin=path))
                 loader.exec_module(module)
-                sys.modules.pop(name, None)
+                if sys.modules.get(name) is module:
+                    del sys.modules[name]
                 return module
-    raise ImportError("rvad needs scipy >= 1.10, whose scipy.linalg._flapack was not found")
+    raise ImportError(
+        f"rvad loads scipy's private LAPACK module {name} from its file, but no _flapack"
+        f" with a suffix of {EXTENSION_SUFFIXES} is in {os.pathsep.join(searched)}"
+        f" (scipy {scipy.__version__}); rvad needs scipy >= 1.10 with that module in scipy/linalg"
+    )
 
 
 dtbtrs = _flapack().dtbtrs

@@ -905,10 +905,11 @@ def _python(*args: str) -> str:
 def test_start_up_does_not_import_scipy_signal(command):
     # scipy.signal took about 1 s and 48 MB of every process's start-up, and
     # the scipy.linalg package about 300 ms and 24 MB more, through what its
-    # __init__ imports; the recursions load its LAPACK extension alone
+    # __init__ imports; the recursions load its LAPACK extension alone, after
+    # the top-level scipy package, whose __init__ sets up the LAPACK library
     stderr = _python("-X", "importtime", *command)
     imported = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
-    assert "rvad.dsp" in imported
+    assert {"rvad.dsp", "scipy"} <= imported
     unwanted = ("scipy.linalg", "scipy.signal", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
     assert not {name for name in imported if any(name == u or name.startswith(u + ".") for u in unwanted)}
 
@@ -937,6 +938,27 @@ for shape, order in [((dsp.RECURSION_STEPS + 3,), "C"), ((dsp.RECURSION_STEPS + 
     rhs, first, c = np.asarray(rng.standard_normal(shape), order=order), rng.standard_normal(shape[1:]), 0.97
     expected, _ = scipy.signal.lfilter([1.0], [1.0, -c], rhs, axis=0, zi=c * first[None])
     assert dsp.recursion(first, rhs.copy(order=order), c).tobytes() == expected.tobytes()
+""",
+    )
+
+
+def test_missing_lapack_extension_is_named():
+    # a scipy without the private module at scipy/linalg/_flapack<suffix>
+    # gets an ImportError that names the module, where it was looked for and
+    # the installed scipy version; no suffix matches here
+    _python(
+        "-c",
+        """
+import importlib.machinery, os, scipy
+importlib.machinery.EXTENSION_SUFFIXES[:] = [".absent"]
+try:
+    import rvad
+except ImportError as e:
+    message = str(e)
+else:
+    raise AssertionError("rvad imported without scipy.linalg._flapack")
+assert "scipy.linalg._flapack" in message and scipy.__version__ in message, message
+assert os.path.join(scipy.__path__[0], "linalg") in message, message
 """,
     )
 
