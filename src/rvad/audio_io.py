@@ -296,12 +296,19 @@ def read_labels(
     yields an empty label sequence.  Both durations must be finite and
     positive, or ValueError is raised.
     """
+    return _read_labels(path, frame_shift_ms, frame_len_ms)[0]
+
+
+def _read_labels(
+    path, frame_shift_ms: float = RvadConfig.frame_shift_ms, frame_len_ms: float = RvadConfig.frame_len_ms
+) -> tuple[FrameLabels, bool]:
+    """`read_labels`, and whether the file counts its frames as format A does."""
     if not (0.0 < frame_shift_ms < np.inf and 0.0 < frame_len_ms < np.inf):
         raise ValueError("frame_shift_ms and frame_len_ms must be finite and positive")
     numbered = enumerate(Path(path).read_text().splitlines(), 1)
     lines = [(lineno, line.split()) for lineno, line in numbered if line.strip()]
     if not lines:
-        return FrameLabels(np.zeros(0, dtype=bool), frame_shift_ms, frame_len_ms)
+        return FrameLabels(np.zeros(0, dtype=bool), frame_shift_ms, frame_len_ms), False
 
     if len(lines[0][1]) == 1:
         labels = []
@@ -309,7 +316,7 @@ def read_labels(
             if len(tokens) != 1 or tokens[0] not in ("0", "1"):
                 raise LabelFormatError(f"{path}:{lineno}: expected a single 0 or 1")
             labels.append(tokens[0] == "1")
-        return FrameLabels(np.asarray(labels, dtype=bool), frame_shift_ms, frame_len_ms)
+        return FrameLabels(np.asarray(labels, dtype=bool), frame_shift_ms, frame_len_ms), True
 
     shift_s = frame_shift_ms / 1000.0
     spans = []
@@ -335,7 +342,7 @@ def read_labels(
         lo = int(np.ceil((start - _TIME_EPS) / shift_s))
         hi = int(np.ceil((end - _TIME_EPS) / shift_s))
         labels[max(lo, 0) : hi] = True
-    return FrameLabels(labels, frame_shift_ms, frame_len_ms)
+    return FrameLabels(labels, frame_shift_ms, frame_len_ms), False
 
 
 def write_labels(path, labels: FrameLabels, fmt: str = "frames") -> None:

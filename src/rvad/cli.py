@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_labels, read_wav, write_labels, write_wav
+from .audio_io import _read_labels, read_labels, read_wav, write_labels, write_wav
 from .config import CHOICES, RvadConfig
 from .metrics import DEFAULT_GAMMA, EvalResult, aggregate, count_errors, rates_from_counts
 from .vad import _process_one, run_batch, run_denoise
@@ -77,15 +77,20 @@ def _build_config(args, parser: argparse.ArgumentParser) -> RvadConfig:
         parser.error(str(exc))
 
 
+def _list_file(path: Path, kind: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The names in a list file: its stripped lines, skipping blank and '#' ones."""
+    try:
+        lines = [line.strip() for line in path.read_text().splitlines()]
+    except OSError as exc:
+        parser.error(f"cannot read {kind} list: {exc}")
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def _input_wavs(spec: str, parser: argparse.ArgumentParser) -> list[str]:
     path = Path(spec)
     if path.suffix.lower() == ".wav":
         return [str(path)]
-    try:
-        lines = [line.strip() for line in path.read_text().splitlines()]
-    except OSError as exc:
-        parser.error(f"cannot read input list: {exc}")
-    files = [line for line in lines if line and not line.startswith("#")]
+    files = _list_file(path, "input", parser)
     if not files:
         parser.error(f"input list {spec} names no files")
     # outputs are named by stem, so two inputs with one stem would collide;
@@ -135,11 +140,14 @@ def _cmd_vad(args, parser) -> int:
     failures = 0
     items = run_batch(paths, cfg, args.workers) if voicing is None else [_process_one(paths[0], cfg, voicing)]
     for item in items:
-        if not item.ok:
-            print(f"rvad: {item.path}: {item.error}", file=sys.stderr)
-            failures += 1
-            continue
-        write_labels(out_dir / (Path(item.path).stem + ".vad"), item.result, fmt=args.labels)
+        if item.ok:
+            try:
+                write_labels(out_dir / (Path(item.path).stem + ".vad"), item.result, fmt=args.labels)
+                continue
+            except OSError as exc:
+                item.error = f"{type(exc).__name__}: {exc}"
+        print(f"rvad: {item.path}: {item.error}", file=sys.stderr)
+        failures += 1
     print(f"rvad: processed {len(items) - failures}/{len(items)} file(s)", file=sys.stderr)
     return 1 if failures else 0
 
@@ -171,11 +179,7 @@ def _label_files(spec: str, parser) -> list[Path]:
     path = Path(spec)
     if path.is_dir():
         return sorted(p for p in path.iterdir() if p.is_file())
-    try:
-        lines = [line.strip() for line in path.read_text().splitlines()]
-    except OSError as exc:
-        parser.error(f"cannot read label list: {exc}")
-    return [Path(line) for line in lines if line and not line.startswith("#")]
+    return [Path(name) for name in _list_file(path, "label", parser)]
 
 
 def _pair_labels(ref_spec: str, hyp_spec: str, parser) -> list[tuple[str, Path, Path]]:
@@ -223,8 +227,12 @@ def _cmd_eval(args, parser) -> int:
     failures = 0
     for file_id, ref_path, hyp_path in pairs:
         try:
-            ref = read_labels(ref_path)
-            hyp = read_labels(hyp_path)
+            (ref, ref_counted), (hyp, hyp_counted) = _read_labels(ref_path), _read_labels(hyp_path)
+            if not (ref_counted and hyp_counted):
+                # a segments file or an empty one does not count its frames: it takes
+                # the other file's count, and of two such files the longer sets it
+                n = len(ref) if ref_counted else len(hyp) if hyp_counted else max(len(ref), len(hyp))
+                ref, hyp = (np.pad(x.labels[:n], (0, max(n - len(x), 0))) for x in (ref, hyp))
             counts = count_errors(ref, hyp)
             rates = rates_from_counts(counts, args.gamma)
         except Exception as exc:

@@ -141,13 +141,12 @@ def _min_stats(power: np.ndarray, state: MsneState, smoothing: float, bias: floa
     if count == 0:
         return np.empty((0, bins))
     smoothed = np.multiply(power, 1.0 - smoothing, order="F")
+    first = state.live % window
     if state.live == 0:
-        # the first row ever seen is its own smoothed value
+        # the first row ever seen is its own smoothed value: the recursion adds zero to it
         smoothed[0] = power[0]
-        recursion(smoothed[0], smoothed[1:], smoothing)
-    else:
-        first = state.live % window
-        recursion(state.rows[first - 1] if first else state.suffix[-1], smoothed, smoothing)
+    before = 0.0 if state.live == 0 else state.rows[first - 1] if first else state.suffix[-1]
+    recursion(before, smoothed, smoothing)
     smoothed = np.ascontiguousarray(smoothed)
     track = np.empty((count, bins))
     done = 0

@@ -167,15 +167,13 @@ def highpass(
     if fs <= 2 * cutoff_hz:
         raise ValueError("sample rate too low for the chosen cutoff")
     x = audio.samples
-    if len(x) == 0:
-        return AudioBuffer._trusted(np.zeros(0), fs)
     a = 1.0 / (1.0 + 2.0 * np.pi * cutoff_hz / fs)
     if a == 1.0:
         # y(n) - x(n) stays what it was before the first sample: zero
         return AudioBuffer._trusted(x.copy(), fs)
     x_prev, y_prev = (0.0, 0.0) if zi is None else zi
     y = np.empty(len(x))
-    y[0] = x[0] - x_prev
+    y[:1] = x[:1] - x_prev
     np.subtract(x[1:], x[:-1], out=y[1:])
     y *= a
     recursion(y_prev, y, a)

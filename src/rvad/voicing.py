@@ -8,7 +8,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer
 from .config import RvadConfig
-from .dsp import FrameGrid, Spectrogram, frame_matrix, spectral_flatness, stft_blocks
+from .dsp import FrameGrid, Spectrogram, frame_energy, frame_matrix, spectral_flatness, stft_blocks
 
 __all__ = ["sft_voicing", "detect_pitch_autocorr"]
 
@@ -62,7 +62,7 @@ def detect_pitch_autocorr(
     voiced, energies = [np.zeros(0, dtype=bool)], [np.zeros(0)]
     for audio, grid in blocks:
         frames = frame_matrix(audio.samples, grid)
-        energies.append(np.einsum("ij,ij->i", frames, frames))
+        energies.append(frame_energy(audio, grid))
         voiced.append(_pitch_peaks(frames, energies[-1], audio.sample_rate_hz, f_min, f_max, rho))
     e = np.concatenate(energies)
     return np.concatenate(voiced) & (e >= ENERGY_GATE_RATIO * e.max(initial=0.0))

@@ -132,6 +132,18 @@ def reconstruct_loop(spec: Spectrogram, grid: FrameGrid) -> AudioBuffer:
     return AudioBuffer(signal / np.maximum(envelope, 1e-8), spec.sample_rate_hz)
 
 
+def merge_touching(segments) -> list[Segment]:
+    """Reference for the merge in `rvad.segments.extend_segments`: overlapping
+    or directly adjacent intervals merged in one pass; input must be sorted."""
+    merged: list[Segment] = []
+    for start, end in segments:
+        if merged and start <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((int(start), int(end)))
+    return merged
+
+
 def first_pass_denoise(
     audio: AudioBuffer,
     grid: FrameGrid,

@@ -1,6 +1,7 @@
 """Command-line surfaces: vad, denoise, eval subcommands."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,27 @@ class TestVadCommand:
         assert rc == 1
         assert (out / "tone.vad").exists()
 
+    def test_label_write_failure_gives_exit_one(self, tmp_path, tone_wav, capsys):
+        other = tmp_path / "other.wav"
+        write_wav(other, utterance([(0.4, 0.8, 150.0)], 2.0))
+        lst = tmp_path / "files.list"
+        lst.write_text(f"{tone_wav}\n{other}\n")
+        out = tmp_path / "out"
+        (out / "tone.vad").mkdir(parents=True)  # a label file that cannot be written
+        rc = _run(["vad", "--in", lst, "--out", out, "--enhance", "none"])
+        assert rc == 1
+        assert len(read_labels(out / "other.vad")) > 0
+        err = capsys.readouterr().err
+        assert f"rvad: {tone_wav}: IsADirectoryError" in err or f"rvad: {tone_wav}: PermissionError" in err
+        assert "rvad: processed 1/2 file(s)" in err and "Traceback" not in err
+
+    def test_unreadable_input_list_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["vad", "--in", tmp_path / "missing.list", "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+        assert "cannot read input list" in capsys.readouterr().err
+
 
 class TestDenoiseCommand:
     def test_writes_wav_and_noise_floor(self, tmp_path):
@@ -303,6 +325,48 @@ class TestEvalCommand:
     def test_gamma_at_interval_ends_is_accepted(self, tmp_path, gamma):
         ref_dir, hyp_dir, _ = self._make_label_dirs(tmp_path)
         assert _run(["eval", "--ref", ref_dir, "--hyp", hyp_dir, "--gamma", gamma]) == 0
+
+    def test_unreadable_label_list_is_usage_error(self, tmp_path, capsys):
+        ref_dir, hyp_dir, _ = self._make_label_dirs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            _run(["eval", "--ref", tmp_path / "missing.list", "--hyp", hyp_dir])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot read label list" in err
+
+    def _score_segments(self, tmp_path, capsys, ref_text, hyp_text):
+        """Exit code, frame count and FER of one ref/hyp pair given as file
+        text; a segments file is scored without a length-mismatch warning."""
+        for side, text in (("ref", ref_text), ("hyp", hyp_text)):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "a.vad").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = _run(["eval", "--ref", tmp_path / "ref", "--hyp", tmp_path / "hyp"])
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "a"
+        return rc, int(row[1]), float(row[4])
+
+    # a 300-frame reference with speech on frames 50-149 and 200-299
+    _REF = np.zeros(300, dtype=bool)
+    _REF[50:150] = _REF[200:] = True
+
+    def test_segments_hypothesis_is_scored_over_the_reference_frames(self, tmp_path, capsys):
+        ref = "".join("1\n" if v else "0\n" for v in self._REF)
+        assert self._score_segments(tmp_path, capsys, ref, "0.500000 1.500000\n") == (0, 300, 33.3333)
+
+    def test_empty_segments_hypothesis_is_all_non_speech(self, tmp_path, capsys):
+        ref = "".join("1\n" if v else "0\n" for v in self._REF)
+        assert self._score_segments(tmp_path, capsys, ref, "") == (0, 300, 66.6667)
+
+    def test_segments_reference_past_the_hypothesis_frames_is_cut(self, tmp_path, capsys):
+        ref = "0.500000 1.500000\n2.000000 3.500000\n"
+        assert self._score_segments(tmp_path, capsys, ref, "1\n" * 300) == (0, 300, 33.3333)
+
+    def test_two_segments_files_are_scored_over_the_longer(self, tmp_path, capsys):
+        ref = "0.500000 1.500000\n2.000000 3.000000\n"
+        assert self._score_segments(tmp_path, capsys, ref, "0.500000 1.500000\n") == (0, 300, 33.3333)
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

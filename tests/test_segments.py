@@ -1,8 +1,12 @@
 """Segment grouping, extension, and merging."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rvad.segments import extend_segments, mask_to_segments, merge_touching, segments_to_mask
+from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
+
+from oracles import merge_touching
 
 
 class TestMaskToSegments:
@@ -75,13 +79,30 @@ class TestExtendSegments:
                 assert s1 <= e1 < s2 <= e2
                 assert e1 + 1 < s2  # strictly separated after merging
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mask=st.lists(st.booleans(), max_size=300).map(lambda bits: np.array(bits, dtype=bool)),
+        ext=st.one_of(st.sampled_from([0, 1, 2, 5, 60, 400]), st.integers(0, 500)),
+    )
+    def test_matches_merge_oracle(self, mask, ext):
+        num = len(mask)
+        widened = [(max(s - ext, 0), min(t + ext, num - 1)) for s, t in mask_to_segments(mask)]
+        assert extend_segments(mask_to_segments(mask), ext, num) == merge_touching(widened)
+
 
 class TestMergeTouching:
+    """The merge step of `extend_segments` (ext=0) and its reference oracle."""
+
     def test_merges_adjacent(self):
-        assert merge_touching([(0, 2), (3, 5), (8, 9)]) == [(0, 5), (8, 9)]
+        segs = [(0, 2), (3, 5), (8, 9)]
+        assert merge_touching(segs) == [(0, 5), (8, 9)]
+        assert extend_segments(segs, 0, 10) == [(0, 5), (8, 9)]
 
     def test_merges_overlap(self):
-        assert merge_touching([(0, 5), (2, 3), (4, 10)]) == [(0, 10)]
+        segs = [(0, 5), (2, 3), (4, 10)]
+        assert merge_touching(segs) == [(0, 10)]
+        assert extend_segments(segs, 0, 11) == [(0, 10)]
 
     def test_empty(self):
         assert merge_touching([]) == []
+        assert extend_segments([], 0, 10) == []
