@@ -136,8 +136,9 @@ class _DataChunk:
     def __len__(self) -> int:
         return self.count
 
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """Samples [lo, hi), clipped to the chunk's end; an empty range
+    def read(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Samples [lo, hi), clipped to the chunk's end, written into the
+        front of `out` if given, which has room for hi - lo; an empty range
         opens nothing."""
         n = max(min(hi, self.count) - lo, 0)
         if n == 0:
@@ -151,8 +152,10 @@ class _DataChunk:
                 data = fh.read(size)
             if len(data) != size:
                 raise AudioFormatError(f"{self.source}: the file shrank while its samples were read")
-        flat = _decode(data, self.tag, self.bits)
-        return flat if self.channels == 1 else flat.reshape(n, self.channels).mean(axis=1)
+        if self.channels == 1:
+            return _decode(data, self.tag, self.bits, out)
+        frames = _decode(data, self.tag, self.bits).reshape(n, self.channels)
+        return frames.mean(axis=1, out=None if out is None else out[:n])
 
     def pieces(self) -> Iterator[tuple[int, np.ndarray]]:
         """Each stretch of `step` samples with its first sample's index, so
@@ -257,19 +260,23 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer._trusted(None, rate, chunk)
 
 
-def _decode(data: bytes, tag: int, bits: int) -> np.ndarray:
-    """Samples of one stretch of a data chunk as float64 in [-1, 1]."""
+def _decode(data: bytes, tag: int, bits: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples of one stretch of a data chunk as float64 in [-1, 1], written
+    into the front of `out` if given."""
     if bits == 8:
-        return (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
-    if bits == 24:
+        raw, full_scale = np.frombuffer(data, dtype=np.uint8), 128.0
+    elif bits == 24:
         # each sample into the top three bytes of an int32, which is value * 2**8
         wide = np.zeros((len(data) // 3, 4), dtype=np.uint8)
         wide[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
-        flat = wide.view("<i4")[:, 0].astype(np.float64)
-        flat /= 2.0**31
-        return flat
-    dtype, full_scale = _SAMPLE_TYPES[tag, bits]
-    flat = np.frombuffer(data, dtype=dtype).astype(np.float64)
+        raw, full_scale = wide.view("<i4")[:, 0], 2.0**31
+    else:
+        dtype, full_scale = _SAMPLE_TYPES[tag, bits]
+        raw = np.frombuffer(data, dtype=dtype)
+    flat = np.empty(len(raw)) if out is None else out[: len(raw)]
+    flat[...] = raw
+    if bits == 8:
+        flat -= 128.0
     flat /= full_scale
     return flat
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import _read_labels, read_labels, read_wav, write_labels, write_wav
+from .audio_io import _read_labels, read_wav, write_labels, write_wav
 from .config import CHOICES, RvadConfig
 from .metrics import DEFAULT_GAMMA, EvalResult, aggregate, count_errors, rates_from_counts
 from .vad import _process_one, run_batch, run_denoise
@@ -126,19 +126,24 @@ def _gamma(text: str) -> float:
 def _cmd_vad(args, parser) -> int:
     cfg = _build_config(args, parser)
     paths = _input_wavs(args.input, parser)
-    voicing = None
+    voicing, counted = None, True
     if args.voicing_file:
         if len(paths) != 1:
             parser.error("--voicing-file requires a single wav input")
         try:
-            voicing = read_labels(args.voicing_file, cfg.frame_shift_ms, cfg.frame_len_ms).labels
+            labels, counted = _read_labels(args.voicing_file, cfg.frame_shift_ms, cfg.frame_len_ms)
+            voicing = labels.labels
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read --voicing-file: {exc}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
-    items = run_batch(paths, cfg, args.workers) if voicing is None else [_process_one(paths[0], cfg, voicing)]
+    if voicing is None:
+        items = run_batch(paths, cfg, args.workers)
+    else:
+        # a segments-format file does not count its frames: it takes the input's
+        items = [_process_one(paths[0], cfg, voicing, fit=not counted)]
     for item in items:
         if item.ok:
             try:

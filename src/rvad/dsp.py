@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,7 +50,9 @@ BLOCK_BYTES = 1 << 18
 # `recursion` solves this many steps at a time against one band matrix per
 # coefficient (128 KB), so its memory does not grow with the input, as a
 # band as long as the input, 16 bytes a step, would.  Half as many steps
-# cost twice the LAPACK calls, a few percent of a high-pass call.
+# cost twice the LAPACK calls, a few percent of a high-pass call.  Shorter
+# recursions, such as the MSNE smoother's blocks of 16 to 128 rows, take a
+# band of the next power of two of their length.
 RECURSION_STEPS = 1 << 13
 
 
@@ -96,6 +99,27 @@ def _flapack() -> ModuleType:
 
 
 dtbtrs = _flapack().dtbtrs
+
+_work = threading.local()
+
+
+def _scratch(name: str, n: int) -> np.ndarray:
+    """The first `n` elements of this thread's work array `name`, grown to
+    hold them; what they held before is left.
+
+    The sweeps decode, high-pass and window each block in these arrays
+    instead of new ones: glibc can give a freed block-sized array back to
+    the system, and a batch of 200 five-second 16 kHz files in fast mode
+    then faulted the same pages in again, 54k minor faults and about a tenth
+    of its time.  Only block-sized stretches are asked for, so an array
+    stays bounded by the sweep geometry, and nothing handed back to a caller
+    may be one of them.
+    """
+    buf = getattr(_work, name, None)
+    if buf is None or len(buf) < n:
+        buf = np.empty(n)
+        setattr(_work, name, buf)
+    return buf[:n]
 
 
 @dataclass(frozen=True)
@@ -147,7 +171,11 @@ def make_grid(
 
 
 def highpass(
-    audio: AudioBuffer, cutoff_hz: float = RvadConfig.hpf_cutoff_hz, zi: tuple[float, float] | None = None
+    audio: AudioBuffer,
+    cutoff_hz: float = RvadConfig.hpf_cutoff_hz,
+    zi: tuple[float, float] | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> AudioBuffer:
     """First-order high-pass: y(n) = a*(y(n-1) + x(n) - x(n-1)).
 
@@ -161,18 +189,20 @@ def highpass(
     buffer, zeros (the default) for a signal from rest: calls on consecutive
     pieces of a signal, each given the last input and output samples of the
     piece before, give the samples of one call on the whole signal, bit for
-    bit.
+    bit.  The output goes into `out` if given, an array of the input's
+    length that the returned buffer then holds.
     """
     fs = audio.sample_rate_hz
     if fs <= 2 * cutoff_hz:
         raise ValueError("sample rate too low for the chosen cutoff")
     x = audio.samples
     a = 1.0 / (1.0 + 2.0 * np.pi * cutoff_hz / fs)
+    y = np.empty(len(x)) if out is None else out
     if a == 1.0:
         # y(n) - x(n) stays what it was before the first sample: zero
-        return AudioBuffer._trusted(x.copy(), fs)
+        y[...] = x
+        return AudioBuffer._trusted(y, fs)
     x_prev, y_prev = (0.0, 0.0) if zi is None else zi
-    y = np.empty(len(x))
     y[:1] = x[:1] - x_prev
     np.subtract(x[1:], x[:-1], out=y[1:])
     y *= a
@@ -192,7 +222,7 @@ def recursion(first: float | np.ndarray, rhs: np.ndarray, c: float) -> np.ndarra
     y(n) = x(n) + c*y(n-1).  That holds for the OpenBLAS that scipy's wheels
     ship; a BLAS that fused the two could differ in the last place.
     """
-    band = _band(c)
+    band = _band(c, min(RECURSION_STEPS, next_pow2(len(rhs))))
     for lo in range(0, len(rhs), RECURSION_STEPS):
         block = rhs[lo : lo + RECURSION_STEPS]
         block[0] += c * first
@@ -205,11 +235,11 @@ def recursion(first: float | np.ndarray, rhs: np.ndarray, c: float) -> np.ndarra
     return rhs
 
 
-@lru_cache(maxsize=8)
-def _band(c: float) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _band(c: float, steps: int) -> np.ndarray:
     """The unit upper-bidiagonal matrix with -c above the diagonal, of
-    RECURSION_STEPS columns in LAPACK's band storage; read-only."""
-    band = np.ones((2, RECURSION_STEPS), order="F")
+    `steps` columns in LAPACK's band storage; read-only."""
+    band = np.ones((2, steps), order="F")
     band[0] = -c
     band.flags.writeable = False
     return band
@@ -252,7 +282,13 @@ def hamming(frame_len: int) -> np.ndarray:
 def stft(audio: AudioBuffer, grid: FrameGrid) -> Spectrogram:
     """Hamming-windowed one-sided STFT, frames zero-padded to the next power of two."""
     nfft = next_pow2(grid.frame_len)
-    windowed = frame_matrix(audio.samples, grid) * hamming(grid.frame_len)
+    frames = frame_matrix(audio.samples, grid)
+    if grid.num_frames <= block_frames(grid.frame_len):
+        # a `stft_blocks` block's windowed frames, in this thread's work array
+        out = _scratch("windowed", frames.size).reshape(frames.shape)
+        windowed = np.multiply(frames, hamming(grid.frame_len), out=out)
+    else:
+        windowed = frames * hamming(grid.frame_len)
     return Spectrogram(np.fft.rfft(windowed, n=nfft, axis=1), nfft, audio.sample_rate_hz)
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RvadConfig
+from .dsp import recursion
 
 __all__ = [
     "ENERGY_FLOOR",
@@ -54,8 +55,9 @@ def track_noise_energy(
     e = np.asarray(e, dtype=np.float64)
     e_v = np.array([rank_low_energy(e[i : i + super_len]) for i in range(0, len(e), super_len)])
     smooth = e_v.copy()
-    for p in range(1, len(e_v)):
-        smooth[p] = forget * smooth[p - 1] + (1.0 - forget) * e_v[p]
+    if len(e_v):
+        # smooth[p] = forget*smooth[p-1] + (1 - forget)*e_v[p], from smooth[0] = e_v[0]
+        recursion(e_v[0], np.multiply(1.0 - forget, e_v[1:], out=smooth[1:]), forget)
     return NoiseEnergyTrack(e_v, smooth)
 
 

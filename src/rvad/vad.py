@@ -14,6 +14,7 @@ from .config import RvadConfig
 from .dsp import (
     FrameGrid,
     Spectrogram,
+    _scratch,
     block_frames,
     frame_energy,
     highpass,
@@ -194,7 +195,10 @@ class _FirstSweep:
         zi = None
         for block in self.blocks:
             self.starts.append(zi)
-            filtered, zi = _highpassed(audio, block, cfg, zi)
+            # the last block's samples outlive the sweep, so they are not
+            # in the work array that the second sweep filters into
+            last = block is self.blocks[-1]
+            filtered, zi = _highpassed(audio, block, cfg, zi, "last" if last else "filtered")
             local = block.grid(self.grid)
             self.e1[block.rows] = frame_energy(filtered, local)
             self.last = filtered
@@ -231,13 +235,18 @@ def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None
 
 
 def _highpassed(
-    audio: AudioBuffer, block: _Block, cfg: RvadConfig, zi: tuple[float, float] | None
+    audio: AudioBuffer, block: _Block, cfg: RvadConfig, zi: tuple[float, float] | None, work: str = "filtered"
 ) -> tuple[AudioBuffer, tuple[float, float] | None]:
     """The block's samples [lo, hi) of the caller's signal, high-passed on
-    from `zi`, and the next block's `zi`: the input and output samples just
-    before `split`, None for an empty signal."""
-    x = audio.read(block.lo, block.hi)
-    filtered = highpass(AudioBuffer._trusted(x, audio.sample_rate_hz), cfg.hpf_cutoff_hz, zi)
+    from `zi` into this thread's work array `work`, and the next block's
+    `zi`: the input and output samples just before `split`, None for an
+    empty signal.  A file's samples are decoded into a work array too."""
+    if audio._samples is None:
+        x = audio._chunk.read(block.lo, block.hi, _scratch("decoded", block.hi - block.lo))
+    else:
+        x = audio.read(block.lo, block.hi)
+    piece = AudioBuffer._trusted(x, audio.sample_rate_hz)
+    filtered = highpass(piece, cfg.hpf_cutoff_hz, zi, out=_scratch(work, len(x)))
     end = block.split - block.lo - 1
     return filtered, (x[end], filtered.samples[end]) if end >= 0 else None
 
@@ -419,10 +428,15 @@ class BatchItem:
         return self.error is None
 
 
-def _process_one(path: str, cfg: RvadConfig, voicing: np.ndarray | None = None) -> BatchItem:
-    """One file's VAD, with its failure as the item's error."""
+def _process_one(path: str, cfg: RvadConfig, voicing: np.ndarray | None = None, fit: bool = False) -> BatchItem:
+    """One file's VAD, with its failure as the item's error.  With `fit`,
+    `voicing` is cut to the file's frames or padded with unvoiced ones."""
     try:
-        return BatchItem(path, result=run_rvad(read_wav(path), cfg, voicing))
+        audio = read_wav(path)
+        if fit:
+            n = make_grid(audio, cfg.frame_len_ms, cfg.frame_shift_ms).num_frames
+            voicing = np.pad(voicing[:n], (0, max(n - len(voicing), 0)))
+        return BatchItem(path, result=run_rvad(audio, cfg, voicing))
     except Exception as exc:
         return BatchItem(path, error=f"{type(exc).__name__}: {exc}")
 

@@ -88,7 +88,7 @@ def _pitch_peaks(
         if energies[m] <= 0.0 or energies[m] < gate:
             continue
         f = frames[m]
-        corr = np.correlate(f, f, mode="full")[flen - 1 + lag_lo : flen - 1 + lag_hi + 1]
+        corr = _lag_correlation(f, lag_lo, lag_hi)
         csum = np.concatenate(([0.0], np.cumsum(f * f)))
         head = csum[flen - lags]  # energy of x(0 .. flen-1-tau)
         tail = csum[flen] - csum[lags]  # energy of x(tau .. flen-1)
@@ -98,3 +98,18 @@ def _pitch_peaks(
             voiced[m] = (corr[valid] / denom[valid]).max() >= rho
     return voiced
 
+
+def _lag_correlation(f: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
+    """sum f(n)f(n+tau) for tau = lag_lo .. lag_hi, 1 <= lag_lo <= lag_hi < len(f):
+    the bits of np.correlate(f, f, "full")[len(f) - 1 + lag_lo : len(f) + lag_hi].
+
+    Only these lags are computed.  The frame from sample lag_lo - 1 on,
+    against its first q samples, gives lag tau as output q + tau - lag_lo: a
+    dot product with the pointers and length of lag tau in the full
+    autocorrelation, so the same bits, in q*q multiply-adds instead of
+    len(f)**2.  From sample lag_lo on, lag_lo would be numpy's middle output,
+    which it takes in a loop of its own when the overlap is 11 samples or
+    fewer, and that can differ in the last place.
+    """
+    q = len(f) - lag_lo + 1
+    return np.correlate(f[lag_lo - 1 :], f[:q], mode="full")[q : q + lag_hi - lag_lo + 1]

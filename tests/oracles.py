@@ -132,6 +132,15 @@ def reconstruct_loop(spec: Spectrogram, grid: FrameGrid) -> AudioBuffer:
     return AudioBuffer(signal / np.maximum(envelope, 1e-8), spec.sample_rate_hz)
 
 
+def smooth_noise_energy_loop(e_v: np.ndarray, forget: float = RvadConfig.noise_forget) -> np.ndarray:
+    """Reference for the smoothing in `rvad.features.track_noise_energy`:
+    one step of the recursion per super-segment, from the first's energy."""
+    smooth = e_v.copy()
+    for p in range(1, len(e_v)):
+        smooth[p] = forget * smooth[p - 1] + (1.0 - forget) * e_v[p]
+    return smooth
+
+
 def merge_touching(segments) -> list[Segment]:
     """Reference for the merge in `rvad.segments.extend_segments`: overlapping
     or directly adjacent intervals merged in one pass; input must be sorted."""

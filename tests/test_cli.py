@@ -76,6 +76,35 @@ class TestVadCommand:
         assert rc == 0
         assert not read_labels(out2 / "tone.vad").labels.any()
 
+    @pytest.mark.parametrize(
+        "segments, voiced",
+        [("0.600000 1.000000\n", [(60, 100)]), ("0.600000 1.000000\n2.000000 3.000000\n", [(60, 100), (200, 248)])],
+        ids=["padded", "cut"],
+    )
+    def test_segments_voicing_file_takes_the_input_frames(self, tmp_path, tone_wav, segments, voiced):
+        # the 2.5 s input has 248 frames; a segments file has no frame count
+        # of its own, so it is padded with unvoiced frames or cut to them
+        # and gives the labels of the frame-format file of the same mask
+        seg_file, frame_file = tmp_path / "voicing.seg", tmp_path / "voicing.frames"
+        seg_file.write_text(segments)
+        mask = np.zeros(248, dtype=bool)
+        for lo, hi in voiced:
+            mask[lo:hi] = True
+        write_labels(frame_file, FrameLabels(mask))
+        for name, path in (("seg", seg_file), ("frames", frame_file)):
+            rc = _run(["vad", "--in", tone_wav, "--out", tmp_path / name, "--voicing-file", path, "--enhance", "none"])
+            assert rc == 0
+        labels = read_labels(tmp_path / "seg" / "tone.vad").labels
+        assert len(labels) == 248 and labels.any()
+        np.testing.assert_array_equal(labels, read_labels(tmp_path / "frames" / "tone.vad").labels)
+
+    def test_short_frame_voicing_file_fails_the_file(self, tmp_path, tone_wav, capsys):
+        mask_file = tmp_path / "voicing.txt"
+        write_labels(mask_file, FrameLabels(np.ones(100, dtype=bool)))
+        rc = _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", "--voicing-file", mask_file])
+        assert rc == 1
+        assert "voicing mask has 100 frames, expected 248" in capsys.readouterr().err
+
     def test_voicing_file_needs_single_input(self, tmp_path, tone_wav):
         lst = tmp_path / "files.list"
         lst.write_text(f"{tone_wav}\n{tone_wav}\n")

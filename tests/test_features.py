@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvad.features import (
     central_smooth,
@@ -11,6 +13,8 @@ from rvad.features import (
     track_noise_energy,
     weighted_energy_difference,
 )
+
+from oracles import smooth_noise_energy_loop
 
 
 class TestTrackNoiseEnergy:
@@ -65,6 +69,17 @@ class TestTrackNoiseEnergy:
         for p in range(len(track.e_v)):
             seen = np.concatenate([track.e_v[: p + 1], [track.e_v_smooth[0]]])
             assert seen.min() - 1e-12 <= track.e_v_smooth[p] <= seen.max() + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        e=st.lists(st.floats(0.0, 1e6, allow_subnormal=False), max_size=2000).map(np.array),
+        super_len=st.sampled_from([1, 3, 200]),
+        forget=st.one_of(st.sampled_from([0.99, 0.5]), st.floats(0.0, 1.0, exclude_max=True)),
+    )
+    def test_smoothing_equals_loop_oracle(self, e, super_len, forget):
+        track = track_noise_energy(e.astype(np.float64), super_len, forget)
+        expected = smooth_noise_energy_loop(track.e_v, forget)
+        assert track.e_v_smooth.tobytes() == expected.tobytes()
 
     def test_zero_frames_give_empty_tracks(self):
         track = track_noise_energy(np.zeros(0))

@@ -4,8 +4,9 @@ import ast
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import rvad
 from rvad import AudioBuffer, RvadConfig, read_wav, run_batch, run_denoise, run_rvad, write_wav
-from rvad.dsp import block_frames, frame_energy, highpass, make_grid, stft
+from rvad.dsp import FrameGrid, block_frames, frame_energy, highpass, make_grid, stft, stft_blocks
 from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
 from rvad.vad import SWEEP_BLOCKS, _blocks, _denoise, _energies, _first_sweep, _labels, post_process, segment_vad
 from rvad.voicing import sft_voicing
@@ -609,6 +610,89 @@ def test_file_path_peak_memory_is_per_frame(tmp_path):
         tracemalloc.stop()
     assert result.num_speech_frames > 0
     assert peak <= 0.25 * samples.nbytes
+
+
+def _speech_wav(path, seconds, seed, fs=16000):
+    """A WAV of pitch bursts in noise, with an unvoiced burst after each for
+    the first pass to zero."""
+    rng = np.random.default_rng(seed)
+    bursts = [(3.0 * k + 0.5, 1.2, 120.0 + 7.0 * k) for k in range(int(seconds // 3))]
+    samples = utterance(bursts, seconds, fs, noise_rms=0.01, rng=rng).samples.copy()
+    for k in range(len(bursts)):
+        lo = int((3.0 * k + 2.0) * fs)
+        samples[lo : lo + fs // 4] += 0.3 * rng.standard_normal(len(samples[lo : lo + fs // 4]))
+    write_wav(path, AudioBuffer(np.clip(samples, -1.0, 1.0), fs))
+    return path
+
+
+def _outputs(path, cfg):
+    """The labels, enhanced samples and noise track of one file, as bytes."""
+    enhanced, noise = run_denoise(read_wav(path), cfg)
+    labels = run_rvad(read_wav(path), cfg).labels
+    return labels.tobytes(), enhanced.samples.tobytes(), None if noise is None else noise.tobytes()
+
+
+def _in_threads(*jobs):
+    """Each job's list of calls run in a new thread of its own, the threads
+    started together and switched often; the results of each job's calls."""
+    barrier = threading.Barrier(len(jobs))
+
+    def run(calls):
+        barrier.wait(timeout=60)
+        return [call() for call in calls]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            futures = [pool.submit(run, calls) for calls in jobs]
+            return [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
+@pytest.mark.parametrize("mode", ["fast", "full"])
+def test_outputs_do_not_depend_on_the_work_arrays_history(tmp_path, mode, enhance):
+    # the sweeps decode, filter and window in each thread's work arrays: a
+    # 4 s file (two sweep blocks at 16 kHz) gives the same bits in a fresh
+    # thread, after a 20 s file of eight blocks has grown and filled those
+    # arrays in the same thread, and while two more threads run beside it
+    cfg = RvadConfig(mode=mode, enhance=enhance)
+    short, long = _speech_wav(tmp_path / "short.wav", 4.0, 1), _speech_wav(tmp_path / "long.wav", 20.0, 2)
+    assert len(_blocks(make_grid(read_wav(short)))) == 2 and len(_blocks(make_grid(read_wav(long)))) == 8
+    [[fresh]] = _in_threads([lambda: _outputs(short, cfg)])
+    [[_, after_long]] = _in_threads([lambda: _outputs(long, cfg), lambda: _outputs(short, cfg)])
+    side_by_side = _in_threads(
+        [lambda: _outputs(long, cfg), lambda: _outputs(short, cfg)],
+        [lambda: _outputs(short, cfg), lambda: _outputs(long, cfg), lambda: _outputs(short, cfg)],
+        [lambda: _outputs(short, cfg)],
+    )
+    assert after_long == fresh
+    assert side_by_side[0][1] == side_by_side[1][0] == side_by_side[1][2] == side_by_side[2][0] == fresh
+    assert side_by_side[0][0] == side_by_side[1][1]
+
+
+def test_returned_arrays_are_not_work_arrays(tmp_path):
+    # every array handed back to a caller is its own, never a view of the
+    # thread's work arrays, which the next call overwrites
+    path = _speech_wav(tmp_path / "u.wav", 4.0, 3)
+    returned = [read_wav(path).samples]
+    for mode in ("fast", "full"):
+        for enhance in ("none", "msne", "msne-mod"):
+            cfg = RvadConfig(mode=mode, enhance=enhance)
+            returned.append(run_rvad(read_wav(path), cfg).labels)
+            returned.extend(a for a in run_denoise(read_wav(path), cfg) if a is not None)
+    audio = read_wav(path)
+    returned.append(highpass(audio).samples)
+    returned.extend(spec.frames for _, spec in stft_blocks(audio, make_grid(audio)))
+    grid = make_grid(audio)
+    returned.append(stft(audio, FrameGrid(grid.frame_len, grid.frame_shift, 3, grid.total_samples)).frames)
+    work = list(vars(rvad.dsp._work).values())
+    assert len(work) == 4  # decoded, filtered, last and windowed samples
+    for array in returned:
+        array = getattr(array, "samples", array)
+        assert not any(np.shares_memory(array, buf) for buf in work)
 
 
 class TestRunDenoise:

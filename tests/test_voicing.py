@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rvad import AudioBuffer
 from rvad.dsp import FrameGrid, Spectrogram, block_frames, make_grid, spectral_flatness, stft
-from rvad.voicing import detect_pitch_autocorr, sft_voicing
+from rvad.voicing import _lag_correlation, detect_pitch_autocorr, sft_voicing
 
 from oracles import detect_sft
 from synth import FS, pulse_train, sine, white_noise
@@ -189,3 +189,23 @@ class TestDetectPitchAutocorr:
         g = make_grid(buf)
         assert len(detect_pitch_autocorr([(buf, g)])) == g.num_frames
 
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    flen=st.one_of(st.integers(2, 60), st.integers(2, 2400)),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
+    zeroed=st.sampled_from([0.0, 0.3]),
+)
+def test_lag_correlation_is_the_full_autocorrelation_slice(flen, data, seed, scale, zeroed):
+    # bit for bit, at any lag range, including overlaps of 11 samples or
+    # fewer past lag_lo, where numpy's own short loop would differ
+    lag_lo = data.draw(st.one_of(st.integers(max(1, flen - 12), flen - 1), st.integers(1, flen - 1)))
+    lag_hi = data.draw(st.integers(lag_lo, flen - 1))
+    rng = np.random.default_rng(seed)
+    f = scale * rng.standard_normal(flen)
+    f[rng.random(flen) < zeroed] = 0.0
+    expected = np.correlate(f, f, mode="full")[flen - 1 + lag_lo : flen + lag_hi]
+    assert _lag_correlation(f, lag_lo, lag_hi).tobytes() == expected.tobytes()
