@@ -62,10 +62,17 @@ def track_noise_energy(
 
 
 def log_energy_ratio_db(e, noise) -> np.ndarray:
-    """Floored 10*log10(e/noise); accepts arrays or scalars on either side."""
+    """Floored 10*log10(e/noise); `e` an array or a scalar, `noise` a
+    scalar or an array of `e`'s shape when `e` is one.  For an array `e`
+    the ratio, its log and the scaling are taken in the floored `e`'s own
+    array."""
     num = np.maximum(e, ENERGY_FLOOR)
     den = np.maximum(noise, ENERGY_FLOOR)
-    return 10.0 * np.log10(num / den)
+    if np.ndim(e) == 0:
+        return 10.0 * np.log10(num / den)
+    np.divide(num, den, out=num)
+    np.log10(num, out=num)
+    return np.multiply(num, 10.0, out=num)
 
 
 def weighted_energy_difference(e: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
@@ -81,7 +88,11 @@ def weighted_energy_difference(e: np.ndarray, snr_db: np.ndarray) -> np.ndarray:
         raise ValueError("length mismatch")
     d = np.zeros(len(e))
     if len(e) > 1:
-        d[1:] = np.sqrt(np.abs(np.diff(e)) * np.maximum(snr_db[1:], 0.0))
+        rest = d[1:]
+        np.subtract(e[1:], e[:-1], out=rest)
+        np.abs(rest, out=rest)
+        np.multiply(rest, np.maximum(snr_db[1:], 0.0), out=rest)
+        np.sqrt(rest, out=rest)
     return d
 
 
@@ -89,17 +100,29 @@ def central_smooth(x: np.ndarray, n: int) -> np.ndarray:
     """Mean over the window [m-n, m+n], truncated at the sequence edges.
 
     Edge frames are normalized by the number of in-range entries, so a
-    constant sequence stays constant all the way to the boundaries.
+    constant sequence stays constant all the way to the boundaries.  Both
+    come from one cumulative sum: the interior frames as the difference of
+    two of its slices, the at most 2n edge frames through index arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     m = len(x)
     if m == 0 or n == 0:
         return x.copy()
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    idx = np.arange(m)
+    csum = np.empty(m + 1)
+    csum[0] = 0.0
+    np.cumsum(x, out=csum[1:])
+    out = np.empty(m)
+    width = 2 * n + 1
+    if m >= width:
+        inner = out[n : m - n]
+        np.subtract(csum[width:], csum[: m + 1 - width], out=inner)
+        inner /= width
+    head = min(n, m)
+    idx = np.concatenate((np.arange(head), np.arange(max(m - n, head), m)))
     lo = np.maximum(idx - n, 0)
     hi = np.minimum(idx + n, m - 1)
-    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    out[idx] = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    return out
 
 
 @dataclass
@@ -122,6 +145,6 @@ def compute_features(
     SNR is each frame's energy over its super-segment's smoothed noise energy."""
     e = np.asarray(e, dtype=np.float64)
     track = track_noise_energy(e, super_len, forget)
-    snr_db = log_energy_ratio_db(e, track.e_v_smooth[np.arange(len(e)) // super_len])
+    snr_db = log_energy_ratio_db(e, np.repeat(track.e_v_smooth, super_len)[: len(e)])
     d = weighted_energy_difference(e, snr_db)
     return FrameFeatures(e, snr_db, d, central_smooth(d, smooth_n))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -88,6 +87,7 @@ def segment_vad(
     noise_e = rank_low_energy(e_seg)
     snr_db = log_energy_ratio_db(e_seg, noise_e)
     d = weighted_energy_difference(e_seg, snr_db)
+    del snr_db  # one segment-long array fewer at the smoothing's peak
     d_smooth = central_smooth(d, smooth_n)
     theta = beta * d_smooth[voiced_seg].mean()
     return d_smooth > theta
@@ -101,25 +101,32 @@ def post_process(raw_labels: np.ndarray, pitch_segments: list[Segment], e: np.nd
     forced non-speech; frames hugging or inside a pitch segment are forced
     speech; finally, speech segments whose mean energy falls below
     `energy_ratio` times the mean over all labeled speech frames are dropped.
+    The pitch segments are sorted and disjoint, so both rules are slices of
+    the stretch between consecutive ones, taken one stretch at a time.
     """
     labels = np.asarray(raw_labels, dtype=bool).copy()
     num = len(labels)
     if not pitch_segments:
         return np.zeros(num, dtype=bool)
 
-    starts = np.asarray([s for s, _ in pitch_segments])
-    ends = np.asarray([t for _, t in pitch_segments])
-    idx = np.arange(num)
-    far = np.iinfo(np.int64).max
-
-    nxt = np.searchsorted(starts, idx, side="left")
-    gap_next = np.where(nxt < len(starts), starts[np.minimum(nxt, len(starts) - 1)] - idx, far)
-    prv = np.searchsorted(ends, idx, side="right") - 1
-    gap_prev = np.where(prv >= 0, idx - ends[np.maximum(prv, 0)], far)
-
-    labels[(gap_next > cfg.pp_far_left) & (gap_prev > cfg.pp_far_right)] = False
-    near = (gap_next <= cfg.pp_near_left) | (gap_prev <= cfg.pp_near_right)
-    labels[near | segments_to_mask(pitch_segments, num)] = True
+    # the stretches of frames between a pitch segment's end (None: the
+    # utterance's start) and the next one's start (None: the utterance's end)
+    ends = [None] + [t for _, t in pitch_segments]
+    starts = [s for s, _ in pitch_segments] + [None]
+    for prev_end, next_start in zip(ends, starts):
+        lo = 0 if prev_end is None else prev_end + 1
+        hi = num if next_start is None else next_start
+        far_lo, near_hi = lo, lo
+        if prev_end is not None:
+            far_lo, near_hi = max(lo, prev_end + cfg.pp_far_right + 1), min(hi, prev_end + cfg.pp_near_right + 1)
+        far_hi, near_lo = hi, hi
+        if next_start is not None:
+            far_hi, near_lo = min(hi, next_start - cfg.pp_far_left), max(lo, next_start - cfg.pp_near_left)
+        labels[far_lo : max(far_hi, far_lo)] = False
+        labels[lo : max(near_hi, lo)] = True
+        labels[min(near_lo, hi) : hi] = True
+    for s, t in pitch_segments:
+        labels[s : t + 1] = True
 
     e = np.asarray(e, dtype=np.float64)
     speech_segments = mask_to_segments(labels)
@@ -182,10 +189,12 @@ class _FirstSweep:
     zeroed: list[Segment] = field(default_factory=list)
     spectra: list[tuple[slice, Spectrogram]] | None = None
 
-    def high_passed(self, audio: AudioBuffer, cfg: RvadConfig) -> Iterator[tuple[AudioBuffer, FrameGrid]]:
-        """Each block's high-passed samples and the grid of its frames on
-        them, keeping the filter's `zi` at each block's first sample, the
-        frame energies and the last block's samples on the way.
+    def high_passed(
+        self, audio: AudioBuffer, cfg: RvadConfig
+    ) -> Iterator[tuple[AudioBuffer, FrameGrid, np.ndarray]]:
+        """Each block's high-passed samples, the grid of its frames on them
+        and their energies, keeping the filter's `zi` at each block's first
+        sample, the frame energies and the last block's samples on the way.
 
         A block's samples [lo, hi) are filtered in one call.  Those from
         `split` on, which its last frames also read, are filtered again as
@@ -202,7 +211,7 @@ class _FirstSweep:
             local = block.grid(self.grid)
             self.e1[block.rows] = frame_energy(filtered, local)
             self.last = filtered
-            yield filtered, local
+            yield filtered, local, self.e1[block.rows]
 
 
 def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None) -> _FirstSweep:
@@ -251,7 +260,7 @@ def _highpassed(
     return filtered, (x[end], filtered.samples[end]) if end >= 0 else None
 
 
-def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touched_only=False):
+def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touched_until: int | None = None):
     """Each block high-passed again from its stored `zi` (the last block's
     samples are at hand), its noise segments zeroed and, with enhancement
     on, taken through STFT, noise tracking, subtraction and overlap-add,
@@ -260,8 +269,9 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
     Yields the output in consecutive pieces, each with its block and the
     block's zeroed samples: with enhancement, what `dn.reconstruct` finishes
     for each `stft_blocks` block; without it, each block's zeroed samples up
-    to the next block's first.  `touched_only` skips the blocks that hold no
-    zeroed sample, and rows of the noise track go into `noise` if given.
+    to the next block's first.  `touched_until`, if given, skips the blocks
+    that hold no zeroed sample and ends before the first block that starts
+    after that frame; rows of the noise track go into `noise` if given.
     `_spectra` decides where each block's spectrum comes from.
     """
     grid = first.grid
@@ -273,8 +283,11 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
     kept, first.spectra = first.spectra, None
     for block, zi in zip(first.blocks, first.starts):
         hit = _touching(spans, block.lo, block.hi)
-        if touched_only and hit.start >= hit.stop:
-            continue
+        if touched_until is not None:
+            if block.rows.start > touched_until:
+                break
+            if hit.start >= hit.stop:
+                continue
         if block is first.blocks[-1]:
             filtered = first.last
         else:
@@ -333,8 +346,11 @@ def _spectra(
         yield rows, spec
 
 
-def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> np.ndarray:
-    """Frame energies of the second sweep's output, a few frames behind it.
+def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig, last: int | None = None) -> np.ndarray:
+    """Frame energies of the second sweep's output, a few frames behind it,
+    up to frame `last` (None: the last frame).  The sweep stops after the
+    block that completes that frame's energy; the frames it leaves are NaN
+    with enhancement and keep their first-sweep energies without.
 
     Without enhancement a frame's energy changes only where samples were
     zeroed, so only the blocks holding zeroed samples are visited and every
@@ -344,9 +360,11 @@ def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> np.nda
     48 kHz clip.
     """
     grid = first.grid
+    if last is None:
+        last = grid.num_frames - 1
     if cfg.enhance == "none":
         e2 = first.e1.copy()
-        for block, filtered, _ in _second_sweep(audio, first, cfg, touched_only=True):
+        for block, filtered, _ in _second_sweep(audio, first, cfg, touched_until=last):
             e2[block.rows] = frame_energy(filtered, block.grid(grid))
         return e2
     flen, shift = grid.frame_len, grid.frame_shift
@@ -361,18 +379,38 @@ def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> np.nda
             e2[done : done + ready] = frame_energy(piece, FrameGrid(flen, shift, ready, len(pending)))
             pending = pending[ready * shift :]
             done += ready
+        if done > last:
+            break
+    e2[done:] = np.nan
     return e2
 
 
-def _labels(mask: np.ndarray, e2: np.ndarray, cfg: RvadConfig) -> np.ndarray:
+class _Segments(NamedTuple):
+    """The pitch segments of a voicing mask and the extended segments around them."""
+
+    pitch: list[Segment]
+    extended: list[Segment]
+
+    @classmethod
+    def of(cls, mask: np.ndarray, cfg: RvadConfig) -> "_Segments":
+        pitch = mask_to_segments(mask)
+        return cls(pitch, extend_segments(pitch, cfg.ext_frames, len(mask)))
+
+    def last_read(self, cfg: RvadConfig, num_frames: int) -> int:
+        """The last frame whose energy the VAD stage reads: the end of the
+        last extended segment, or the last frame that post-processing's
+        near rule labels speech after the last pitch segment, if later.
+        There must be a pitch segment."""
+        return min(num_frames - 1, max(self.extended[-1][1], self.pitch[-1][1] + cfg.pp_near_right))
+
+
+def _labels(mask: np.ndarray, e2: np.ndarray, cfg: RvadConfig, segments: _Segments) -> np.ndarray:
     """The VAD stage: segment decisions inside the extended pitch segments,
     then post-processing."""
-    pitch_segments = mask_to_segments(mask)
-    extended = extend_segments(pitch_segments, cfg.ext_frames, len(mask))
     labels = np.zeros(len(mask), dtype=bool)
-    for s, t in extended:
+    for s, t in segments.extended:
         labels[s : t + 1] = segment_vad(e2[s : t + 1], mask[s : t + 1], cfg.beta, cfg.smooth_n)
-    return post_process(labels, pitch_segments, e2, cfg)
+    return post_process(labels, segments.pitch, e2, cfg)
 
 
 def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> VadResult:
@@ -383,11 +421,18 @@ def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndar
     mask in place of the built-in detectors.  Two sweeps over blocks of the
     caller's samples keep O(frames) state: the enhanced signal is never
     held, only its frame energies, and a buffer from `read_wav` is decoded
-    from its file a block at a time.  `run_denoise` gives the waveform.
+    from its file a block at a time.  The second sweep ends at the last
+    frame the VAD stage reads, and does not run when there is no pitch
+    segment.  `run_denoise` gives the waveform.
     """
     cfg = cfg or RvadConfig()
     first = _first_sweep(audio, cfg, voicing)
-    labels = _labels(first.mask, _energies(audio, first, cfg), cfg)
+    segments = _Segments.of(first.mask, cfg)
+    if segments.pitch:
+        e2 = _energies(audio, first, cfg, segments.last_read(cfg, first.grid.num_frames))
+        labels = _labels(first.mask, e2, cfg, segments)
+    else:  # no speech, and no second sweep
+        labels = np.zeros(first.grid.num_frames, dtype=bool)
     return VadResult(labels, cfg.frame_shift_ms, cfg.frame_len_ms)
 
 
@@ -455,6 +500,10 @@ def run_batch(paths, cfg: RvadConfig | None = None, workers: int = 1) -> list[Ba
     if workers <= 1:
         return [_process_one(path, cfg) for path in paths]
     items: list[BatchItem] = []
+    # loaded here: concurrent.futures.process and multiprocessing took
+    # about 20 ms of every `import rvad`
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_process_one, path, cfg) for path in paths]
         for path, future in zip(paths, futures):

@@ -6,9 +6,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .audio_io import AudioBuffer
 from .config import RvadConfig
-from .dsp import FrameGrid, Spectrogram, frame_energy, frame_matrix, spectral_flatness, stft_blocks
+from .dsp import Spectrogram, frame_energy, frame_matrix, spectral_flatness, stft_blocks
 
 __all__ = ["sft_voicing", "detect_pitch_autocorr"]
 
@@ -17,7 +16,7 @@ ENERGY_GATE_RATIO = 1e-6
 
 
 def sft_voicing(
-    blocks: Iterable[tuple[AudioBuffer, FrameGrid]],
+    blocks: Iterable[tuple],
     theta_sft: float = RvadConfig.theta_sft,
     spectra: list[tuple[slice, Spectrogram]] | None = None,
 ) -> np.ndarray:
@@ -27,14 +26,15 @@ def sft_voicing(
     and fall through.  Under heavy white noise this detector saturates
     unvoiced, which is the documented failure mode of the fast pipeline.
     The utterance comes as consecutive blocks of frames, each a buffer and
-    the grid of its frames on it, and the STFT is taken one
+    the grid of its frames on it (and, from the pipeline's sweep, their
+    energies, which go unused), and the STFT is taken one
     `dsp.stft_blocks` block at a time, so long files are never held whole;
     decisions do not depend on the blocking.  Each `stft_blocks` block's
     rows of its grid and spectrogram are appended to `spectra` if given;
     the flatness reads them and leaves them as they are.
     """
     voiced = [np.zeros(0, dtype=bool)]
-    for audio, grid in blocks:
+    for audio, grid, *_ in blocks:
         for rows, spec in stft_blocks(audio, grid):
             voiced.append(spectral_flatness(spec) <= theta_sft)
             if spectra is not None:
@@ -43,7 +43,7 @@ def sft_voicing(
 
 
 def detect_pitch_autocorr(
-    blocks: Iterable[tuple[AudioBuffer, FrameGrid]],
+    blocks: Iterable[tuple],
     f_min: float = RvadConfig.pitch_f_min,
     f_max: float = RvadConfig.pitch_f_max,
     rho: float = RvadConfig.pitch_rho,
@@ -55,17 +55,20 @@ def detect_pitch_autocorr(
     A frame is voiced when the peak reaches `rho` and the frame is not quiet
     relative to the loudest frame of the utterance.  All-zero frames are
     unvoiced by construction.  The utterance comes as consecutive blocks of
-    frames, each a buffer and the grid of its frames on it; a frame below
-    the gate of its own block is below the utterance's, so its peak is not
-    searched for.
+    frames, each a buffer and the grid of its frames on it, and optionally
+    their energies (`dsp.frame_energy`), which are computed here when
+    absent; a frame below the gate of its own block is below the
+    utterance's, so its peak is not searched for.  The blocks' energies are
+    read again for the utterance's gate, not copied.
     """
-    voiced, energies = [np.zeros(0, dtype=bool)], [np.zeros(0)]
-    for audio, grid in blocks:
+    peaks, top = [], 0.0
+    for audio, grid, *known in blocks:
+        energies = known[0] if known else frame_energy(audio, grid)
         frames = frame_matrix(audio.samples, grid)
-        energies.append(frame_energy(audio, grid))
-        voiced.append(_pitch_peaks(frames, energies[-1], audio.sample_rate_hz, f_min, f_max, rho))
-    e = np.concatenate(energies)
-    return np.concatenate(voiced) & (e >= ENERGY_GATE_RATIO * e.max(initial=0.0))
+        peaks.append((_pitch_peaks(frames, energies, audio.sample_rate_hz, f_min, f_max, rho), energies))
+        top = max(top, energies.max(initial=0.0))
+    gate = ENERGY_GATE_RATIO * top
+    return np.concatenate([np.zeros(0, dtype=bool)] + [voiced & (energies >= gate) for voiced, energies in peaks])
 
 
 def _pitch_peaks(

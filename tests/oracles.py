@@ -22,8 +22,8 @@ from rvad.denoise import (
     zero_segments,
 )
 from rvad.dsp import FrameGrid, Spectrogram, frame_energy, hamming, highpass, make_grid, spectral_flatness, stft
-from rvad.features import compute_features
-from rvad.segments import Segment, segments_to_mask
+from rvad.features import ENERGY_FLOOR, FrameFeatures, compute_features, track_noise_energy
+from rvad.segments import Segment, mask_to_segments, segments_to_mask
 from rvad.vad import RvadConfig
 from rvad.voicing import detect_pitch_autocorr, sft_voicing
 
@@ -192,14 +192,15 @@ def front_whole(
     zeroed in place of the noise segments found."""
     work = highpass(audio, cfg.hpf_cutoff_hz)
     grid = make_grid(work, cfg.frame_len_ms, cfg.frame_shift_ms)
-    feats = compute_features(frame_energy(work, grid), cfg.super_len, cfg.smooth_n, cfg.noise_forget)
+    e1 = frame_energy(work, grid)
+    feats = compute_features(e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
     high = detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
     if voicing is not None:
         mask = np.asarray(voicing, dtype=bool)
     elif cfg.mode == "fast":
-        mask = sft_voicing([(work, grid)], cfg.theta_sft)
+        mask = sft_voicing([(work, grid, e1)], cfg.theta_sft)
     else:
-        mask = detect_pitch_autocorr([(work, grid)], cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
+        mask = detect_pitch_autocorr([(work, grid, e1)], cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
     if zeroed is None:
         zeroed = noise_segments(high, mask, cfg.min_pitch_frames)
     zero_segments(work, grid, zeroed)
@@ -213,3 +214,70 @@ def front_whole(
             lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
         work = reconstruct(spec, grid)
     return WholeFront(grid, mask, frame_energy(work, grid), work, noise)
+
+
+def central_smooth_whole(x: np.ndarray, n: int) -> np.ndarray:
+    """Reference for `rvad.features.central_smooth`: every frame's window
+    bounds as index arrays into one cumulative sum."""
+    x = np.asarray(x, dtype=np.float64)
+    m = len(x)
+    if m == 0 or n == 0:
+        return x.copy()
+    csum = np.concatenate(([0.0], np.cumsum(x)))
+    idx = np.arange(m)
+    lo = np.maximum(idx - n, 0)
+    hi = np.minimum(idx + n, m - 1)
+    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+
+
+def compute_features_whole(
+    e: np.ndarray,
+    super_len: int = RvadConfig.super_len,
+    smooth_n: int = RvadConfig.smooth_n,
+    forget: float = RvadConfig.noise_forget,
+) -> FrameFeatures:
+    """Reference for `rvad.features.compute_features`: each step a new
+    array, the noise gathered through a per-frame index."""
+    e = np.asarray(e, dtype=np.float64)
+    track = track_noise_energy(e, super_len, forget)
+    noise = track.e_v_smooth[np.arange(len(e)) // super_len]
+    snr_db = 10.0 * np.log10(np.maximum(e, ENERGY_FLOOR) / np.maximum(noise, ENERGY_FLOOR))
+    d = np.zeros(len(e))
+    if len(e) > 1:
+        d[1:] = np.sqrt(np.abs(np.diff(e)) * np.maximum(snr_db[1:], 0.0))
+    return FrameFeatures(e, snr_db, d, central_smooth_whole(d, smooth_n))
+
+
+def post_process_whole(
+    raw_labels: np.ndarray, pitch_segments: list[Segment], e: np.ndarray, cfg: RvadConfig
+) -> np.ndarray:
+    """Reference for `rvad.vad.post_process`: every frame's distance to the
+    next pitch segment's start and from the previous one's end, found with
+    `searchsorted`, and both rules applied over all frames at once."""
+    labels = np.asarray(raw_labels, dtype=bool).copy()
+    num = len(labels)
+    if not pitch_segments:
+        return np.zeros(num, dtype=bool)
+
+    starts = np.asarray([s for s, _ in pitch_segments])
+    ends = np.asarray([t for _, t in pitch_segments])
+    idx = np.arange(num)
+    far = np.iinfo(np.int64).max
+
+    nxt = np.searchsorted(starts, idx, side="left")
+    gap_next = np.where(nxt < len(starts), starts[np.minimum(nxt, len(starts) - 1)] - idx, far)
+    prv = np.searchsorted(ends, idx, side="right") - 1
+    gap_prev = np.where(prv >= 0, idx - ends[np.maximum(prv, 0)], far)
+
+    labels[(gap_next > cfg.pp_far_left) & (gap_prev > cfg.pp_far_right)] = False
+    near = (gap_next <= cfg.pp_near_left) | (gap_prev <= cfg.pp_near_right)
+    labels[near | segments_to_mask(pitch_segments, num)] = True
+
+    e = np.asarray(e, dtype=np.float64)
+    speech_segments = mask_to_segments(labels)
+    if speech_segments:
+        overall = e[labels].mean()
+        for s, t in speech_segments:
+            if e[s : t + 1].mean() < cfg.energy_ratio * overall:
+                labels[s : t + 1] = False
+    return labels

@@ -1,5 +1,7 @@
 """Noise-energy tracking, a posteriori SNR, and the weighted energy difference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from rvad.features import (
     weighted_energy_difference,
 )
 
-from oracles import smooth_noise_energy_loop
+from oracles import central_smooth_whole, compute_features_whole, smooth_noise_energy_loop
 
 
 class TestTrackNoiseEnergy:
@@ -212,3 +214,58 @@ class TestRankLowEnergy:
     def test_ten_frames(self):
         e = np.arange(10.0, 0.0, -1.0)
         assert rank_low_energy(e) == 1.0
+
+
+class TestWorkInPlace:
+    """The features are computed in a few arrays, with the same bits as the
+    oracles' one-array-per-step forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(0, 300), n=st.sampled_from([0, 1, 18, 150, 400]), seed=st.integers(0, 2**32 - 1))
+    def test_central_smooth_equals_oracle(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        x = 10.0 ** rng.uniform(-6.0, 6.0) * rng.random(m)
+        x[rng.random(m) < 0.2] = 0.0
+        assert central_smooth(x, n).tobytes() == central_smooth_whole(x, n).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        super_len=st.sampled_from([1, 7, 200]),
+        supers=st.integers(0, 5),
+        offset=st.integers(-2, 2),
+        zeros=st.sampled_from([0.0, 0.1, 1.0]),
+        smooth_n=st.sampled_from([0, 1, 18]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_compute_features_equals_oracle(self, super_len, supers, offset, zeros, smooth_n, seed):
+        # lengths around multiples of the super-segment, energies with zeros
+        rng = np.random.default_rng(seed)
+        m = max(supers * super_len + offset, 0)
+        e = (10.0 ** rng.uniform(-8.0, 2.0) * rng.standard_normal(m)) ** 2
+        e[rng.random(m) < zeros] = 0.0
+        got = compute_features(e, super_len, smooth_n)
+        expected = compute_features_whole(e, super_len, smooth_n)
+        for name in ("e", "snr_db", "d", "d_smooth"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    def test_scalar_ratio_unchanged(self):
+        assert log_energy_ratio_db(10.0, 1.0) == 10.0
+        assert log_energy_ratio_db(0.0, 1e-12) == 0.0
+        e = np.array([0.0, 1.0, 100.0])
+        assert log_energy_ratio_db(e, 1.0).tobytes() == (10.0 * np.log10(np.maximum(e, 1e-12))).tobytes()
+
+    def test_peak_memory_of_compute_features(self):
+        # snr_db, d, d_smooth and the cumulative sum are the only per-frame
+        # arrays held at once; a new array per step held about eight
+        frames = 1_000_000
+        rng = np.random.default_rng(28)
+        e = rng.random(frames) ** 4
+        e[::97] = 0.0
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            compute_features(e)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * e.nbytes

@@ -1,6 +1,7 @@
 """Per-segment VAD decisions, post-processing, and the full pipeline."""
 
 import ast
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -20,10 +21,20 @@ import rvad
 from rvad import AudioBuffer, RvadConfig, read_wav, run_batch, run_denoise, run_rvad, write_wav
 from rvad.dsp import FrameGrid, block_frames, frame_energy, highpass, make_grid, stft, stft_blocks
 from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
-from rvad.vad import SWEEP_BLOCKS, _blocks, _denoise, _energies, _first_sweep, _labels, post_process, segment_vad
+from rvad.vad import (
+    SWEEP_BLOCKS,
+    _blocks,
+    _denoise,
+    _energies,
+    _first_sweep,
+    _labels,
+    _Segments,
+    post_process,
+    segment_vad,
+)
 from rvad.voicing import sft_voicing
 
-from oracles import front_whole
+from oracles import front_whole, post_process_whole
 from synth import FS, pulse_train, utterance, white_noise
 
 
@@ -185,6 +196,51 @@ class TestPostProcess:
         out = post_process(np.zeros(0, dtype=bool), [], np.zeros(0), self._cfg())
         assert len(out) == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=st.integers(0, 600),
+        pitch_density=st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+        raw_density=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+        pp=st.lists(st.integers(0, 120), min_size=4, max_size=4),
+        energy_ratio=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_vectorised_oracle(self, num, pitch_density, raw_density, pp, energy_ratio, seed):
+        # the near and far reaches drawn on both sides of the default
+        # `ext_frames`; pitch segments are runs of a random mask, so sorted,
+        # disjoint and at least one frame apart
+        rng = np.random.default_rng(seed)
+        pitch = mask_to_segments(rng.random(num) < pitch_density)
+        raw = rng.random(num) < raw_density
+        e = (10.0 ** rng.uniform(-6.0, 0.0, num)) * (rng.random(num) < 0.95)
+        cfg = RvadConfig(
+            pp_far_left=pp[0], pp_far_right=pp[1], pp_near_left=pp[2], pp_near_right=pp[3], energy_ratio=energy_ratio
+        )
+        assert post_process(raw, pitch, e, cfg).tobytes() == post_process_whole(raw, pitch, e, cfg).tobytes()
+
+    def test_peak_memory_with_many_pitch_segments(self):
+        # rules applied as slices between pitch segments: no per-frame
+        # index or gap arrays, only the labels and the speech frames' energies
+        frames = 1_000_000
+        rng = np.random.default_rng(85)
+        mask = np.zeros(frames, dtype=bool)
+        for start in np.sort(rng.choice(frames // 200, 5000, replace=False)) * 200:
+            mask[start : start + int(rng.integers(5, 60))] = True
+        pitch = mask_to_segments(mask)
+        assert len(pitch) == 5000
+        raw = segments_to_mask(extend_segments(pitch, 30, frames), frames)
+        e = rng.random(frames) + 0.01
+        cfg = self._cfg()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = post_process(raw, pitch, e, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert out.any()
+        assert peak <= 1.5 * e.nbytes
+
 
 class TestRunRvad:
     def test_digital_silence_no_speech(self):
@@ -340,17 +396,36 @@ PIPELINES = dict(
 class TestPipelineProperties:
     """Invariants of the two sweeps over random audio, rates and configs."""
 
-    @settings(max_examples=50, deadline=None)
-    @given(**PIPELINES)
-    def test_sweeps_equal_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        **PIPELINES,
+        post=st.fixed_dictionaries(
+            {"ext_frames": st.integers(0, 60)}
+            | {name: st.integers(0, 120) for name in ("pp_near_left", "pp_near_right", "pp_far_left", "pp_far_right")}
+        ),
+    )
+    def test_sweeps_equal_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed, post):
+        # the second sweep stops at the last frame the VAD stage reads; the
+        # oracle's energies cover every frame, under reaches either side of
+        # the extension
         audio = _random_utterance(fs, seconds, seed)
-        cfg = RvadConfig(mode=mode, enhance=enhance)
+        cfg = RvadConfig(mode=mode, enhance=enhance, **post)
         expected = front_whole(audio, cfg)
         first = _first_sweep(audio, cfg, None)
         e2 = _energies(audio, first, cfg)
         assert first.mask.tobytes() == expected.mask.tobytes()
         assert e2.tobytes() == expected.e2.tobytes()
-        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg).tobytes()
+        segments = _Segments.of(expected.mask, cfg)
+        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg, segments).tobytes()
+        if segments.pitch:
+            # every frame the VAD stage may read: the extended segments and
+            # the frames the near rule makes speech
+            num = len(expected.mask)
+            rules_only = replace(cfg, energy_ratio=0.0)
+            near = post_process_whole(np.zeros(num, dtype=bool), segments.pitch, np.ones(num), rules_only)
+            read = segments_to_mask(segments.extended, num) | near
+            stopped = _energies(audio, first, cfg, segments.last_read(cfg, num))
+            assert stopped[read].tobytes() == expected.e2[read].tobytes()
 
     @pytest.mark.parametrize("fs", [16000, 48000])
     def test_autocorrelation_gate_follows_the_loudest_frame(self, fs):
@@ -478,7 +553,7 @@ class TestVoicingSpectraReuse:
 
         expected = front_whole(audio, cfg)
         labels = run_rvad(audio, cfg).labels
-        assert labels.tobytes() == _labels(expected.mask, expected.e2, cfg).tobytes()
+        assert labels.tobytes() == _labels(expected.mask, expected.e2, cfg, _Segments.of(expected.mask, cfg)).tobytes()
         enhanced, noise = run_denoise(audio, cfg)
         assert enhanced.samples.tobytes() == expected.enhanced.samples.tobytes()
         assert noise.tobytes() == expected.noise.tobytes()
@@ -541,6 +616,92 @@ class TestVoicingSpectraReuse:
         assert len(calls) == -(-grid.num_frames // block_frames(grid.frame_len))
 
 
+class TestSecondSweepStops:
+    """The second sweep runs only as far as the VAD stage reads."""
+
+    def _counting(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
+    def test_no_pitch_segment_no_second_sweep(self, enhance, monkeypatch):
+        audio = _random_utterance(16000, 3.0, 5)
+        cfg = RvadConfig(mode="fast", enhance=enhance)
+        num = make_grid(audio).num_frames
+        calls = self._counting(monkeypatch, rvad.vad, "_second_sweep")
+        result = run_rvad(audio, cfg, voicing=np.zeros(num, dtype=bool))
+        assert calls == [] and len(result.labels) == num and not result.labels.any()
+        run_denoise(audio, cfg, voicing=np.zeros(num, dtype=bool))
+        assert calls == [1]
+
+    @pytest.mark.parametrize("enhance", ["msne", "msne-mod"])
+    def test_trailing_non_speech_not_reconstructed(self, enhance, monkeypatch):
+        # 20 s at 16 kHz, voiced in its first 2 s: run_rvad reconstructs the
+        # `stft_blocks` blocks up to the one that completes the last frame
+        # read, run_denoise every block
+        fs = 16000
+        audio = utterance([(0.5, 1.0, 150.0)], 20.0, fs, noise_rms=0.01, rng=np.random.default_rng(86))
+        cfg = RvadConfig(mode="full", enhance=enhance)
+        grid = make_grid(audio)
+        step = block_frames(grid.frame_len)
+        calls = self._counting(monkeypatch, rvad.denoise, "reconstruct")
+        labels = run_rvad(audio, cfg).labels
+        assert labels[50:150].any() and not labels[400:].any()
+        mask = _first_sweep(audio, cfg, None).mask
+        last = _Segments.of(mask, cfg).last_read(cfg, grid.num_frames)
+        assert len(calls) <= -(-(last + 2) // step) + 1 < -(-grid.num_frames // step)
+        calls.clear()
+        run_denoise(audio, cfg)
+        assert len(calls) == -(-grid.num_frames // step)
+
+    @pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
+    def test_stop_covers_the_near_rule(self, enhance):
+        # a near rule that reaches 50 frames past the last pitch segment,
+        # far past its extension of 2 and the 16-frame `stft_blocks` blocks
+        # at 48 kHz: the energies of those frames are the whole sweep's
+        fs = 48000
+        rng = np.random.default_rng(89)
+        samples = utterance([(0.5, 0.5, 150.0)], 2.0, fs, noise_rms=0.01, rng=rng).samples.copy()
+        samples[int(1.1 * fs) : int(1.3 * fs)] += 0.3 * rng.standard_normal(int(0.2 * fs))
+        audio = AudioBuffer(samples, fs)
+        cfg = RvadConfig(mode="full", enhance=enhance, ext_frames=2, pp_near_right=50, pp_far_right=50)
+        expected = front_whole(audio, cfg)
+        num = len(expected.mask)
+        segments = _Segments.of(expected.mask, cfg)
+        near = min(segments.pitch[-1][1] + cfg.pp_near_right, num - 1)
+        assert near >= segments.extended[-1][1] + 40
+        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg, segments).tobytes()
+        stopped = _energies(audio, _first_sweep(audio, cfg, None), cfg, segments.last_read(cfg, num))
+        assert stopped[: near + 1].tobytes() == expected.e2[: near + 1].tobytes()
+
+    def test_trailing_non_speech_not_filtered_again(self, monkeypatch):
+        # without enhancement only the sweep blocks holding zeroed samples
+        # are filtered again, and none after the last frame read: here the
+        # first block holds that frame, and later blocks zeroed samples
+        fs = 16000
+        rng = np.random.default_rng(87)
+        samples = utterance([(0.5, 1.0, 150.0)], 20.0, fs, noise_rms=0.01, rng=rng).samples.copy()
+        for lo in (2.0, 12.0, 18.0):  # loud unvoiced bursts for the first pass to zero
+            samples[int(lo * fs) : int((lo + 0.3) * fs)] += 0.3 * rng.standard_normal(int(0.3 * fs))
+        audio = AudioBuffer(samples, fs)
+        cfg = RvadConfig(mode="full", enhance="none")
+        first = _first_sweep(audio, cfg, None)
+        assert _Segments.of(first.mask, cfg).last_read(cfg, first.grid.num_frames) < first.blocks[1].rows.start
+        calls = self._counting(monkeypatch, rvad.vad, "_highpassed")
+        run_rvad(audio, cfg)
+        second = len(calls) - len(first.blocks)
+        calls.clear()
+        _energies(audio, first, cfg)
+        assert second == 1 < len(calls)
+
+
 @pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
 def test_first_sweep_high_passes_each_block_once(fs, monkeypatch):
     # a block's samples and the next block's first few, which its last
@@ -591,6 +752,28 @@ def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
     assert rvad_peak <= 0.25 * buf.samples.nbytes
     returned = enhanced.samples.nbytes + (0 if noise is None else noise.nbytes)
     assert denoise_peak <= returned + 0.5 * buf.samples.nbytes
+
+
+def test_vad_stage_peak_memory_on_one_long_segment():
+    # one extended segment over 1e6 frames: segment_vad holds the energy
+    # difference, its smoothing and the cumulative sum, no more
+    frames = 1_000_000
+    rng = np.random.default_rng(88)
+    e = rng.random(frames) ** 4 + 1e-6
+    mask = np.zeros(frames, dtype=bool)
+    mask[::100] = True
+    mask[-1] = True
+    cfg = RvadConfig()
+    segments = _Segments.of(mask, cfg)
+    assert segments.extended == [(0, frames - 1)]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        _labels(mask, e, cfg, segments)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * e.nbytes
 
 
 def test_file_path_peak_memory_is_per_frame(tmp_path):
@@ -783,7 +966,7 @@ class TestRunBatch:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(rvad.vad, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         paths = self._corpus(tmp_path, 2)
         items = run_batch(paths, RvadConfig(enhance="none"), workers=64)
         assert started == [2]
@@ -811,7 +994,7 @@ class TestRunBatch:
                     future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(rvad.vad, "ProcessPoolExecutor", DyingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
         paths = self._corpus(tmp_path, 2)
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"not audio")
@@ -994,7 +1177,17 @@ def test_start_up_does_not_import_scipy_signal(command):
     stderr = _python("-X", "importtime", *command)
     imported = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
     assert {"rvad.dsp", "scipy"} <= imported
-    unwanted = ("scipy.linalg", "scipy.signal", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+    # and concurrent.futures with multiprocessing about 20 ms, which only
+    # run_batch's process pool needs
+    unwanted = (
+        "scipy.linalg",
+        "scipy.signal",
+        "scipy._lib._array_api",
+        "numpy.f2py",
+        "numpy.testing",
+        "concurrent.futures",
+        "multiprocessing",
+    )
     assert not {name for name in imported if any(name == u or name.startswith(u + ".") for u in unwanted)}
 
 

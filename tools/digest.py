@@ -9,8 +9,10 @@ temporary directory and read back with `read_wav`, its 48 kHz clips in
 memory) and on the criterion-4 corpus of `tests/test_acceptance.py`,
 built with `tests/synth.py`, clean and at 20, 10 and 5 dB SNR.  Each input
 runs under every mode and enhancer.  The artefacts are the labels of
-`run_rvad`, and the samples and noise track of `run_denoise`; a run that
-raises gives the exception's type as its digest.  The file records the
+`run_rvad`, and the samples and noise track of `run_denoise`, under the
+default post-processing; and the labels of `run_rvad` under POST_PROCESS,
+whose near rule reaches past the extended segments (`labels-pp`).  A run
+that raises gives the exception's type as its digest.  The file records the
 Python, numpy and scipy versions with the digests.
 
 `--compare` lists every key whose digest differs or that one file lacks,
@@ -28,6 +30,7 @@ import platform
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,8 @@ SEEDS = (1, 2)
 MODES = ("full", "fast")
 ENHANCERS = ("none", "msne", "msne-mod")
 SNRS = (("clean", None), ("snr20", 20.0), ("snr10", 10.0), ("snr5", 5.0))
+# a post-processing whose near rules reach past the segment extension
+POST_PROCESS = dict(ext_frames=20, pp_near_left=30, pp_near_right=40)
 
 
 def versions() -> dict:
@@ -86,13 +91,17 @@ def corpus_inputs():
             yield f"criterion4/{condition}/u{i}", buf if snr is None else synth.noisy_copy(buf, snr, mix_rng)
 
 
-def artefacts(audio: AudioBuffer, cfg: RvadConfig) -> dict:
-    """Digest of each artefact of one input under one configuration."""
-    out = {}
+def labels(audio: AudioBuffer, cfg: RvadConfig) -> str:
+    """Digest of the labels of `run_rvad`, or the type of what it raises."""
     try:
-        out["labels"] = sha256(run_rvad(audio, cfg).labels)
+        return sha256(run_rvad(audio, cfg).labels)
     except Exception as exc:
-        out["labels"] = f"error: {type(exc).__name__}"
+        return f"error: {type(exc).__name__}"
+
+
+def artefacts(audio: AudioBuffer, cfg: RvadConfig) -> dict:
+    """Digest of each artefact of one input under one mode and enhancer."""
+    out = {"labels": labels(audio, cfg), "labels-pp": labels(audio, replace(cfg, **POST_PROCESS))}
     try:
         enhanced, noise = run_denoise(audio, cfg)
         out["samples"] = sha256(enhanced.samples)
