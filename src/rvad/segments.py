@@ -27,8 +27,13 @@ def segments_to_mask(segments, num_frames: int) -> np.ndarray:
     return out
 
 
+def widen(segments, before: int, after: int, num_frames: int) -> list[Segment]:
+    """Each interval widened by `before` frames at its start and `after` at
+    its end, clamped to frames 0 .. num_frames - 1."""
+    return [(max(start - before, 0), min(end + after, num_frames - 1)) for start, end in segments]
+
+
 def extend_segments(segments, ext: int, num_frames: int) -> list[Segment]:
     """Widen each interval by `ext` frames on both sides, clamp, and merge
     those that overlap or touch."""
-    widened = [(max(start - ext, 0), min(end + ext, num_frames - 1)) for start, end in segments]
-    return mask_to_segments(segments_to_mask(widened, max(num_frames, 0)))
+    return mask_to_segments(segments_to_mask(widen(segments, ext, ext, num_frames), max(num_frames, 0)))

@@ -29,7 +29,7 @@ from .features import (
     weighted_energy_difference,
     log_energy_ratio_db,
 )
-from .segments import Segment, extend_segments, mask_to_segments, segments_to_mask
+from .segments import Segment, extend_segments, mask_to_segments, segments_to_mask, widen
 from .voicing import detect_pitch_autocorr, sft_voicing
 
 __all__ = [
@@ -96,37 +96,19 @@ def segment_vad(
 def post_process(raw_labels: np.ndarray, pitch_segments: list[Segment], e: np.ndarray, cfg: RvadConfig) -> np.ndarray:
     """Hangover-style cleanup around pitch segments plus low-energy segment removal.
 
-    Frames far from every pitch segment (more than `pp_far_left` before the
-    next start and more than `pp_far_right` after the previous end) are
-    forced non-speech; frames hugging or inside a pitch segment are forced
-    speech; finally, speech segments whose mean energy falls below
+    Frames far from every pitch segment (more than `pp_far_left` before its
+    start and more than `pp_far_right` after its end) are forced
+    non-speech; frames hugging or inside a pitch segment (within
+    `pp_near_left` before its start or `pp_near_right` after its end) are
+    forced speech; finally, speech segments whose mean energy falls below
     `energy_ratio` times the mean over all labeled speech frames are dropped.
-    The pitch segments are sorted and disjoint, so both rules are slices of
-    the stretch between consecutive ones, taken one stretch at a time.
+    Each of the first two rules is the mask of the pitch segments widened by
+    its reach, built one at a time.
     """
-    labels = np.asarray(raw_labels, dtype=bool).copy()
+    labels = np.asarray(raw_labels, dtype=bool)
     num = len(labels)
-    if not pitch_segments:
-        return np.zeros(num, dtype=bool)
-
-    # the stretches of frames between a pitch segment's end (None: the
-    # utterance's start) and the next one's start (None: the utterance's end)
-    ends = [None] + [t for _, t in pitch_segments]
-    starts = [s for s, _ in pitch_segments] + [None]
-    for prev_end, next_start in zip(ends, starts):
-        lo = 0 if prev_end is None else prev_end + 1
-        hi = num if next_start is None else next_start
-        far_lo, near_hi = lo, lo
-        if prev_end is not None:
-            far_lo, near_hi = max(lo, prev_end + cfg.pp_far_right + 1), min(hi, prev_end + cfg.pp_near_right + 1)
-        far_hi, near_lo = hi, hi
-        if next_start is not None:
-            far_hi, near_lo = min(hi, next_start - cfg.pp_far_left), max(lo, next_start - cfg.pp_near_left)
-        labels[far_lo : max(far_hi, far_lo)] = False
-        labels[lo : max(near_hi, lo)] = True
-        labels[min(near_lo, hi) : hi] = True
-    for s, t in pitch_segments:
-        labels[s : t + 1] = True
+    labels = labels & segments_to_mask(widen(pitch_segments, cfg.pp_far_left, cfg.pp_far_right, num), num)
+    labels |= segments_to_mask(widen(pitch_segments, cfg.pp_near_left, cfg.pp_near_right, num), num)
 
     e = np.asarray(e, dtype=np.float64)
     speech_segments = mask_to_segments(labels)
@@ -172,19 +154,20 @@ def _blocks(grid: FrameGrid) -> list[_Block]:
 @dataclass
 class _FirstSweep:
     """What the first sweep leaves for the second one and the VAD stage,
-    filled in as it goes: per-frame arrays, the noise segments to zero, the
-    high-pass `zi` at each block's first sample, and the last block's
-    high-passed samples, which the second sweep zeroes in place instead of
-    filtering them again.  An utterance of one block in fast mode with
-    enhancement on also keeps the `stft_blocks` spectra its voicing took,
-    with their rows, at most SWEEP_BLOCKS * BLOCK_BYTES; the second sweep
-    takes them once."""
+    filled in as it goes: per-frame arrays, the noise segments to zero and
+    the high-pass `zi` at each block's first sample.  An utterance of one
+    block also keeps its high-passed samples, which the second sweep zeroes
+    in place instead of filtering them again, and in fast mode with
+    enhancement on the `stft_blocks` spectra its voicing took, with their
+    rows, at most SWEEP_BLOCKS * BLOCK_BYTES; the second sweep takes them
+    once.  A longer utterance keeps neither: each of its blocks is filtered
+    again from its `zi`, which gives the same bits."""
 
     grid: FrameGrid
     blocks: list[_Block]
     e1: np.ndarray
     starts: list[tuple[float, float] | None] = field(default_factory=list)
-    last: AudioBuffer | None = None
+    samples: AudioBuffer | None = None
     mask: np.ndarray | None = None
     zeroed: list[Segment] = field(default_factory=list)
     spectra: list[tuple[slice, Spectrogram]] | None = None
@@ -194,7 +177,8 @@ class _FirstSweep:
     ) -> Iterator[tuple[AudioBuffer, FrameGrid, np.ndarray]]:
         """Each block's high-passed samples, the grid of its frames on them
         and their energies, keeping the filter's `zi` at each block's first
-        sample, the frame energies and the last block's samples on the way.
+        sample, the frame energies and a one-block utterance's samples on
+        the way.
 
         A block's samples [lo, hi) are filtered in one call.  Those from
         `split` on, which its last frames also read, are filtered again as
@@ -204,13 +188,11 @@ class _FirstSweep:
         zi = None
         for block in self.blocks:
             self.starts.append(zi)
-            # the last block's samples outlive the sweep, so they are not
-            # in the work array that the second sweep filters into
-            last = block is self.blocks[-1]
-            filtered, zi = _highpassed(audio, block, cfg, zi, "last" if last else "filtered")
+            filtered, zi = _highpassed(audio, block, cfg, zi)
             local = block.grid(self.grid)
             self.e1[block.rows] = frame_energy(filtered, local)
-            self.last = filtered
+            if len(self.blocks) == 1:  # nothing filters into its work array before the second sweep
+                self.samples = filtered
             yield filtered, local, self.e1[block.rows]
 
 
@@ -229,9 +211,9 @@ def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None
         for _ in pieces:
             pass
     elif cfg.mode == "fast":
-        # Only one block's spectra are kept: the last block's of a longer
-        # input, held through the whole second sweep, raised the peak of
-        # `run_rvad` on two minutes at 16 kHz from 3.17 to 4.08 MB.
+        # Only a one-block utterance's spectra are kept: the last block's of
+        # a longer input, held through the whole second sweep, raised the
+        # peak of `run_rvad` on two minutes at 16 kHz from 3.17 to 4.08 MB.
         if cfg.enhance != "none" and len(first.blocks) == 1:
             first.spectra = []
         first.mask = sft_voicing(pieces, cfg.theta_sft, first.spectra)
@@ -244,10 +226,10 @@ def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None
 
 
 def _highpassed(
-    audio: AudioBuffer, block: _Block, cfg: RvadConfig, zi: tuple[float, float] | None, work: str = "filtered"
+    audio: AudioBuffer, block: _Block, cfg: RvadConfig, zi: tuple[float, float] | None
 ) -> tuple[AudioBuffer, tuple[float, float] | None]:
     """The block's samples [lo, hi) of the caller's signal, high-passed on
-    from `zi` into this thread's work array `work`, and the next block's
+    from `zi` into this thread's work array, and the next block's
     `zi`: the input and output samples just before `split`, None for an
     empty signal.  A file's samples are decoded into a work array too."""
     if audio._samples is None:
@@ -255,16 +237,16 @@ def _highpassed(
     else:
         x = audio.read(block.lo, block.hi)
     piece = AudioBuffer._trusted(x, audio.sample_rate_hz)
-    filtered = highpass(piece, cfg.hpf_cutoff_hz, zi, out=_scratch(work, len(x)))
+    filtered = highpass(piece, cfg.hpf_cutoff_hz, zi, out=_scratch("filtered", len(x)))
     end = block.split - block.lo - 1
     return filtered, (x[end], filtered.samples[end]) if end >= 0 else None
 
 
 def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touched_until: int | None = None):
-    """Each block high-passed again from its stored `zi` (the last block's
-    samples are at hand), its noise segments zeroed and, with enhancement
-    on, taken through STFT, noise tracking, subtraction and overlap-add,
-    carrying the tracker and the open sums.
+    """Each block high-passed again from its stored `zi` (a one-block
+    utterance's samples are at hand), its noise segments zeroed and, with
+    enhancement on, taken through STFT, noise tracking, subtraction and
+    overlap-add, carrying the tracker and the open sums.
 
     Yields the output in consecutive pieces, each with its block and the
     block's zeroed samples: with enhancement, what `dn.reconstruct` finishes
@@ -279,7 +261,8 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
     spans = np.array([grid.sample_span(*seg) for seg in first.zeroed], dtype=np.int64).reshape(-1, 2)
     frozen = segments_to_mask(first.zeroed, grid.num_frames) if cfg.enhance == "msne-mod" else None
     tracker, ola = dn.MsneState(), dn.OverlapAddState()
-    # subtraction works on the spectra in place, so they serve one sweep
+    # zeroing and subtraction work in place, so what is kept serves one sweep
+    samples, first.samples = first.samples, None
     kept, first.spectra = first.spectra, None
     for block, zi in zip(first.blocks, first.starts):
         hit = _touching(spans, block.lo, block.hi)
@@ -288,10 +271,7 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
                 break
             if hit.start >= hit.stop:
                 continue
-        if block is first.blocks[-1]:
-            filtered = first.last
-        else:
-            filtered, _ = _highpassed(audio, block, cfg, zi)
+        filtered = _highpassed(audio, block, cfg, zi)[0] if samples is None else samples
         dn.zero_segments(filtered, grid, first.zeroed[hit], block.lo)
         if cfg.enhance == "none":
             yield block, filtered, filtered.samples[: block.split - block.lo]

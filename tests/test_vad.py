@@ -616,26 +616,28 @@ class TestVoicingSpectraReuse:
         assert len(calls) == -(-grid.num_frames // block_frames(grid.frame_len))
 
 
+def _counting(monkeypatch, module, name):
+    """A list that gains an item at each call of `module.name`."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestSecondSweepStops:
     """The second sweep runs only as far as the VAD stage reads."""
-
-    def _counting(self, monkeypatch, module, name):
-        calls = []
-        original = getattr(module, name)
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-        return calls
 
     @pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
     def test_no_pitch_segment_no_second_sweep(self, enhance, monkeypatch):
         audio = _random_utterance(16000, 3.0, 5)
         cfg = RvadConfig(mode="fast", enhance=enhance)
         num = make_grid(audio).num_frames
-        calls = self._counting(monkeypatch, rvad.vad, "_second_sweep")
+        calls = _counting(monkeypatch, rvad.vad, "_second_sweep")
         result = run_rvad(audio, cfg, voicing=np.zeros(num, dtype=bool))
         assert calls == [] and len(result.labels) == num and not result.labels.any()
         run_denoise(audio, cfg, voicing=np.zeros(num, dtype=bool))
@@ -651,7 +653,7 @@ class TestSecondSweepStops:
         cfg = RvadConfig(mode="full", enhance=enhance)
         grid = make_grid(audio)
         step = block_frames(grid.frame_len)
-        calls = self._counting(monkeypatch, rvad.denoise, "reconstruct")
+        calls = _counting(monkeypatch, rvad.denoise, "reconstruct")
         labels = run_rvad(audio, cfg).labels
         assert labels[50:150].any() and not labels[400:].any()
         mask = _first_sweep(audio, cfg, None).mask
@@ -694,12 +696,26 @@ class TestSecondSweepStops:
         cfg = RvadConfig(mode="full", enhance="none")
         first = _first_sweep(audio, cfg, None)
         assert _Segments.of(first.mask, cfg).last_read(cfg, first.grid.num_frames) < first.blocks[1].rows.start
-        calls = self._counting(monkeypatch, rvad.vad, "_highpassed")
+        calls = _counting(monkeypatch, rvad.vad, "_highpassed")
         run_rvad(audio, cfg)
         second = len(calls) - len(first.blocks)
         calls.clear()
         _energies(audio, first, cfg)
         assert second == 1 < len(calls)
+
+
+@pytest.mark.parametrize("seconds, blocks", [(3.0, 1), (6.0, 2)])
+def test_second_sweep_filters_each_block_of_a_longer_utterance(tmp_path, seconds, blocks, monkeypatch):
+    # the first sweep keeps a block's samples for the second one only when
+    # it is the utterance's one block; at 8 kHz a sweep block is 5.12 s
+    audio = read_wav(_speech_wav(tmp_path / "u.wav", seconds, 4, fs=8000))
+    cfg = RvadConfig(mode="fast", enhance="msne")
+    calls = _counting(monkeypatch, rvad.vad, "_highpassed")
+    first = _first_sweep(audio, cfg, None)
+    assert len(first.blocks) == len(calls) == blocks and first.zeroed
+    calls.clear()
+    _denoise(audio, first, cfg)
+    assert len(calls) == (0 if blocks == 1 else blocks)
 
 
 @pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
@@ -722,13 +738,9 @@ def test_first_sweep_high_passes_each_block_once(fs, monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
-@pytest.mark.parametrize("mode", ["fast", "full"])
-def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
-    # two minutes at 16 kHz, with unvoiced bursts for the first pass to zero;
-    # both sweeps hold one block of samples at a time, so run_rvad keeps
-    # per-frame arrays only, and run_denoise adds what it returns: the
-    # output signal and, with enhancement, the noise track (1.6x the input)
+def _two_minutes_with_bursts() -> AudioBuffer:
+    """Two minutes at 16 kHz of pitch bursts in noise, with an unvoiced
+    burst after each for the first pass to zero."""
     rng = np.random.default_rng(83)
     fs = 16000
     bursts = [(3.0 * k + 0.5, 1.2, 120.0 + 2.0 * k) for k in range(40)]
@@ -736,7 +748,16 @@ def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
     for k in range(40):
         lo = int((3.0 * k + 2.0) * fs)
         samples[lo : lo + fs // 4] += 0.3 * rng.standard_normal(fs // 4)
-    buf = AudioBuffer(np.clip(samples, -1.0, 1.0), fs)
+    return AudioBuffer(np.clip(samples, -1.0, 1.0), fs)
+
+
+@pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
+@pytest.mark.parametrize("mode", ["fast", "full"])
+def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
+    # both sweeps hold one block of samples at a time, so run_rvad keeps
+    # per-frame arrays only, and run_denoise adds what it returns: the
+    # output signal and, with enhancement, the noise track (1.6x the input)
+    buf = _two_minutes_with_bursts()
     cfg = RvadConfig(mode=mode, enhance=enhance)
     tracemalloc.start()
     try:
@@ -752,6 +773,29 @@ def test_peak_memory_bounded_by_signal_arrays(mode, enhance):
     assert rvad_peak <= 0.25 * buf.samples.nbytes
     returned = enhanced.samples.nbytes + (0 if noise is None else noise.nbytes)
     assert denoise_peak <= returned + 0.5 * buf.samples.nbytes
+
+
+@pytest.mark.parametrize("enhance", ["msne", "msne-mod"])
+@pytest.mark.parametrize("mode", ["fast", "full"])
+def test_peak_memory_bounded_in_a_fresh_process(mode, enhance):
+    # the same bound on a process's first call, which also makes the
+    # thread's work arrays and the cached band matrices and windows that
+    # earlier tests in this process have made already
+    _python(
+        "-c",
+        f"""
+import sys, tracemalloc
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from rvad import RvadConfig, run_rvad
+from test_vad import _two_minutes_with_bursts
+buf = _two_minutes_with_bursts()
+tracemalloc.start()
+result = run_rvad(buf, RvadConfig(mode={mode!r}, enhance={enhance!r}))
+peak = tracemalloc.get_traced_memory()[1]
+assert result.num_speech_frames > 0
+assert peak <= 0.25 * buf.samples.nbytes, f"peak {{peak / 2**20:.3f}} MiB"
+""",
+    )
 
 
 def test_vad_stage_peak_memory_on_one_long_segment():
@@ -840,18 +884,26 @@ def test_outputs_do_not_depend_on_the_work_arrays_history(tmp_path, mode, enhanc
     # the sweeps decode, filter and window in each thread's work arrays: a
     # 4 s file (two sweep blocks at 16 kHz) gives the same bits in a fresh
     # thread, after a 20 s file of eight blocks has grown and filled those
-    # arrays in the same thread, and while two more threads run beside it
+    # arrays in the same thread, after a file of one block, whose samples
+    # wait in them between the sweeps, and while two more threads run
+    # beside it; and the one-block file gives its own bits after the others
     cfg = RvadConfig(mode=mode, enhance=enhance)
     short, long = _speech_wav(tmp_path / "short.wav", 4.0, 1), _speech_wav(tmp_path / "long.wav", 20.0, 2)
+    one = _speech_wav(tmp_path / "one.wav", 3.0, 5, fs=8000)
     assert len(_blocks(make_grid(read_wav(short)))) == 2 and len(_blocks(make_grid(read_wav(long)))) == 8
-    [[fresh]] = _in_threads([lambda: _outputs(short, cfg)])
-    [[_, after_long]] = _in_threads([lambda: _outputs(long, cfg), lambda: _outputs(short, cfg)])
+    assert len(_blocks(make_grid(read_wav(one)))) == 1
+    [[fresh], [fresh_one]] = _in_threads([lambda: _outputs(short, cfg)], [lambda: _outputs(one, cfg)])
+    [[_, after_long], [_, after_one], [_, one_after]] = _in_threads(
+        [lambda: _outputs(long, cfg), lambda: _outputs(short, cfg)],
+        [lambda: _outputs(one, cfg), lambda: _outputs(short, cfg)],
+        [lambda: _outputs(short, cfg), lambda: _outputs(one, cfg)],
+    )
     side_by_side = _in_threads(
         [lambda: _outputs(long, cfg), lambda: _outputs(short, cfg)],
         [lambda: _outputs(short, cfg), lambda: _outputs(long, cfg), lambda: _outputs(short, cfg)],
         [lambda: _outputs(short, cfg)],
     )
-    assert after_long == fresh
+    assert after_long == after_one == fresh and one_after == fresh_one
     assert side_by_side[0][1] == side_by_side[1][0] == side_by_side[1][2] == side_by_side[2][0] == fresh
     assert side_by_side[0][0] == side_by_side[1][1]
 
@@ -872,7 +924,7 @@ def test_returned_arrays_are_not_work_arrays(tmp_path):
     grid = make_grid(audio)
     returned.append(stft(audio, FrameGrid(grid.frame_len, grid.frame_shift, 3, grid.total_samples)).frames)
     work = list(vars(rvad.dsp._work).values())
-    assert len(work) == 4  # decoded, filtered, last and windowed samples
+    assert len(work) == 3  # decoded, filtered and windowed samples
     for array in returned:
         array = getattr(array, "samples", array)
         assert not any(np.shares_memory(array, buf) for buf in work)
