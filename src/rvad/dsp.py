@@ -11,6 +11,7 @@ from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from importlib.util import module_from_spec
 from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -30,6 +31,8 @@ __all__ = [
     "next_pow2",
     "hamming",
     "stft",
+    "Block",
+    "blocks",
     "block_frames",
     "stft_blocks",
     "spectral_flatness",
@@ -298,6 +301,36 @@ def block_frames(frame_len: int) -> int:
     return max(1, BLOCK_BYTES // (8 * next_pow2(frame_len)))
 
 
+class Block(NamedTuple):
+    """A block of a grid's frames: its rows, its first sample, the next
+    block's first sample, the end of the samples its frames read (both the
+    signal's end for the grid's last block) and its frames' grid on [lo, hi)."""
+
+    rows: slice
+    lo: int
+    split: int
+    hi: int
+    grid: FrameGrid
+
+
+def blocks(grid: FrameGrid, step: int, first: int = 0, stop: int | None = None) -> list[Block]:
+    """The grid's frames first..stop - 1 (stop None: to the last frame) in
+    blocks of `step`, the last one shorter.  The [lo, split) ranges of a
+    whole walk tile the whole signal: for a grid with no frames it gives
+    one block with none."""
+    n, shift = grid.num_frames, grid.frame_shift
+    last = max(n, 1) if stop is None else stop
+    out = []
+    for start in range(first, last, step):
+        end, lo = min(start + step, last, n), start * shift
+        if end < n:
+            split, hi = end * shift, (end - 1) * shift + grid.frame_len
+        else:
+            split = hi = grid.total_samples
+        out.append(Block(slice(start, end), lo, split, hi, FrameGrid(grid.frame_len, shift, end - start, hi - lo)))
+    return out
+
+
 def stft_blocks(audio: AudioBuffer, grid: FrameGrid) -> Iterator[tuple[slice, Spectrogram]]:
     """The `stft` of the grid's frames, `block_frames` frames at a time, in order.
 
@@ -305,12 +338,9 @@ def stft_blocks(audio: AudioBuffer, grid: FrameGrid) -> Iterator[tuple[slice, Sp
     samples are read only when it is reached, so a caller may overwrite
     the samples before the next block's first one in between.
     """
-    step = block_frames(grid.frame_len)
-    for first in range(0, grid.num_frames, step):
-        count = min(step, grid.num_frames - first)
-        lo, hi = grid.sample_span(first, first + count - 1)
-        block = AudioBuffer._trusted(audio.samples[lo:hi], audio.sample_rate_hz)
-        yield slice(first, first + count), stft(block, FrameGrid(grid.frame_len, grid.frame_shift, count, hi - lo))
+    for block in blocks(grid, block_frames(grid.frame_len), 0, grid.num_frames):
+        piece = AudioBuffer._trusted(audio.samples[block.lo : block.hi], audio.sample_rate_hz)
+        yield block.rows, stft(piece, block.grid)
 
 
 def spectral_flatness(spec: Spectrogram) -> np.ndarray:

@@ -145,6 +145,9 @@ def compute_features(
     SNR is each frame's energy over its super-segment's smoothed noise energy."""
     e = np.asarray(e, dtype=np.float64)
     track = track_noise_energy(e, super_len, forget)
-    snr_db = log_energy_ratio_db(e, np.repeat(track.e_v_smooth, super_len)[: len(e)])
+    # one noise energy per frame, the last super-segment's count cut to the frames left
+    counts = np.full(len(track.e_v), super_len)
+    counts[-1:] -= super_len * len(counts) - len(e)
+    snr_db = log_energy_ratio_db(e, np.repeat(track.e_v_smooth, counts))
     d = weighted_energy_difference(e, snr_db)
     return FrameFeatures(e, snr_db, d, central_smooth(d, smooth_n))

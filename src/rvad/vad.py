@@ -11,16 +11,17 @@ from . import denoise as dn
 from .audio_io import AudioBuffer, FrameLabels, read_wav
 from .config import RvadConfig
 from .dsp import (
+    Block,
     FrameGrid,
     Spectrogram,
     _scratch,
     block_frames,
+    blocks,
     frame_energy,
     highpass,
     make_grid,
     next_pow2,
     stft,
-    stft_blocks,
 )
 from .features import (
     central_smooth,
@@ -120,35 +121,9 @@ def post_process(raw_labels: np.ndarray, pitch_segments: list[Segment], e: np.nd
     return labels
 
 
-class _Block(NamedTuple):
-    """A sweep's block of frames: its rows of the grid, its first sample, the
-    next block's first sample, and the end of the samples its frames read.
-    The last block's `split` and `hi` are both the signal's end."""
-
-    rows: slice
-    lo: int
-    split: int
-    hi: int
-
-    def grid(self, grid: FrameGrid) -> FrameGrid:
-        """The block's frames on its samples [lo, hi)."""
-        return FrameGrid(grid.frame_len, grid.frame_shift, self.rows.stop - self.rows.start, self.hi - self.lo)
-
-
-def _blocks(grid: FrameGrid) -> list[_Block]:
-    """The grid cut into blocks of SWEEP_BLOCKS `stft_blocks` blocks, one
-    block with no frames when the grid has none, so the blocks' [lo, split)
-    ranges tile the whole signal."""
-    step = SWEEP_BLOCKS * block_frames(grid.frame_len)
-    blocks = []
-    for first in range(0, max(grid.num_frames, 1), step):
-        end = min(first + step, grid.num_frames)
-        if end < grid.num_frames:
-            split, hi = end * grid.frame_shift, grid.sample_span(first, end - 1)[1]
-        else:
-            split = hi = grid.total_samples
-        blocks.append(_Block(slice(first, end), first * grid.frame_shift, split, hi))
-    return blocks
+def _blocks(grid: FrameGrid) -> list[Block]:
+    """The grid cut into the sweeps' blocks of SWEEP_BLOCKS `stft_blocks` blocks."""
+    return blocks(grid, SWEEP_BLOCKS * block_frames(grid.frame_len))
 
 
 @dataclass
@@ -158,13 +133,14 @@ class _FirstSweep:
     the high-pass `zi` at each block's first sample.  An utterance of one
     block also keeps its high-passed samples, which the second sweep zeroes
     in place instead of filtering them again, and in fast mode with
-    enhancement on the `stft_blocks` spectra its voicing took, with their
-    rows, at most SWEEP_BLOCKS * BLOCK_BYTES; the second sweep takes them
-    once.  A longer utterance keeps neither: each of its blocks is filtered
-    again from its `zi`, which gives the same bits."""
+    enhancement on the `stft_blocks` spectra its voicing took, at most
+    SWEEP_BLOCKS * BLOCK_BYTES; the second sweep takes them once.  The
+    samples are a view of this thread's "filtered" work array, valid only
+    until the next pipeline call in the thread.  A longer utterance keeps
+    neither: each of its blocks is filtered again from its `zi`, the same bits."""
 
     grid: FrameGrid
-    blocks: list[_Block]
+    blocks: list[Block]
     e1: np.ndarray
     starts: list[tuple[float, float] | None] = field(default_factory=list)
     samples: AudioBuffer | None = None
@@ -189,11 +165,10 @@ class _FirstSweep:
         for block in self.blocks:
             self.starts.append(zi)
             filtered, zi = _highpassed(audio, block, cfg, zi)
-            local = block.grid(self.grid)
-            self.e1[block.rows] = frame_energy(filtered, local)
+            self.e1[block.rows] = frame_energy(filtered, block.grid)
             if len(self.blocks) == 1:  # nothing filters into its work array before the second sweep
                 self.samples = filtered
-            yield filtered, local, self.e1[block.rows]
+            yield filtered, block.grid, self.e1[block.rows]
 
 
 def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None) -> _FirstSweep:
@@ -226,7 +201,7 @@ def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None
 
 
 def _highpassed(
-    audio: AudioBuffer, block: _Block, cfg: RvadConfig, zi: tuple[float, float] | None
+    audio: AudioBuffer, block: Block, cfg: RvadConfig, zi: tuple[float, float] | None
 ) -> tuple[AudioBuffer, tuple[float, float] | None]:
     """The block's samples [lo, hi) of the caller's signal, high-passed on
     from `zi` into this thread's work array, and the next block's
@@ -276,8 +251,7 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
         if cfg.enhance == "none":
             yield block, filtered, filtered.samples[: block.split - block.lo]
             continue
-        for rows, spec in _spectra(filtered, block.grid(grid), kept, spans):
-            rows = slice(block.rows.start + rows.start, block.rows.start + rows.stop)
+        for rows, spec in _spectra(filtered, block, grid, kept, spans):
             power = np.abs(spec.frames) ** 2
             track = dn.msne_noise_track(
                 spec,
@@ -303,27 +277,21 @@ def _touching(spans: np.ndarray, lo: int, hi: int) -> slice:
 
 
 def _spectra(
-    filtered: AudioBuffer, local: FrameGrid, kept: list[tuple[slice, Spectrogram]] | None, spans: np.ndarray
+    filtered: AudioBuffer, block: Block, grid: FrameGrid, kept: list[tuple[slice, Spectrogram]] | None, spans
 ) -> Iterator[tuple[slice, Spectrogram]]:
-    """The spectra of a block's zeroed samples, one `stft_blocks` block of
-    frames at a time, with its rows of the block's grid.
+    """The spectra of a sweep block's zeroed samples, one `stft_blocks`
+    block of frames at a time, with its rows of the utterance's grid.
 
-    `kept` holds what fast-mode voicing took of a one-block utterance,
-    whose block's grid is the utterance's, before its noise segments were
-    zeroed.  A block of frames whose samples no zeroed span touches has the
-    same samples, so its kept spectrum is what `stft` would give, bit for
-    bit; the others are taken again.
-    """
-    if kept is None:
-        yield from stft_blocks(filtered, local)
-        return
-    for rows, spec in kept:
-        lo, hi = local.sample_span(rows.start, rows.stop - 1)
-        hit = _touching(spans, lo, hi)
-        if hit.start < hit.stop:
-            piece = AudioBuffer._trusted(filtered.samples[lo:hi], filtered.sample_rate_hz)
-            spec = stft(piece, FrameGrid(local.frame_len, local.frame_shift, rows.stop - rows.start, hi - lo))
-        yield rows, spec
+    `kept` holds one spectrum per `stft_blocks` block that fast-mode voicing
+    took of a one-block utterance before its noise segments were zeroed: a
+    block no zeroed span touches has the same samples, so its kept spectrum
+    is `stft`'s, bit for bit; the others are taken again."""
+    for i, part in enumerate(blocks(grid, block_frames(grid.frame_len), block.rows.start, block.rows.stop)):
+        if kept is not None and (hit := _touching(spans, part.lo, part.hi)).start >= hit.stop:
+            yield part.rows, kept[i][1]
+        else:
+            piece = filtered.samples[part.lo - block.lo : part.hi - block.lo]
+            yield part.rows, stft(AudioBuffer._trusted(piece, filtered.sample_rate_hz), part.grid)
 
 
 def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig, last: int | None = None) -> np.ndarray:
@@ -345,7 +313,7 @@ def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig, last: int
     if cfg.enhance == "none":
         e2 = first.e1.copy()
         for block, filtered, _ in _second_sweep(audio, first, cfg, touched_until=last):
-            e2[block.rows] = frame_energy(filtered, block.grid(grid))
+            e2[block.rows] = frame_energy(filtered, block.grid)
         return e2
     flen, shift = grid.frame_len, grid.frame_shift
     e2 = np.empty(grid.num_frames)
@@ -365,32 +333,20 @@ def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig, last: int
     return e2
 
 
-class _Segments(NamedTuple):
-    """The pitch segments of a voicing mask and the extended segments around them."""
-
-    pitch: list[Segment]
-    extended: list[Segment]
-
-    @classmethod
-    def of(cls, mask: np.ndarray, cfg: RvadConfig) -> "_Segments":
-        pitch = mask_to_segments(mask)
-        return cls(pitch, extend_segments(pitch, cfg.ext_frames, len(mask)))
-
-    def last_read(self, cfg: RvadConfig, num_frames: int) -> int:
-        """The last frame whose energy the VAD stage reads: the end of the
-        last extended segment, or the last frame that post-processing's
-        near rule labels speech after the last pitch segment, if later.
-        There must be a pitch segment."""
-        return min(num_frames - 1, max(self.extended[-1][1], self.pitch[-1][1] + cfg.pp_near_right))
+def _last_read(pitch: list[Segment], cfg: RvadConfig, num_frames: int) -> int:
+    """The last frame whose energy the VAD stage reads: the end of the last
+    extended segment or, if later, of the near rule's reach past the last
+    pitch segment, which there must be."""
+    return min(num_frames - 1, pitch[-1][1] + max(cfg.ext_frames, cfg.pp_near_right))
 
 
-def _labels(mask: np.ndarray, e2: np.ndarray, cfg: RvadConfig, segments: _Segments) -> np.ndarray:
-    """The VAD stage: segment decisions inside the extended pitch segments,
-    then post-processing."""
+def _labels(mask: np.ndarray, e2: np.ndarray, cfg: RvadConfig, pitch: list[Segment]) -> np.ndarray:
+    """The VAD stage: segment decisions inside the pitch segments extended
+    from both ends, then post-processing."""
     labels = np.zeros(len(mask), dtype=bool)
-    for s, t in segments.extended:
+    for s, t in extend_segments(pitch, cfg.ext_frames, len(mask)):
         labels[s : t + 1] = segment_vad(e2[s : t + 1], mask[s : t + 1], cfg.beta, cfg.smooth_n)
-    return post_process(labels, segments.pitch, e2, cfg)
+    return post_process(labels, pitch, e2, cfg)
 
 
 def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> VadResult:
@@ -407,10 +363,10 @@ def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndar
     """
     cfg = cfg or RvadConfig()
     first = _first_sweep(audio, cfg, voicing)
-    segments = _Segments.of(first.mask, cfg)
-    if segments.pitch:
-        e2 = _energies(audio, first, cfg, segments.last_read(cfg, first.grid.num_frames))
-        labels = _labels(first.mask, e2, cfg, segments)
+    pitch = mask_to_segments(first.mask)
+    if pitch:
+        e2 = _energies(audio, first, cfg, _last_read(pitch, cfg, first.grid.num_frames))
+        labels = _labels(first.mask, e2, cfg, pitch)
     else:  # no speech, and no second sweep
         labels = np.zeros(first.grid.num_frames, dtype=bool)
     return VadResult(labels, cfg.frame_shift_ms, cfg.frame_len_ms)

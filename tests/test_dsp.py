@@ -9,9 +9,12 @@ from scipy.signal import lfilter
 from rvad import AudioBuffer
 from rvad.dsp import (
     RECURSION_STEPS,
+    FrameGrid,
     Spectrogram,
     block_frames,
+    blocks,
     frame_energy,
+    frame_matrix,
     highpass,
     make_grid,
     next_pow2,
@@ -291,6 +294,69 @@ class TestStftBlocks:
         buf.samples[:] = 0.0
         later = [spec.frames for _, spec in blocks]
         assert later and not np.any(np.concatenate(later))
+
+
+class TestBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        flen=st.integers(1, 40),
+        shift_part=st.floats(0.0, 1.0),
+        total=st.integers(0, 600),
+        step=st.integers(1, 30),
+        bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        whole=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_tile_the_range_and_read_their_samples(self, flen, shift_part, total, step, bounds, whole, seed):
+        shift = max(1, round(shift_part * flen))
+        num = 0 if total < flen else (total - flen) // shift + 1
+        grid = FrameGrid(flen, shift, num, total)
+        if whole:
+            first, stop, walk = 0, num, blocks(grid, step)
+        else:
+            first, stop = sorted(round(b * num) for b in bounds)
+            walk = blocks(grid, step, first, stop)
+        if whole and num == 0:  # one block with no frames, over the whole signal
+            assert [(b.rows, b.lo, b.split, b.hi) for b in walk] == [(slice(0, 0), 0, total, total)]
+        else:
+            assert [b.rows.start for b in walk] == list(range(first, stop, step))
+            assert [b.rows.stop for b in walk] == [min(start + step, stop) for start in range(first, stop, step)]
+        samples = np.random.default_rng(seed).standard_normal(total)
+        frames = frame_matrix(samples, grid)
+        for b, after in zip(walk, walk[1:] + [None]):
+            assert b.lo == b.rows.start * shift
+            assert b.split == (total if after is None and stop == num else b.rows.stop * shift)
+            if after is not None:
+                assert b.split == after.lo
+            last = b.rows.stop == num
+            assert b.hi == (total if last else (b.rows.stop - 1) * shift + flen)
+            assert b.grid == FrameGrid(flen, shift, b.rows.stop - b.rows.start, b.hi - b.lo)
+            assert frame_matrix(samples[b.lo : b.hi], b.grid).tobytes() == frames[b.rows].tobytes()
+        if whole:  # the [lo, split) ranges tile the samples
+            assert walk[0].lo == 0 and walk[-1].split == total
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fs=st.sampled_from([8000, 16000, 44100, 48000]),
+        sweeps=st.floats(0.0, 2.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sub_walk_gives_the_spectra_of_a_block(self, fs, sweeps, seed):
+        # a sweep block of four `stft_blocks` blocks walked in the grid's
+        # own rows gives `stft_blocks` of the block's samples
+        rng = np.random.default_rng(seed)
+        flen = int(round(0.025 * fs))
+        step = block_frames(flen)
+        buf = AudioBuffer(rng.standard_normal(flen + int(sweeps * 4 * step * round(0.010 * fs))), fs)
+        grid = make_grid(buf)
+        for sweep in blocks(grid, 4 * step):
+            own = AudioBuffer(buf.samples[sweep.lo : sweep.hi], fs)
+            expected = [(rows, spec.frames.tobytes()) for rows, spec in stft_blocks(own, sweep.grid)]
+            got = []
+            for part in blocks(grid, step, sweep.rows.start, sweep.rows.stop):
+                rows = slice(part.rows.start - sweep.rows.start, part.rows.stop - sweep.rows.start)
+                got.append((rows, stft(AudioBuffer(buf.samples[part.lo : part.hi], fs), part.grid).frames.tobytes()))
+            assert got == expected
 
 
 class TestSpectralFlatness:

@@ -269,3 +269,17 @@ class TestWorkInPlace:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * e.nbytes
+
+    def test_peak_memory_does_not_grow_with_super_len(self):
+        # one value per frame for the a posteriori SNR's noise energies:
+        # repeating each super-segment's `super_len` times took 8 MB for
+        # 100 frames at 10**6, where 200 takes about 7 KB
+        e = np.random.default_rng(29).random(100) ** 4
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            compute_features(e, 10**6)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 1024

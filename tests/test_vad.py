@@ -28,7 +28,7 @@ from rvad.vad import (
     _energies,
     _first_sweep,
     _labels,
-    _Segments,
+    _last_read,
     post_process,
     segment_vad,
 )
@@ -271,6 +271,15 @@ class TestRunRvad:
         r = run_rvad(buf, RvadConfig(enhance="none"))
         np.testing.assert_array_equal(segments_to_mask(r.speech_segments, len(r.labels)), r.labels)
 
+    def test_super_segment_longer_than_the_input(self):
+        # a super-segment of 10**6 frames over a few hundred is one
+        # super-segment, as one exactly as long as the input is
+        buf = utterance([(0.5, 1.0, 170.0)], 2.5, noise_rms=0.01, rng=np.random.default_rng(77))
+        num = make_grid(buf).num_frames
+        labels = run_rvad(buf, RvadConfig(super_len=num)).labels
+        assert labels.any()
+        assert run_rvad(buf, RvadConfig(super_len=10**6)).labels.tobytes() == labels.tobytes()
+
     def test_speech_confined_to_extended_pitch_segments(self):
         rng = np.random.default_rng(76)
         buf = utterance([(0.4, 0.8, 140.0), (2.0, 0.6, 200.0)], 3.5, noise_rms=0.005, rng=rng)
@@ -415,16 +424,16 @@ class TestPipelineProperties:
         e2 = _energies(audio, first, cfg)
         assert first.mask.tobytes() == expected.mask.tobytes()
         assert e2.tobytes() == expected.e2.tobytes()
-        segments = _Segments.of(expected.mask, cfg)
-        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg, segments).tobytes()
-        if segments.pitch:
+        pitch = mask_to_segments(expected.mask)
+        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg, pitch).tobytes()
+        if pitch:
             # every frame the VAD stage may read: the extended segments and
             # the frames the near rule makes speech
             num = len(expected.mask)
             rules_only = replace(cfg, energy_ratio=0.0)
-            near = post_process_whole(np.zeros(num, dtype=bool), segments.pitch, np.ones(num), rules_only)
-            read = segments_to_mask(segments.extended, num) | near
-            stopped = _energies(audio, first, cfg, segments.last_read(cfg, num))
+            near = post_process_whole(np.zeros(num, dtype=bool), pitch, np.ones(num), rules_only)
+            read = segments_to_mask(extend_segments(pitch, cfg.ext_frames, num), num) | near
+            stopped = _energies(audio, first, cfg, _last_read(pitch, cfg, num))
             assert stopped[read].tobytes() == expected.e2[read].tobytes()
 
     @pytest.mark.parametrize("fs", [16000, 48000])
@@ -553,7 +562,7 @@ class TestVoicingSpectraReuse:
 
         expected = front_whole(audio, cfg)
         labels = run_rvad(audio, cfg).labels
-        assert labels.tobytes() == _labels(expected.mask, expected.e2, cfg, _Segments.of(expected.mask, cfg)).tobytes()
+        assert labels.tobytes() == _labels(expected.mask, expected.e2, cfg, mask_to_segments(expected.mask)).tobytes()
         enhanced, noise = run_denoise(audio, cfg)
         assert enhanced.samples.tobytes() == expected.enhanced.samples.tobytes()
         assert noise.tobytes() == expected.noise.tobytes()
@@ -632,6 +641,25 @@ def _counting(monkeypatch, module, name):
 class TestSecondSweepStops:
     """The second sweep runs only as far as the VAD stage reads."""
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mask=st.lists(st.booleans(), min_size=1, max_size=400).filter(any),
+        ext=st.integers(0, 120),
+        near=st.integers(0, 120),
+        voiced_end=st.booleans(),
+    )
+    def test_last_read_is_the_extension_or_the_near_rule(self, mask, ext, near, voiced_end):
+        # the closed form against the end of the last extended segment and
+        # the near rule's reach past the last pitch segment; `voiced_end`
+        # makes masks whose last segment ends at the last frame common
+        mask = np.array(mask)
+        mask[-1] |= voiced_end
+        num = len(mask)
+        cfg = RvadConfig(ext_frames=ext, pp_near_right=near)
+        pitch = mask_to_segments(mask)
+        extended = extend_segments(pitch, ext, num)
+        assert _last_read(pitch, cfg, num) == min(num - 1, max(extended[-1][1], pitch[-1][1] + near))
+
     @pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
     def test_no_pitch_segment_no_second_sweep(self, enhance, monkeypatch):
         audio = _random_utterance(16000, 3.0, 5)
@@ -657,7 +685,7 @@ class TestSecondSweepStops:
         labels = run_rvad(audio, cfg).labels
         assert labels[50:150].any() and not labels[400:].any()
         mask = _first_sweep(audio, cfg, None).mask
-        last = _Segments.of(mask, cfg).last_read(cfg, grid.num_frames)
+        last = _last_read(mask_to_segments(mask), cfg, grid.num_frames)
         assert len(calls) <= -(-(last + 2) // step) + 1 < -(-grid.num_frames // step)
         calls.clear()
         run_denoise(audio, cfg)
@@ -676,11 +704,11 @@ class TestSecondSweepStops:
         cfg = RvadConfig(mode="full", enhance=enhance, ext_frames=2, pp_near_right=50, pp_far_right=50)
         expected = front_whole(audio, cfg)
         num = len(expected.mask)
-        segments = _Segments.of(expected.mask, cfg)
-        near = min(segments.pitch[-1][1] + cfg.pp_near_right, num - 1)
-        assert near >= segments.extended[-1][1] + 40
-        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg, segments).tobytes()
-        stopped = _energies(audio, _first_sweep(audio, cfg, None), cfg, segments.last_read(cfg, num))
+        pitch = mask_to_segments(expected.mask)
+        near = min(pitch[-1][1] + cfg.pp_near_right, num - 1)
+        assert near >= extend_segments(pitch, cfg.ext_frames, num)[-1][1] + 40
+        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg, pitch).tobytes()
+        stopped = _energies(audio, _first_sweep(audio, cfg, None), cfg, _last_read(pitch, cfg, num))
         assert stopped[: near + 1].tobytes() == expected.e2[: near + 1].tobytes()
 
     def test_trailing_non_speech_not_filtered_again(self, monkeypatch):
@@ -695,7 +723,7 @@ class TestSecondSweepStops:
         audio = AudioBuffer(samples, fs)
         cfg = RvadConfig(mode="full", enhance="none")
         first = _first_sweep(audio, cfg, None)
-        assert _Segments.of(first.mask, cfg).last_read(cfg, first.grid.num_frames) < first.blocks[1].rows.start
+        assert _last_read(mask_to_segments(first.mask), cfg, first.grid.num_frames) < first.blocks[1].rows.start
         calls = _counting(monkeypatch, rvad.vad, "_highpassed")
         run_rvad(audio, cfg)
         second = len(calls) - len(first.blocks)
@@ -808,12 +836,12 @@ def test_vad_stage_peak_memory_on_one_long_segment():
     mask[::100] = True
     mask[-1] = True
     cfg = RvadConfig()
-    segments = _Segments.of(mask, cfg)
-    assert segments.extended == [(0, frames - 1)]
+    pitch = mask_to_segments(mask)
+    assert extend_segments(pitch, cfg.ext_frames, frames) == [(0, frames - 1)]
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        _labels(mask, e, cfg, segments)
+        _labels(mask, e, cfg, pitch)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()

@@ -8,10 +8,11 @@
 temporary directory and read back with `read_wav`, its 48 kHz clips in
 memory) and on the criterion-4 corpus of `tests/test_acceptance.py`,
 built with `tests/synth.py`, clean and at 20, 10 and 5 dB SNR.  Each input
-runs under every mode and enhancer.  The artefacts are the labels of
-`run_rvad`, and the samples and noise track of `run_denoise`, under the
-default post-processing; and the labels of `run_rvad` under POST_PROCESS,
-whose near rule reaches past the extended segments (`labels-pp`).  A run
+runs under every mode and enhancer that `rvad.config` lists.  The artefacts
+are the labels of `run_rvad`, and the samples and noise track of
+`run_denoise`, under the default post-processing; and the labels of
+`run_rvad` under POST_PROCESS, whose near rule reaches past the extended
+segments (`labels-pp`).  A run
 that raises gives the exception's type as its digest.  The file records the
 Python, numpy and scipy versions with the digests.
 
@@ -44,10 +45,9 @@ import scipy  # noqa: E402
 import gen  # noqa: E402
 import synth  # noqa: E402
 from rvad import AudioBuffer, RvadConfig, read_wav, run_denoise, run_rvad  # noqa: E402
+from rvad.config import ENHANCERS, MODES  # noqa: E402
 
 SEEDS = (1, 2)
-MODES = ("full", "fast")
-ENHANCERS = ("none", "msne", "msne-mod")
 SNRS = (("clean", None), ("snr20", 20.0), ("snr10", 10.0), ("snr5", 5.0))
 # a post-processing whose near rules reach past the segment extension
 POST_PROCESS = dict(ext_frames=20, pp_near_left=30, pp_near_right=40)
