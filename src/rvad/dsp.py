@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
@@ -34,7 +33,6 @@ __all__ = [
     "Block",
     "blocks",
     "block_frames",
-    "stft_blocks",
     "spectral_flatness",
 ]
 
@@ -287,7 +285,7 @@ def stft(audio: AudioBuffer, grid: FrameGrid) -> Spectrogram:
     nfft = next_pow2(grid.frame_len)
     frames = frame_matrix(audio.samples, grid)
     if grid.num_frames <= block_frames(grid.frame_len):
-        # a `stft_blocks` block's windowed frames, in this thread's work array
+        # an STFT block's windowed frames, in this thread's work array
         out = _scratch("windowed", frames.size).reshape(frames.shape)
         windowed = np.multiply(frames, hamming(grid.frame_len), out=out)
     else:
@@ -296,8 +294,8 @@ def stft(audio: AudioBuffer, grid: FrameGrid) -> Spectrogram:
 
 
 def block_frames(frame_len: int) -> int:
-    """Frames per `stft_blocks` block: BLOCK_BYTES of complex spectrum,
-    taking a row of nfft//2 + 1 bins as 8*nfft bytes."""
+    """Frames per STFT block: BLOCK_BYTES of complex spectrum, taking a row
+    of nfft//2 + 1 bins as 8*nfft bytes."""
     return max(1, BLOCK_BYTES // (8 * next_pow2(frame_len)))
 
 
@@ -329,18 +327,6 @@ def blocks(grid: FrameGrid, step: int, first: int = 0, stop: int | None = None) 
             split = hi = grid.total_samples
         out.append(Block(slice(start, end), lo, split, hi, FrameGrid(grid.frame_len, shift, end - start, hi - lo)))
     return out
-
-
-def stft_blocks(audio: AudioBuffer, grid: FrameGrid) -> Iterator[tuple[slice, Spectrogram]]:
-    """The `stft` of the grid's frames, `block_frames` frames at a time, in order.
-
-    Yields each block's rows of the grid and their spectrogram.  A block's
-    samples are read only when it is reached, so a caller may overwrite
-    the samples before the next block's first one in between.
-    """
-    for block in blocks(grid, block_frames(grid.frame_len), 0, grid.num_frames):
-        piece = AudioBuffer._trusted(audio.samples[block.lo : block.hi], audio.sample_rate_hz)
-        yield block.rows, stft(piece, block.grid)
 
 
 def spectral_flatness(spec: Spectrogram) -> np.ndarray:

@@ -40,11 +40,11 @@ __all__ = [
 
 MIN_SAMPLE_RATE_HZ = 4000
 
-# Each sweep takes this many `stft_blocks` blocks of frames at a time:
+# Each sweep takes this many STFT blocks of `block_frames` frames at a time:
 # 512 frames (5.12 s) at 8 kHz, 256 (2.56 s) at 16 kHz and 64 (0.64 s) at
 # 44.1 and 48 kHz, at most about 330 KB of float64 samples.  Every block
-# costs high-pass calls and Python per sweep: with one `stft_blocks` block
-# per sweep block, 204 four-second 8 kHz files in fast mode took 43 % longer
+# costs high-pass calls and Python per sweep: with one STFT block per
+# sweep block, 204 four-second 8 kHz files in fast mode took 43 % longer
 # than with the whole signal at once.  Twice this size raised the peak
 # of `run_rvad` on two minutes at 16 kHz from 2.7 to 3.4 MB.
 SWEEP_BLOCKS = 4
@@ -122,7 +122,7 @@ def post_process(raw_labels: np.ndarray, pitch_segments: list[Segment], e: np.nd
 
 
 def _blocks(grid: FrameGrid) -> list[Block]:
-    """The grid cut into the sweeps' blocks of SWEEP_BLOCKS `stft_blocks` blocks."""
+    """The grid cut into the sweeps' blocks of SWEEP_BLOCKS STFT blocks."""
     return blocks(grid, SWEEP_BLOCKS * block_frames(grid.frame_len))
 
 
@@ -133,7 +133,7 @@ class _FirstSweep:
     the high-pass `zi` at each block's first sample.  An utterance of one
     block also keeps its high-passed samples, which the second sweep zeroes
     in place instead of filtering them again, and in fast mode with
-    enhancement on the `stft_blocks` spectra its voicing took, at most
+    enhancement on the spectra its voicing took, one per STFT block, at most
     SWEEP_BLOCKS * BLOCK_BYTES; the second sweep takes them once.  The
     samples are a view of this thread's "filtered" work array, valid only
     until the next pipeline call in the thread.  A longer utterance keeps
@@ -146,7 +146,7 @@ class _FirstSweep:
     samples: AudioBuffer | None = None
     mask: np.ndarray | None = None
     zeroed: list[Segment] = field(default_factory=list)
-    spectra: list[tuple[slice, Spectrogram]] | None = None
+    spectra: list[Spectrogram] | None = None
 
     def high_passed(
         self, audio: AudioBuffer, cfg: RvadConfig
@@ -186,12 +186,14 @@ def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None
         for _ in pieces:
             pass
     elif cfg.mode == "fast":
+        walks = (_spectra(filtered, block, grid) for (filtered, *_), block in zip(pieces, first.blocks))
+        spectra = (spec for walk in walks for _, spec in walk)
         # Only a one-block utterance's spectra are kept: the last block's of
         # a longer input, held through the whole second sweep, raised the
         # peak of `run_rvad` on two minutes at 16 kHz from 3.17 to 4.08 MB.
         if cfg.enhance != "none" and len(first.blocks) == 1:
-            first.spectra = []
-        first.mask = sft_voicing(pieces, cfg.theta_sft, first.spectra)
+            spectra = first.spectra = list(spectra)
+        first.mask = sft_voicing(spectra, cfg.theta_sft)
     else:
         first.mask = detect_pitch_autocorr(pieces, cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
     feats = compute_features(first.e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
@@ -225,7 +227,7 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
 
     Yields the output in consecutive pieces, each with its block and the
     block's zeroed samples: with enhancement, what `dn.reconstruct` finishes
-    for each `stft_blocks` block; without it, each block's zeroed samples up
+    for each STFT block; without it, each block's zeroed samples up
     to the next block's first.  `touched_until`, if given, skips the blocks
     that hold no zeroed sample and ends before the first block that starts
     after that frame; rows of the noise track go into `noise` if given.
@@ -277,18 +279,19 @@ def _touching(spans: np.ndarray, lo: int, hi: int) -> slice:
 
 
 def _spectra(
-    filtered: AudioBuffer, block: Block, grid: FrameGrid, kept: list[tuple[slice, Spectrogram]] | None, spans
+    filtered: AudioBuffer, block: Block, grid: FrameGrid, kept: list[Spectrogram] | None = None, spans=None
 ) -> Iterator[tuple[slice, Spectrogram]]:
-    """The spectra of a sweep block's zeroed samples, one `stft_blocks`
-    block of frames at a time, with its rows of the utterance's grid.
+    """The spectra of a sweep block's samples, one STFT block of
+    `block_frames` frames at a time, with its rows of the utterance's grid:
+    the first sweep's for voicing, the second's of the zeroed samples.
 
-    `kept` holds one spectrum per `stft_blocks` block that fast-mode voicing
-    took of a one-block utterance before its noise segments were zeroed: a
-    block no zeroed span touches has the same samples, so its kept spectrum
-    is `stft`'s, bit for bit; the others are taken again."""
+    `kept` holds one spectrum per STFT block that fast-mode voicing took of
+    a one-block utterance before its noise segments were zeroed: a block no
+    zeroed span in `spans` touches has the same samples, so its kept
+    spectrum is `stft`'s, bit for bit; the others are taken again."""
     for i, part in enumerate(blocks(grid, block_frames(grid.frame_len), block.rows.start, block.rows.stop)):
         if kept is not None and (hit := _touching(spans, part.lo, part.hi)).start >= hit.stop:
-            yield part.rows, kept[i][1]
+            yield part.rows, kept[i]
         else:
             piece = filtered.samples[part.lo - block.lo : part.hi - block.lo]
             yield part.rows, stft(AudioBuffer._trusted(piece, filtered.sample_rate_hz), part.grid)

@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import RvadConfig
-from .dsp import Spectrogram, frame_energy, frame_matrix, spectral_flatness, stft_blocks
+from .dsp import Spectrogram, frame_energy, frame_matrix, spectral_flatness
 
 __all__ = ["sft_voicing", "detect_pitch_autocorr"]
 
@@ -15,31 +15,18 @@ __all__ = ["sft_voicing", "detect_pitch_autocorr"]
 ENERGY_GATE_RATIO = 1e-6
 
 
-def sft_voicing(
-    blocks: Iterable[tuple],
-    theta_sft: float = RvadConfig.theta_sft,
-    spectra: list[tuple[slice, Spectrogram]] | None = None,
-) -> np.ndarray:
+def sft_voicing(spectra: Iterable[Spectrogram], theta_sft: float = RvadConfig.theta_sft) -> np.ndarray:
     """Mark frames whose spectral flatness is at or below the threshold as voiced.
 
     Tonal/harmonic frames have low flatness; noise-like frames sit near 1.0
     and fall through.  Under heavy white noise this detector saturates
     unvoiced, which is the documented failure mode of the fast pipeline.
-    The utterance comes as consecutive blocks of frames, each a buffer and
-    the grid of its frames on it (and, from the pipeline's sweep, their
-    energies, which go unused), and the STFT is taken one
-    `dsp.stft_blocks` block at a time, so long files are never held whole;
-    decisions do not depend on the blocking.  Each `stft_blocks` block's
-    rows of its grid and spectrogram are appended to `spectra` if given;
-    the flatness reads them and leaves them as they are.
+    The utterance comes as consecutive spectrograms of its frames, which the
+    pipeline's sweep takes one STFT block of `block_frames` frames at a
+    time, so long files are never held whole; decisions do not depend on
+    the blocking.  The flatness reads the spectra and leaves them as they are.
     """
-    voiced = [np.zeros(0, dtype=bool)]
-    for audio, grid, *_ in blocks:
-        for rows, spec in stft_blocks(audio, grid):
-            voiced.append(spectral_flatness(spec) <= theta_sft)
-            if spectra is not None:
-                spectra.append((rows, spec))
-    return np.concatenate(voiced)
+    return np.concatenate([np.zeros(0, dtype=bool), *(spectral_flatness(spec) <= theta_sft for spec in spectra)])
 
 
 def detect_pitch_autocorr(

@@ -198,7 +198,7 @@ def front_whole(
     if voicing is not None:
         mask = np.asarray(voicing, dtype=bool)
     elif cfg.mode == "fast":
-        mask = sft_voicing([(work, grid, e1)], cfg.theta_sft)
+        mask = sft_voicing([stft(work, grid)], cfg.theta_sft)
     else:
         mask = detect_pitch_autocorr([(work, grid, e1)], cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
     if zeroed is None:

@@ -21,8 +21,8 @@ from rvad.dsp import (
     recursion,
     spectral_flatness,
     stft,
-    stft_blocks,
 )
+from rvad.vad import SWEEP_BLOCKS, _blocks, _spectra
 
 from synth import FS, sine, white_noise
 
@@ -267,33 +267,28 @@ class TestStft:
 class TestStftBlocks:
     @pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
     def test_blocks_tile_the_whole_stft(self, fs):
+        # the sweeps' STFT walk, each sweep block's samples cut into STFT
+        # blocks of `block_frames` frames, gives the STFT of the whole signal
         rng = np.random.default_rng(fs)
         flen, shift = int(round(0.025 * fs)), int(round(0.010 * fs))
         block = block_frames(flen)
-        for frames in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        sweep = SWEEP_BLOCKS * block
+        for frames in (0, 1, block - 1, block, block + 1, 2 * block + 1, sweep - 1, sweep, sweep + 1):
             n = (frames - 1) * shift + flen + shift // 2 if frames else flen - 1
             buf = AudioBuffer(rng.standard_normal(n), fs)
             grid = make_grid(buf)
             assert grid.num_frames == frames
             whole = stft(buf, grid)
-            blocks = list(stft_blocks(buf, grid))
-            assert [rows.start for rows, _ in blocks] == list(range(0, frames, block))
-            assert all(rows.stop - rows.start == len(spec.frames) <= block for rows, spec in blocks)
-            assert all(spec.nfft == whole.nfft and spec.sample_rate_hz == fs for _, spec in blocks)
-            tiled = np.concatenate([spec.frames for _, spec in blocks]) if blocks else whole.frames
+            parts = [
+                part
+                for b in _blocks(grid)
+                for part in _spectra(AudioBuffer(buf.samples[b.lo : b.hi], fs), b, grid)
+            ]
+            assert [rows.start for rows, _ in parts] == list(range(0, frames, block))
+            assert all(rows.stop - rows.start == len(spec.frames) <= block for rows, spec in parts)
+            assert all(spec.nfft == whole.nfft and spec.sample_rate_hz == fs for _, spec in parts)
+            tiled = np.concatenate([spec.frames for _, spec in parts]) if parts else whole.frames
             assert tiled.tobytes() == whole.frames.tobytes()
-
-    def test_block_reads_samples_only_when_reached(self):
-        # the second pass overwrites samples before the next block's first one
-        buf = AudioBuffer(np.random.default_rng(3).standard_normal(3 * FS), FS)
-        grid = make_grid(buf)
-        whole = stft(buf, grid).frames
-        blocks = stft_blocks(buf, grid)
-        rows, spec = next(blocks)
-        assert spec.frames.tobytes() == whole[rows].tobytes()
-        buf.samples[:] = 0.0
-        later = [spec.frames for _, spec in blocks]
-        assert later and not np.any(np.concatenate(later))
 
 
 class TestBlocks:
@@ -342,8 +337,8 @@ class TestBlocks:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_sub_walk_gives_the_spectra_of_a_block(self, fs, sweeps, seed):
-        # a sweep block of four `stft_blocks` blocks walked in the grid's
-        # own rows gives `stft_blocks` of the block's samples
+        # a sweep block of four STFT blocks walked in the grid's own rows
+        # gives the rows of the `stft` of the block's samples
         rng = np.random.default_rng(seed)
         flen = int(round(0.025 * fs))
         step = block_frames(flen)
@@ -351,12 +346,13 @@ class TestBlocks:
         grid = make_grid(buf)
         for sweep in blocks(grid, 4 * step):
             own = AudioBuffer(buf.samples[sweep.lo : sweep.hi], fs)
-            expected = [(rows, spec.frames.tobytes()) for rows, spec in stft_blocks(own, sweep.grid)]
-            got = []
-            for part in blocks(grid, step, sweep.rows.start, sweep.rows.stop):
+            expected = stft(own, sweep.grid).frames
+            parts = blocks(grid, step, sweep.rows.start, sweep.rows.stop)
+            assert [part.rows.start for part in parts] == list(range(sweep.rows.start, sweep.rows.stop, step))
+            for part in parts:
                 rows = slice(part.rows.start - sweep.rows.start, part.rows.stop - sweep.rows.start)
-                got.append((rows, stft(AudioBuffer(buf.samples[part.lo : part.hi], fs), part.grid).frames.tobytes()))
-            assert got == expected
+                got = stft(AudioBuffer(buf.samples[part.lo : part.hi], fs), part.grid).frames
+                assert got.tobytes() == expected[rows].tobytes()
 
 
 class TestSpectralFlatness:

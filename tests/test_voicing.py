@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvad import AudioBuffer
-from rvad.dsp import FrameGrid, Spectrogram, block_frames, make_grid, spectral_flatness, stft
+from rvad import AudioBuffer, RvadConfig
+from rvad.dsp import FrameGrid, Spectrogram, block_frames, highpass, make_grid, spectral_flatness, stft
+from rvad.vad import SWEEP_BLOCKS, _first_sweep
 from rvad.voicing import _lag_correlation, detect_pitch_autocorr, sft_voicing
 
 from oracles import detect_sft
@@ -31,8 +32,8 @@ class TestDetectSft:
         sft_h = spectral_flatness(stft(harmonic, make_grid(harmonic)))
         sft_n = spectral_flatness(stft(noise, make_grid(noise)))
         assert np.median(sft_h) < 0.5 < np.median(sft_n)
-        mask_h = sft_voicing([(harmonic, make_grid(harmonic))], 0.5)
-        mask_n = sft_voicing([(noise, make_grid(noise))], 0.5)
+        mask_h = sft_voicing([stft(harmonic, make_grid(harmonic))], 0.5)
+        mask_n = sft_voicing([stft(noise, make_grid(noise))], 0.5)
         assert mask_h.mean() > 0.9
         assert mask_n.mean() < 0.1
 
@@ -42,7 +43,7 @@ class TestDetectSft:
         grid = make_grid(buf)
         prev = None
         for theta in (0.2, 0.4, 0.6, 0.8):
-            mask = sft_voicing([(buf, grid)], theta)
+            mask = sft_voicing([stft(buf, grid)], theta)
             if prev is not None:
                 assert np.all(mask[prev])  # raising theta never unmarks
             prev = mask
@@ -56,7 +57,7 @@ class TestDetectSft:
     def test_mask_length(self):
         buf = AudioBuffer(np.zeros(1000), FS)
         g = make_grid(buf)
-        assert len(sft_voicing([(buf, g)], 0.5)) == g.num_frames
+        assert len(sft_voicing([stft(buf, g)], 0.5)) == g.num_frames
 
 
 class TestSftVoicingChunked:
@@ -68,19 +69,28 @@ class TestSftVoicingChunked:
         buf = AudioBuffer(sig, FS)
         g = make_grid(buf)
         expected = detect_sft(stft(buf, g), 0.5)
-        np.testing.assert_array_equal(sft_voicing([(buf, g)], 0.5), expected)
-        # frame counts on either side of a block boundary, voiced across it
+        np.testing.assert_array_equal(sft_voicing([stft(buf, g)], 0.5), expected)
+        # the pipeline's fast voicing, which takes the STFT of each sweep
+        # block of the high-passed signal one STFT block at a time, at frame
+        # counts on either side of an STFT block's and a sweep block's edge,
+        # voiced across the first
         block = block_frames(g.frame_len)
-        assert expected[block - 2 : block + 2].all()
-        for frames in (block - 1, block, block + 1, 2 * block, 2 * block + 1):
+        sweep = SWEEP_BLOCKS * block
+        assert detect_sft(stft(highpass(buf), g), 0.5)[block - 2 : block + 2].all()
+        for frames in (block - 1, block, block + 1, 2 * block, 2 * block + 1, sweep - 1, sweep, sweep + 1):
             part = AudioBuffer(sig[: (frames - 1) * g.frame_shift + g.frame_len], FS)
             pg = make_grid(part)
             assert pg.num_frames == frames
-            np.testing.assert_array_equal(sft_voicing([(part, pg)], 0.5), expected[:frames])
+            for enhance in ("none", "msne"):  # the spectra streamed, or kept for one sweep block
+                cfg = RvadConfig(mode="fast", enhance=enhance)
+                oracle = detect_sft(stft(highpass(part, cfg.hpf_cutoff_hz), pg), cfg.theta_sft)
+                np.testing.assert_array_equal(_first_sweep(part, cfg, None).mask, oracle)
 
     def test_empty_signal(self):
+        empty = sft_voicing([], 0.5)
+        assert empty.dtype == bool and len(empty) == 0
         buf = AudioBuffer(np.zeros(10), FS)
-        assert len(sft_voicing([(buf, make_grid(buf))], 0.5)) == 0
+        assert len(sft_voicing([stft(buf, make_grid(buf))], 0.5)) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -99,7 +109,7 @@ class TestSftVoicingChunked:
         sig += rng.uniform(0.0, 0.5) * sum(np.cos(2 * np.pi * h * f0 * t) / h for h in range(1, 6))
         buf = AudioBuffer(sig, fs)
         g = make_grid(buf)
-        np.testing.assert_array_equal(sft_voicing([(buf, g)], theta), detect_sft(stft(buf, g), theta))
+        np.testing.assert_array_equal(sft_voicing([stft(buf, g)], theta), detect_sft(stft(buf, g), theta))
 
 
 class TestDetectPitchAutocorr:

@@ -17,7 +17,10 @@ that raises gives the exception's type as its digest.  The file records the
 Python, numpy and scipy versions with the digests.
 
 `--compare` lists every key whose digest differs or that one file lacks,
-and exits 1 if there is any.  The bits depend on numpy and on the BLAS it
+then, for each source and artefact with such a key, how many of its keys
+differ, and exits 1 if there is any.  A key's source is its input's name
+up to the last `/`, such as `batch8k-fast-msnemod/seed1` or
+`criterion4/snr10`.  The bits depend on numpy and on the BLAS it
 links, so a difference in the recorded versions is warned about: compare
 runs of one host and one environment.
 """
@@ -125,6 +128,11 @@ def collect() -> dict:
     return digests
 
 
+def group(key: str) -> tuple[str, str]:
+    """A key's source, its input's name up to the last `/`, and its artefact."""
+    return key.split("|", 1)[0].rsplit("/", 1)[0], key.rsplit("|", 1)[1]
+
+
 def compare(a_path: str, b_path: str) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
     if a["versions"] != b["versions"]:
@@ -134,6 +142,9 @@ def compare(a_path: str, b_path: str) -> int:
     for key in differ:
         print(f"{key}: {da.get(key, 'absent')} -> {db.get(key, 'absent')}")
     keys = da.keys() | db.keys()
+    groups = Counter(map(group, keys))
+    for (source, artefact), n in sorted(Counter(map(group, differ)).items()):
+        print(f"{source} {artefact}: {n}/{groups[source, artefact]} differ")
     kinds = Counter(key.rsplit("|", 1)[1] for key in keys)
     print(f"{len(differ)} differences in {len(keys)} digests ({', '.join(f'{k} {n}' for k, n in sorted(kinds.items()))})")
     return 1 if differ else 0
