@@ -7,7 +7,6 @@ import os
 import struct
 import warnings
 import wave
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,20 +95,25 @@ class AudioBuffer:
     def samples(self) -> np.ndarray:
         """Every sample; a file's are decoded on first use and kept."""
         if self._samples is None:
-            samples = np.empty(len(self._chunk))
-            for lo, piece in self._chunk.pieces():
-                samples[lo : lo + len(piece)] = piece
+            samples = np.empty(self._chunk.count)
+            for lo in range(0, len(samples), self._chunk.step):
+                self.read(lo, lo + self._chunk.step, samples[lo:])
             self._samples = samples
         return self._samples
 
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        """Samples [lo, hi): a view of the held samples, or decoded from
-        the file when the buffer holds none."""
-        samples = self._samples
-        return self._chunk.read(lo, hi) if samples is None else samples[lo:hi]
+    @property
+    def reads_file(self) -> bool:
+        """Whether `read` decodes from the file: the buffer holds no samples."""
+        return self._samples is None
+
+    def read(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Samples [lo, hi), the one way they leave the buffer: a view of
+        the held samples, leaving `out` as it was, or the file's, clipped to
+        its end, decoded into the front of `out` if given (room for hi - lo)."""
+        return self._chunk.read(lo, hi, out) if self._samples is None else self._samples[lo:hi]
 
     def __len__(self) -> int:
-        return len(self._chunk) if self._chunk is not None else len(self._samples)
+        return self._chunk.count if self._chunk is not None else len(self._samples)
 
 
 def _check_finite(samples: np.ndarray) -> None:
@@ -133,9 +137,6 @@ class _DataChunk:
         # whole multi-channel frames, READ_BYTES at a time
         self.step = max(READ_BYTES // self.frame_bytes, 1)
 
-    def __len__(self) -> int:
-        return self.count
-
     def read(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """Samples [lo, hi), clipped to the chunk's end, written into the
         front of `out` if given, which has room for hi - lo; an empty range
@@ -156,12 +157,6 @@ class _DataChunk:
             return _decode(data, self.tag, self.bits, out)
         frames = _decode(data, self.tag, self.bits).reshape(n, self.channels)
         return frames.mean(axis=1, out=None if out is None else out[:n])
-
-    def pieces(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Each stretch of `step` samples with its first sample's index, so
-        no copy of the whole chunk's bytes is held."""
-        for lo in range(0, self.count, self.step):
-            yield lo, self.read(lo, lo + self.step)
 
 
 @dataclass
@@ -255,8 +250,9 @@ def read_wav(path) -> AudioBuffer:
 
     chunk = _DataChunk(source, data_at, present // width // channels, tag, bits, channels)
     if tag == _TAG_IEEE_FLOAT:
-        for _, piece in chunk.pieces():
-            _check_finite(piece)
+        stretch = np.empty(min(chunk.step, chunk.count))
+        for lo in range(0, chunk.count, chunk.step):
+            _check_finite(chunk.read(lo, lo + chunk.step, stretch))
     return AudioBuffer._trusted(None, rate, chunk)
 
 

@@ -102,6 +102,7 @@ def _flapack() -> ModuleType:
 dtbtrs = _flapack().dtbtrs
 
 _work = threading.local()
+_lent = threading.local()
 
 
 def _scratch(name: str, n: int) -> np.ndarray:
@@ -114,13 +115,14 @@ def _scratch(name: str, n: int) -> np.ndarray:
     then faulted the same pages in again, 54k minor faults and about a tenth
     of its time.  Only block-sized stretches are asked for, so an array
     stays bounded by the sweep geometry, and nothing handed back to a caller
-    may be one of them.
+    may be one of them.  `_lent` holds the stretch of each last handed out.
     """
     buf = getattr(_work, name, None)
     if buf is None or len(buf) < n:
         buf = np.empty(n)
         setattr(_work, name, buf)
-    return buf[:n]
+    setattr(_lent, name, buf[:n])
+    return getattr(_lent, name)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from .dsp import (
     Block,
     FrameGrid,
     Spectrogram,
+    _lent,
     _scratch,
     block_frames,
     blocks,
@@ -135,9 +136,10 @@ class _FirstSweep:
     in place instead of filtering them again, and in fast mode with
     enhancement on the spectra its voicing took, one per STFT block, at most
     SWEEP_BLOCKS * BLOCK_BYTES; the second sweep takes them once.  The
-    samples are a view of this thread's "filtered" work array, valid only
-    until the next pipeline call in the thread.  A longer utterance keeps
-    neither: each of its blocks is filtered again from its `zi`, the same bits."""
+    samples are a view of this thread's "filtered" work array, used only
+    while it is the stretch last handed out, else filtered again from `zi`.
+    A longer utterance keeps neither: each of its blocks is filtered again
+    from its `zi`, the same bits."""
 
     grid: FrameGrid
     blocks: list[Block]
@@ -209,10 +211,7 @@ def _highpassed(
     from `zi` into this thread's work array, and the next block's
     `zi`: the input and output samples just before `split`, None for an
     empty signal.  A file's samples are decoded into a work array too."""
-    if audio._samples is None:
-        x = audio._chunk.read(block.lo, block.hi, _scratch("decoded", block.hi - block.lo))
-    else:
-        x = audio.read(block.lo, block.hi)
+    x = audio.read(block.lo, block.hi, _scratch("decoded", block.hi - block.lo) if audio.reads_file else None)
     piece = AudioBuffer._trusted(x, audio.sample_rate_hz)
     filtered = highpass(piece, cfg.hpf_cutoff_hz, zi, out=_scratch("filtered", len(x)))
     end = block.split - block.lo - 1
@@ -240,6 +239,8 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
     tracker, ola = dn.MsneState(), dn.OverlapAddState()
     # zeroing and subtraction work in place, so what is kept serves one sweep
     samples, first.samples = first.samples, None
+    if samples is not None and samples.samples is not getattr(_lent, "filtered", None):
+        samples = None
     kept, first.spectra = first.spectra, None
     for block, zi in zip(first.blocks, first.starts):
         hit = _touching(spans, block.lo, block.hi)

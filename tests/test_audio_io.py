@@ -220,10 +220,29 @@ def test_read_in_pieces_equals_one_read(tmp_path, monkeypatch, tag, bits, kind, 
     _write_raw_wav(path, tag, bits, channels, FS, payload)
     monkeypatch.setattr(rvad.audio_io, "READ_BYTES", 1 << 30)
     whole = read_wav(path)
-    assert len(whole) == count // channels
+    n = count // channels
+    assert len(whole) == n
     for read_bytes in (1, 7 * bits, 4096):
         monkeypatch.setattr(rvad.audio_io, "READ_BYTES", read_bytes)
         assert read_wav(path).samples.tobytes() == whole.samples.tobytes()
+    # `read(lo, hi, out)`: a file's samples go into the front of `out` and
+    # nothing past it; held samples come back as a view, `out` untouched
+    held = AudioBuffer(whole.samples, FS)
+    buf = read_wav(path)
+    ranges = [(0, n), (n - 1, n + 5), (n, n + 3)] + [tuple(sorted(rng.integers(0, n + 10, 2))) for _ in range(20)]
+    for lo, hi in ranges:
+        expected = whole.samples[lo:hi]
+        out = np.full(hi - lo + 4, np.nan)
+        got = buf.read(lo, hi, out)
+        assert got.tobytes() == expected.tobytes() == buf.read(lo, hi).tobytes()
+        if len(got):
+            assert got.__array_interface__["data"][0] == out.__array_interface__["data"][0]
+        assert np.isnan(out[len(got) :]).all()
+        out = np.full(hi - lo, np.nan)
+        view = held.read(lo, hi, out)
+        assert view.tobytes() == expected.tobytes() and np.isnan(out).all()
+        assert len(view) == 0 or np.shares_memory(view, held.samples)
+    assert buf.reads_file and not held.reads_file
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
@@ -235,7 +254,11 @@ def test_reads_from_a_pipe(tmp_path):
     writer = threading.Thread(target=lambda: pipe.write_bytes(source.read_bytes()))
     writer.start()
     try:
-        assert read_wav(pipe).samples.tobytes() == read_wav(source).samples.tobytes()
+        piped = read_wav(pipe)
+        out = np.full(1000, np.nan)
+        assert piped.read(1000, 1500, out).tobytes() == read_wav(source).samples[1000:1500].tobytes()
+        assert np.isnan(out[500:]).all()
+        assert piped.samples.tobytes() == read_wav(source).samples.tobytes()
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()

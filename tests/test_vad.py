@@ -19,7 +19,10 @@ from hypothesis import strategies as st
 
 import rvad
 from rvad import AudioBuffer, RvadConfig, read_wav, run_batch, run_denoise, run_rvad, write_wav
+from rvad.config import ENHANCERS, MODES
+from rvad.denoise import detect_high_energy
 from rvad.dsp import FrameGrid, block_frames, frame_energy, highpass, make_grid, stft
+from rvad.features import compute_features
 from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
 from rvad.vad import (
     SWEEP_BLOCKS,
@@ -36,7 +39,7 @@ from rvad.vad import (
 from rvad.voicing import sft_voicing
 
 from oracles import front_whole, post_process_whole
-from synth import FS, pulse_train, utterance, white_noise
+from synth import FS, pulse_train, random_bursts, utterance, white_noise
 
 
 def _segment_vad_oracle(e_seg, voiced_seg, beta=0.4, n=18):
@@ -935,6 +938,65 @@ def test_outputs_do_not_depend_on_the_work_arrays_history(tmp_path, mode, enhanc
     assert after_long == after_one == fresh and one_after == fresh_one
     assert side_by_side[0][1] == side_by_side[1][0] == side_by_side[1][2] == side_by_side[2][0] == fresh
     assert side_by_side[0][0] == side_by_side[1][1]
+
+
+def _bursts_and_noise(seed: int, seconds: float = 3.0, fs: int = FS) -> AudioBuffer:
+    """An utterance of pulse bursts in noise, with a loud quarter-second
+    unvoiced burst for the first sweep to zero."""
+    rng = np.random.default_rng(seed)
+    samples = utterance(random_bursts(rng, total_s=seconds), seconds, fs, noise_rms=0.01, rng=rng).samples.copy()
+    lo = int(rng.integers(0, len(samples) - fs // 4))
+    samples[lo : lo + fs // 4] += 0.3 * rng.standard_normal(fs // 4)
+    return AudioBuffer(samples, fs)
+
+
+@pytest.mark.parametrize("enhance", ENHANCERS)
+@pytest.mark.parametrize("mode", MODES)
+def test_kept_one_block_samples_survive_a_call_between_the_sweeps(mode, enhance):
+    # a one-block utterance keeps its high-passed samples in the thread's
+    # "filtered" work array between the sweeps; another input's run in
+    # between fills that array, and the second sweep then filters the block
+    # again from its `zi` instead of zeroing the other input's samples
+    cfg = RvadConfig(mode=mode, enhance=enhance)
+    a, b = _bursts_and_noise(31, 2.0, 16000), _bursts_and_noise(32, 2.0, 16000)
+    assert len(_blocks(make_grid(a))) == 1
+    first = _first_sweep(a, cfg, None)
+    assert first.zeroed
+    run_rvad(b, cfg)
+    after, alone = _denoise(a, first, cfg), _denoise(a, _first_sweep(a, cfg, None), cfg)
+    gap = np.abs(after.audio.samples - alone.audio.samples).max()
+    assert after.audio.samples.tobytes() == alone.audio.samples.tobytes(), gap
+    assert (after.noise is None) == (alone.noise is None)
+    if after.noise is not None:
+        assert after.noise.tobytes() == alone.noise.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), mode=st.sampled_from(MODES), enhance=st.sampled_from(ENHANCERS), data=st.data())
+def test_stage_invariants(seed, mode, enhance, data):
+    # zeroing, segment extension and the VAD stage's reach, on the first
+    # sweep's artefacts: zeroed are exactly the high-energy segments with at
+    # most min_pitch_frames voiced frames, every extended segment holds a
+    # pitch segment, and with the near rule's reach inside the extension no
+    # speech lies outside the extended segments
+    ext = data.draw(st.integers(0, 80), label="ext_frames")
+    near_left = data.draw(st.integers(0, ext), label="pp_near_left")
+    near_right = data.draw(st.integers(0, ext), label="pp_near_right")
+    cfg = RvadConfig(mode=mode, enhance=enhance, ext_frames=ext, pp_near_left=near_left, pp_near_right=near_right)
+    audio = _bursts_and_noise(seed)
+    first = _first_sweep(audio, cfg, None)
+    feats = compute_features(first.e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
+    high = detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
+    voiced = [np.count_nonzero(first.mask[s : t + 1]) for s, t in high]
+    assert first.zeroed == [seg for seg, n in zip(high, voiced) if n <= cfg.min_pitch_frames]
+
+    pitch = mask_to_segments(first.mask)
+    extended = extend_segments(pitch, ext, len(first.mask))
+    for s, t in extended:
+        assert any(s <= p and q <= t for p, q in pitch)
+
+    labels = run_rvad(audio, cfg).labels
+    assert not labels[~segments_to_mask(extended, len(labels))].any()
 
 
 def test_returned_arrays_are_not_work_arrays(tmp_path):

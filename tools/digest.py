@@ -12,8 +12,9 @@ runs under every mode and enhancer that `rvad.config` lists.  The artefacts
 are the labels of `run_rvad`, and the samples and noise track of
 `run_denoise`, under the default post-processing; and the labels of
 `run_rvad` under POST_PROCESS, whose near rule reaches past the extended
-segments (`labels-pp`).  A run
-that raises gives the exception's type as its digest.  The file records the
+segments (`labels-pp`).  Each WAV input also has the digest of its whole
+decoded samples, `read_wav(path).samples` (`decoded`).  A run that raises
+gives the exception's type as its digest.  The file records the
 Python, numpy and scipy versions with the digests.
 
 `--compare` lists every key whose digest differs or that one file lacks,
@@ -68,7 +69,8 @@ def sha256(array: np.ndarray) -> str:
 
 
 def benchmark_inputs(tmp: Path):
-    """(name, buffer) for every input of the benchmark's workloads at SEEDS."""
+    """(name, buffer, path) for every input of the benchmark's workloads at
+    SEEDS; the path is None for a clip held in memory."""
     for seed in SEEDS:
         for workload in gen.WORKLOADS:
             manifest = gen.write_inputs(workload, seed, tmp / f"{workload}-{seed}")
@@ -79,19 +81,19 @@ def benchmark_inputs(tmp: Path):
             for item in manifest["items"]:
                 name = f"{workload}/seed{seed}/{item['name']}"
                 if item["name"] in clips:
-                    yield name, AudioBuffer(clips[item["name"]], item["fs"])
+                    yield name, AudioBuffer(clips[item["name"]], item["fs"]), None
                 else:
-                    yield name, read_wav(item["path"])
+                    yield name, read_wav(item["path"]), item["path"]
 
 
 def corpus_inputs():
-    """(name, buffer) for the criterion-4 corpus in its four conditions."""
+    """(name, buffer, None) for the criterion-4 corpus in its four conditions."""
     rng = np.random.default_rng(2026)
     corpus = [synth.utterance(synth.random_bursts(rng, total_s=4.0), 4.0) for _ in range(25)]
     for condition, snr in SNRS:
         mix_rng = np.random.default_rng(555)
         for i, buf in enumerate(corpus):
-            yield f"criterion4/{condition}/u{i}", buf if snr is None else synth.noisy_copy(buf, snr, mix_rng)
+            yield f"criterion4/{condition}/u{i}", buf if snr is None else synth.noisy_copy(buf, snr, mix_rng), None
 
 
 def labels(audio: AudioBuffer, cfg: RvadConfig) -> str:
@@ -119,7 +121,9 @@ def collect() -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for source in (benchmark_inputs(Path(tmp)), corpus_inputs()):
-            for name, audio in source:
+            for name, audio, path in source:
+                if path is not None:
+                    digests[f"{name}|decoded"] = sha256(read_wav(path).samples)
                 for mode in MODES:
                     for enhance in ENHANCERS:
                         cfg = RvadConfig(mode=mode, enhance=enhance)
