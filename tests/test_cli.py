@@ -230,6 +230,15 @@ class TestVadCommand:
         assert rc == 1
         assert (out / "tone.vad").exists()
 
+    def test_frames_too_short_for_the_pitch_search_fail_the_file(self, tmp_path, tone_wav, capsys):
+        short = ["--frame-len-ms", "2", "--frame-shift-ms", "2", "--enhance", "none"]
+        rc = _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", *short])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"rvad: {tone_wav}: ValueError: frames of 16 samples are too short" in err
+        assert "rvad: processed 0/1 file(s)" in err and "Traceback" not in err
+        assert _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", *short, "--mode", "fast"]) == 0
+
     def test_label_write_failure_gives_exit_one(self, tmp_path, tone_wav, capsys):
         other = tmp_path / "other.wav"
         write_wav(other, utterance([(0.4, 0.8, 150.0)], 2.0))

@@ -47,3 +47,9 @@ def test_compare_of_equal_files_lists_nothing(tmp_path, capsys):
     a = {"clips48k-full-none/seed2/c0|full|none|labels": "1", "criterion4/clean/u0|fast|msne|samples": "2"}
     assert digest.main(["--compare", _write(tmp_path / "a.json", a), _write(tmp_path / "b.json", a)]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 differences in 2 digests (labels 1, samples 1)"]
+
+
+def test_synth_inputs_cover_the_rates_between_the_benchmarks():
+    rates = [audio.sample_rate_hz for _, audio, _ in digest.synth_inputs()]
+    assert sorted(set(rates)) == [22050, 32000, 44100]
+    assert len(rates) == 3 * digest.SYNTH_UTTERANCES

@@ -314,6 +314,17 @@ class TestRunRvad:
         with pytest.raises(ValueError):
             run_rvad(AudioBuffer(np.zeros(1000), 2000))
 
+    @pytest.mark.parametrize("enhance", ENHANCERS)
+    def test_full_mode_rejects_frames_too_short_to_search(self, enhance):
+        # 2 ms frames are 16 samples at 8 kHz, and the shortest lag searched
+        # is 20: full mode would label nothing, where fast mode finds speech
+        audio = utterance(random_bursts(np.random.default_rng(3)), 4.0)
+        short = dict(frame_len_ms=2.0, frame_shift_ms=2.0, enhance=enhance)
+        for run in (run_rvad, run_denoise):
+            with pytest.raises(ValueError, match="frames of 16 samples .* shortest lag is 20 samples"):
+                run(audio, RvadConfig(mode="full", **short))
+        assert run_rvad(audio, RvadConfig(mode="fast", **short)).num_speech_frames > 0
+
     def test_deterministic_reruns(self):
         buf = utterance([(0.7, 1.2, 160.0)], 3.0, noise_rms=0.02, rng=np.random.default_rng(77))
         a = run_rvad(buf, RvadConfig())

@@ -1,14 +1,16 @@
 """Voicing detectors: spectral flatness threshold and autocorrelation pitch."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rvad import AudioBuffer, RvadConfig
-from rvad.dsp import FrameGrid, Spectrogram, block_frames, highpass, make_grid, spectral_flatness, stft
+from rvad import AudioBuffer, RvadConfig, voicing
+from rvad.dsp import FrameGrid, Spectrogram, block_frames, highpass, make_grid, next_pow2, spectral_flatness, stft
 from rvad.vad import SWEEP_BLOCKS, _first_sweep
-from rvad.voicing import _lag_correlation, detect_pitch_autocorr, sft_voicing
+from rvad.voicing import _fft_correlation, _lag_correlation, _pitch_peaks, detect_pitch_autocorr, sft_voicing
 
 from oracles import detect_sft
 from synth import FS, pulse_train, sine, white_noise
@@ -151,20 +153,23 @@ class TestDetectPitchAutocorr:
     @pytest.mark.parametrize("cut", [1, 20, 48])
     def test_blocks_give_the_decisions_of_one_call(self, cut):
         # the first block holds only the quiet tone, whose own gate would pass
-        # it; the gate is the utterance's
-        sig = np.concatenate([sine(150.0, 0.5, amp=1e-5), sine(150.0, 0.5, amp=0.5)])
-        buf = AudioBuffer(sig, FS)
-        g = make_grid(buf)
-        whole = detect_pitch_autocorr([(buf, g)])
-        assert whole[60:].all() and not whole[:40].any()
-        split = cut * g.frame_shift
-        head = sig[: split + g.frame_len - g.frame_shift]
-        blocks = [
-            (AudioBuffer(head, FS), FrameGrid(g.frame_len, g.frame_shift, cut, len(head))),
-            (AudioBuffer(sig[split:], FS), FrameGrid(g.frame_len, g.frame_shift, g.num_frames - cut, len(sig) - split)),
-        ]
-        assert detect_pitch_autocorr(blocks).tobytes() == whole.tobytes()
-        assert detect_pitch_autocorr(blocks[:1])[: min(cut, 40)].all()
+        # it; the gate is the utterance's.  At 8 kHz the frames take the
+        # lag-limited sum, at 48 kHz the FFT
+        for fs in (FS, 48000):
+            sig = np.concatenate([sine(150.0, 0.5, fs, amp=1e-5), sine(150.0, 0.5, fs, amp=0.5)])
+            buf = AudioBuffer(sig, fs)
+            g = make_grid(buf)
+            whole = detect_pitch_autocorr([(buf, g)])
+            assert whole[60:].all() and not whole[:40].any()
+            split = cut * g.frame_shift
+            head = sig[: split + g.frame_len - g.frame_shift]
+            rest = sig[split:]
+            blocks = [
+                (AudioBuffer(head, fs), FrameGrid(g.frame_len, g.frame_shift, cut, len(head))),
+                (AudioBuffer(rest, fs), FrameGrid(g.frame_len, g.frame_shift, g.num_frames - cut, len(rest))),
+            ]
+            assert detect_pitch_autocorr(blocks).tobytes() == whole.tobytes()
+            assert detect_pitch_autocorr(blocks[:1])[: min(cut, 40)].all()
 
     @pytest.mark.parametrize("freq", [60.0, 100.0, 150.0, 250.0, 399.0])
     def test_in_band_sinusoid_mostly_voiced_at_20db(self, freq):
@@ -199,6 +204,37 @@ class TestDetectPitchAutocorr:
         g = make_grid(buf)
         assert len(detect_pitch_autocorr([(buf, g)])) == g.num_frames
 
+    @pytest.mark.parametrize("frames", [0, 5])
+    def test_frames_too_short_for_the_shortest_lag_raise(self, frames):
+        # lag fs/f_max = 20 samples needs frames of 21; a grid with no frames
+        # is refused too, as the file's other frames would be
+        n = 16 + 4 * (frames - 1) if frames else 10
+        buf = AudioBuffer(sine(150.0, 0.01, amp=0.5)[:n], FS)
+        g = make_grid(buf, frame_len_ms=2.0, frame_shift_ms=0.5)
+        assert (g.frame_len, g.num_frames) == (16, frames)
+        with pytest.raises(ValueError, match="frames of 16 samples .* shortest lag is 20 samples"):
+            detect_pitch_autocorr([(buf, g)])
+        g = make_grid(buf, frame_len_ms=2.625, frame_shift_ms=0.5)  # 21 samples, the shortest that searches
+        assert g.frame_len == 21
+        assert len(detect_pitch_autocorr([(buf, g)])) == g.num_frames
+
+    @pytest.mark.parametrize(
+        "fs, frame_len_ms, by_fft",
+        [(8000, 25.0, False), (16000, 25.0, False), (22050, 25.0, True), (32000, 25.0, True),
+         (44100, 25.0, True), (48000, 25.0, True), (16000, 50.0, True)],
+    )
+    def test_frames_from_22050_hz_up_take_the_fft(self, fs, frame_len_ms, by_fft):
+        # the rule reads the frame's geometry: default frames at 8 and 16 kHz
+        # take the lag-limited sum, and higher rates or longer frames the FFT
+        buf = AudioBuffer(pulse_train(150.0, 0.5, fs), fs)
+        g = make_grid(buf, frame_len_ms=frame_len_ms)
+        with (
+            mock.patch.object(voicing, "_fft_correlation", wraps=_fft_correlation) as fft,
+            mock.patch.object(voicing, "_lag_correlation", wraps=_lag_correlation) as lag,
+        ):
+            assert detect_pitch_autocorr([(buf, g)]).all()
+        assert (fft.call_count, lag.call_count) == ((g.num_frames, 0) if by_fft else (0, g.num_frames))
+
 
 
 @settings(max_examples=600, deadline=None)
@@ -219,3 +255,68 @@ def test_lag_correlation_is_the_full_autocorrelation_slice(flen, data, seed, sca
     f[rng.random(flen) < zeroed] = 0.0
     expected = np.correlate(f, f, mode="full")[flen - 1 + lag_lo : flen + lag_hi]
     assert _lag_correlation(f, lag_lo, lag_hi).tobytes() == expected.tobytes()
+
+
+RATES = (8000, 16000, 22050, 32000, 44100, 48000)
+
+
+@st.composite
+def fft_frames(draw):
+    """(fs, frame) on the FFT side of the pitch search's rule: the default
+    25 ms frame at 22.05-48 kHz, or a frame of any length that the rule sends
+    to the FFT, at any scale, with a zeroed stretch, a near-silent tail, or
+    as an exact-period pulse train."""
+    fs, flen = draw(
+        st.one_of(
+            st.sampled_from([(fs, round(0.025 * fs)) for fs in RATES[2:]]),
+            st.tuples(st.sampled_from(RATES), st.integers(2, 2400)),
+        )
+    )
+    lag_lo, lag_hi = _lags(fs, flen)
+    assume(lag_lo <= lag_hi)
+    q, n = flen - lag_lo + 1, next_pow2(flen + lag_hi)
+    assume(q * q > voicing.FFT_COST * n * np.log2(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "zeroed", "tail", "pulses", "pulses in noise"]))
+    f = np.zeros(flen) if kind == "pulses" else rng.standard_normal(flen)
+    if "pulses" in kind:
+        period = int(rng.integers(lag_lo, lag_hi + 1))
+        f[int(rng.integers(period)) :: period] += 1.0 if kind == "pulses" else 10.0
+    if kind == "zeroed":
+        lo = int(rng.integers(flen))
+        f[lo : lo + int(rng.integers(flen + 1))] = 0.0
+    if kind == "tail":
+        f[int(rng.integers(lag_lo, flen)) :] *= 10.0 ** -rng.uniform(6.0, 20.0)
+    return fs, draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e3])) * f
+
+
+def _lags(fs, flen):
+    return round(fs / RvadConfig.pitch_f_max), min(round(fs / RvadConfig.pitch_f_min), flen - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=fft_frames(), threshold=st.sampled_from(["default", "peak", "below peak", "above peak"]))
+def test_fft_correlation_gives_the_decisions_of_the_lag_limited_sum(frame, threshold):
+    fs, f = frame
+    flen = len(f)
+    lag_lo, lag_hi = _lags(fs, flen)
+    exact = _lag_correlation(f, lag_lo, lag_hi)
+    fft = _fft_correlation(f, lag_lo, lag_hi, next_pow2(flen + lag_hi))
+    assert np.abs(fft - exact).max() <= 1e-12 * (f @ f)
+
+    # the normalized peak of the exact correlation, and a threshold at it or
+    # one step either side, where the FFT's error alone would flip the decision
+    lags = np.arange(lag_lo, lag_hi + 1)
+    csum = np.concatenate(([0.0], np.cumsum(f * f)))
+    denom = np.sqrt(csum[flen - lags] * (csum[flen] - csum[lags]))
+    valid = denom > 0.0
+    peak = (exact[valid] / denom[valid]).max() if valid.any() else 0.0
+    rho = {"default": RvadConfig.pitch_rho, "peak": peak, "below peak": np.nextafter(peak, -np.inf),
+           "above peak": np.nextafter(peak, np.inf)}[threshold]
+    args = (f[None, :], np.array([f @ f]), fs, RvadConfig.pitch_f_min, RvadConfig.pitch_f_max, rho)
+    with mock.patch.object(voicing, "FFT_COST", np.inf):
+        direct = _pitch_peaks(*args)
+    assert direct[0] == (valid.any() and peak >= rho and f @ f > 0.0)
+    # a frame whose decision the FFT's error could flip is searched again
+    # exactly, so the decisions are the direct path's everywhere
+    assert _pitch_peaks(*args).tobytes() == direct.tobytes()

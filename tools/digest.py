@@ -6,14 +6,19 @@
 `--out` runs the rvad of the tree this script is in on every input of
 `perfbench/gen.py` at seeds 1 and 2 (its WAV workloads written to a
 temporary directory and read back with `read_wav`, its 48 kHz clips in
-memory) and on the criterion-4 corpus of `tests/test_acceptance.py`,
-built with `tests/synth.py`, clean and at 20, 10 and 5 dB SNR.  Each input
+memory), on the criterion-4 corpus of `tests/test_acceptance.py`,
+built with `tests/synth.py`, clean and at 20, 10 and 5 dB SNR, and on
+seeded `tests/synth.py` utterances at 22.05, 32 and 44.1 kHz, whose default
+frames take the pitch search's FFT path as the 48 kHz clips do.  Each input
 runs under every mode and enhancer that `rvad.config` lists.  The artefacts
 are the labels of `run_rvad`, and the samples and noise track of
 `run_denoise`, under the default post-processing; and the labels of
 `run_rvad` under POST_PROCESS, whose near rule reaches past the extended
-segments (`labels-pp`).  Each WAV input also has the digest of its whole
-decoded samples, `read_wav(path).samples` (`decoded`).  A run that raises
+segments (`labels-pp`).  Each input also has the digest of the pitch
+search's mask on its whole high-passed samples at the defaults (`voicing`),
+so a voicing change that leaves the labels alone still shows, and each WAV
+input that of its whole decoded samples, `read_wav(path).samples`
+(`decoded`).  A run that raises
 gives the exception's type as its digest.  The file records the
 Python, numpy and scipy versions with the digests.
 
@@ -50,9 +55,14 @@ import gen  # noqa: E402
 import synth  # noqa: E402
 from rvad import AudioBuffer, RvadConfig, read_wav, run_denoise, run_rvad  # noqa: E402
 from rvad.config import ENHANCERS, MODES  # noqa: E402
+from rvad.dsp import highpass, make_grid  # noqa: E402
+from rvad.voicing import detect_pitch_autocorr  # noqa: E402
 
 SEEDS = (1, 2)
 SNRS = (("clean", None), ("snr20", 20.0), ("snr10", 10.0), ("snr5", 5.0))
+# rates between the benchmark's 16 and 48 kHz, and utterances at each
+SYNTH_RATES = (22050, 32000, 44100)
+SYNTH_UTTERANCES = 4
 # a post-processing whose near rules reach past the segment extension
 POST_PROCESS = dict(ext_frames=20, pp_near_left=30, pp_near_right=40)
 
@@ -96,6 +106,26 @@ def corpus_inputs():
             yield f"criterion4/{condition}/u{i}", buf if snr is None else synth.noisy_copy(buf, snr, mix_rng), None
 
 
+def synth_inputs():
+    """(name, buffer, None) for seeded 4 s utterances at SYNTH_RATES, every
+    other one with a white-noise floor."""
+    for fs in SYNTH_RATES:
+        rng = np.random.default_rng(fs)
+        for i in range(SYNTH_UTTERANCES):
+            bursts = synth.random_bursts(rng, total_s=4.0)
+            yield f"synth/fs{fs}/u{i}", synth.utterance(bursts, 4.0, fs, noise_rms=0.01 * (i % 2), rng=rng), None
+
+
+def voicing(audio: AudioBuffer) -> str:
+    """Digest of the pitch search's mask on the whole high-passed input at
+    the defaults, or the type of what it raises."""
+    try:
+        filtered = highpass(audio)
+        return sha256(detect_pitch_autocorr([(filtered, make_grid(filtered))]))
+    except Exception as exc:
+        return f"error: {type(exc).__name__}"
+
+
 def labels(audio: AudioBuffer, cfg: RvadConfig) -> str:
     """Digest of the labels of `run_rvad`, or the type of what it raises."""
     try:
@@ -120,10 +150,11 @@ def artefacts(audio: AudioBuffer, cfg: RvadConfig) -> dict:
 def collect() -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for source in (benchmark_inputs(Path(tmp)), corpus_inputs()):
+        for source in (benchmark_inputs(Path(tmp)), corpus_inputs(), synth_inputs()):
             for name, audio, path in source:
                 if path is not None:
                     digests[f"{name}|decoded"] = sha256(read_wav(path).samples)
+                digests[f"{name}|voicing"] = voicing(audio)
                 for mode in MODES:
                     for enhance in ENHANCERS:
                         cfg = RvadConfig(mode=mode, enhance=enhance)
