@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import RvadConfig
-from .dsp import Spectrogram, frame_energy, frame_matrix, next_pow2, spectral_flatness
+from .dsp import Spectrogram, block_frames, frame_energy, frame_matrix, next_pow2, spectral_flatness
 
 __all__ = ["sft_voicing", "detect_pitch_autocorr"]
 
@@ -17,19 +17,22 @@ ENERGY_GATE_RATIO = 1e-6
 # A frame's correlation at the searched lags comes from an FFT of n =
 # next_pow2(flen + lag_hi) points, where no searched lag wraps, when
 # q*q > FFT_COST * n*log2(n) (q = flen - lag_lo + 1), and from the q*q
-# multiply-adds of `_lag_correlation` otherwise.  Microseconds a 25 ms frame,
-# medians of 6 interleaved runs of 400 frames on a 2-vCPU x86-64 host (a
-# loaded host read up to 1.7 times these on both paths, in the same order):
+# multiply-adds of `_lag_correlation` otherwise.  The FFT side searches a
+# block's frames a chunk at a time, the sum one frame at a time.
+# Microseconds a 25 ms frame of the whole search, `tools/pitch_costs.py`
+# (medians of 10 interleaved runs of 400 noise frames on a 2-vCPU x86-64
+# host; a loaded host read up to 1.5 times these):
 #
 #   fs (kHz)           8     16   22.05     32   44.1     48
 #   q*q / n*log2(n)  7.1   12.7    24.1   23.1   43.8   51.9
-#   lag-limited sum 17.6   20.0    32.7   66.5  118.3  142.6
-#   FFT             26.2   21.5    21.4   31.9   33.9   34.9
+#   lag-limited sum 19.0   33.1    52.3   81.9  150.3  156.9
+#   chunked FFT      5.9   11.3    12.8   27.7   29.6   30.2
 #
-# Over frame lengths at 8 and 16 kHz the two cross between ratios 14 and 20,
-# so 8 and 16 kHz keep the exact sum and 22.05 kHz up takes the FFT; the
-# rule reads the frame's geometry, so 50 ms frames at 16 kHz (25.7) take the
-# FFT too.
+# The chunked FFT is cheaper at every rate.  FFT_COST draws the line between
+# default frames at 16 kHz (12.7) and 22.05 kHz (24.1): 8 and 16 kHz keep
+# the exact sum because of criterion 7 (full mode at least 5 times slower
+# than fast mode on 16 kHz files), not cost.  The rule reads the frame's
+# geometry, so 50 ms frames at 16 kHz (25.7) take the FFT too.
 FFT_COST = 16.0
 # The FFT correlation lies within FFT_ERROR * (f.f) of the exact sum's.  A
 # frame whose decision that error could flip is searched again exactly, so
@@ -98,32 +101,49 @@ def _pitch_peaks(
             f"frames of {flen} samples are too short for the pitch search, whose shortest lag"
             f" is {lag_lo} samples (sample_rate/pitch_f_max): need at least {lag_lo + 1}"
         )
-    lags = np.arange(lag_lo, lag_hi + 1)
     q, n = flen - lag_lo + 1, next_pow2(flen + lag_hi)
-    by_fft = q * q > FFT_COST * n * np.log2(n)
+    live = np.flatnonzero((energies > 0.0) & (energies >= gate))
+    if q * q > FFT_COST * n * np.log2(n):
+        # a chunk's padded frames and half-spectra fill about BLOCK_BYTES
+        step = block_frames(2 * (flen + lag_hi))
+        for lo in range(0, len(live), step):
+            rows = live[lo : lo + step]
+            voiced[rows] = _fft_peaks(frames[rows], lag_lo, lag_hi, n, rho)
+        return voiced
+    for m in live:
+        voiced[m] = _exact_peak(frames[m], _denominators(frames[m], lag_lo, lag_hi)[1], lag_lo, lag_hi, rho)
+    return voiced
 
-    for m in range(num):
-        if energies[m] <= 0.0 or energies[m] < gate:
-            continue
-        f = frames[m]
-        csum = np.concatenate(([0.0], np.cumsum(f * f)))
-        head = csum[flen - lags]  # energy of x(0 .. flen-1-tau)
-        tail = csum[flen] - csum[lags]  # energy of x(tau .. flen-1)
-        denom = np.sqrt(head * tail)
-        valid = denom > 0.0
-        if not valid.any():
-            continue
-        if by_fft:
-            corr = _fft_correlation(f, lag_lo, lag_hi, n)
-            # r(tau) >= rho at some lag, read as corr - rho*denom: the FFT's
-            # error moves it by at most FFT_ERROR * f.f at every lag, and
-            # twice that leaves room for the rounding of the differences
-            margin = (corr - rho * denom)[valid].max()
-            if abs(margin) > 2.0 * FFT_ERROR * csum[flen]:
-                voiced[m] = margin > 0.0
-                continue
-        corr = _lag_correlation(f, lag_lo, lag_hi)
-        voiced[m] = (corr[valid] / denom[valid]).max() >= rho
+
+def _denominators(f: np.ndarray, lag_lo: int, lag_hi: int) -> tuple:
+    """f.f, and sqrt of the energies of x(0 .. flen-1-tau) and x(tau .. flen-1)
+    for tau = lag_lo .. lag_hi, of a frame or of each row of a stack of frames."""
+    flen = f.shape[-1]
+    csum = np.cumsum(f * f, axis=-1)
+    head = csum[..., flen - 1 - lag_hi : flen - lag_lo][..., ::-1]
+    tail = csum[..., -1:] - csum[..., lag_lo - 1 : lag_hi]
+    return csum[..., -1], np.sqrt(head * tail)
+
+
+def _exact_peak(f: np.ndarray, denom: np.ndarray, lag_lo: int, lag_hi: int, rho: float) -> bool:
+    """Whether a frame's exact correlation, normalized by its denominators,
+    reaches `rho` at some lag where they are not 0."""
+    valid = denom > 0.0
+    return bool(valid.any()) and (_lag_correlation(f, lag_lo, lag_hi)[valid] / denom[valid]).max() >= rho
+
+
+def _fft_peaks(f: np.ndarray, lag_lo: int, lag_hi: int, n: int, rho: float) -> np.ndarray:
+    """The decisions of the lag-limited sum for a stack of frames, from their
+    FFT correlation, searching again exactly each frame that the FFT's error
+    could flip."""
+    energy, denom = _denominators(f, lag_lo, lag_hi)
+    # r(tau) >= rho at some lag, read as corr - rho*denom: the FFT's error
+    # moves it by at most FFT_ERROR * f.f at every lag, and twice that
+    # leaves room for the rounding of the differences
+    margin = np.where(denom > 0.0, _fft_correlation(f, lag_lo, lag_hi, n) - rho * denom, -np.inf).max(axis=1)
+    voiced = margin > 0.0
+    for k in np.flatnonzero(np.abs(margin) <= 2.0 * FFT_ERROR * energy):
+        voiced[k] = _exact_peak(f[k], denom[k], lag_lo, lag_hi, rho)
     return voiced
 
 
@@ -146,7 +166,8 @@ def _lag_correlation(f: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
 def _fft_correlation(f: np.ndarray, lag_lo: int, lag_hi: int, n: int) -> np.ndarray:
     """sum f(n)f(n+tau) for tau = lag_lo .. lag_hi, within FFT_ERROR * f.f, from
     the inverse FFT of the frame's power spectrum on n >= len(f) + lag_hi
-    points, where no searched lag wraps round onto another."""
+    points, where no searched lag wraps round onto another; for a frame, or
+    for each row of a stack of frames."""
     spectrum = np.fft.rfft(f, n)
     spectrum *= spectrum.conj()
-    return np.fft.irfft(spectrum, n)[lag_lo : lag_hi + 1]
+    return np.fft.irfft(spectrum, n)[..., lag_lo : lag_hi + 1]

@@ -1,5 +1,6 @@
 """Voicing detectors: spectral flatness threshold and autocorrelation pitch."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rvad import AudioBuffer, RvadConfig, voicing
-from rvad.dsp import FrameGrid, Spectrogram, block_frames, highpass, make_grid, next_pow2, spectral_flatness, stft
+from rvad.dsp import (
+    BLOCK_BYTES,
+    FrameGrid,
+    Spectrogram,
+    block_frames,
+    frame_energy,
+    highpass,
+    make_grid,
+    next_pow2,
+    spectral_flatness,
+    stft,
+)
 from rvad.vad import SWEEP_BLOCKS, _first_sweep
 from rvad.voicing import _fft_correlation, _lag_correlation, _pitch_peaks, detect_pitch_autocorr, sft_voicing
 
@@ -182,12 +194,14 @@ class TestDetectPitchAutocorr:
         assert mask.mean() >= 0.90
 
     def test_out_of_band_rejected(self):
-        buf = AudioBuffer(sine(1500.0, 1.0, amp=0.5), FS)
-        mask = detect_pitch_autocorr([(buf, make_grid(buf))])
-        # 1.5 kHz has no autocorrelation peak in the 60..400 Hz lag range that
-        # persists, but harmonically related lags can still fire; the energy
-        # gate stays open, so just require the detector not to saturate
-        assert mask.dtype == bool
+        # a tone above the pitch range is not rejected: some multiple of its
+        # period falls on a searched lag (tau = fs/f_max .. fs/f_min), where
+        # r(tau) is near 1, so every frame is voiced.  At 8 kHz the frames
+        # take the lag-limited sum, at 48 kHz the chunked FFT
+        for fs in (FS, 48000):
+            for freq in (1000.0, 1500.0, 2500.0):
+                buf = AudioBuffer(sine(freq, 1.0, fs, amp=0.5), fs)
+                assert detect_pitch_autocorr([(buf, make_grid(buf))]).all()
 
     def test_parameter_validation(self):
         buf = AudioBuffer(np.zeros(400), FS)
@@ -225,7 +239,9 @@ class TestDetectPitchAutocorr:
     )
     def test_frames_from_22050_hz_up_take_the_fft(self, fs, frame_len_ms, by_fft):
         # the rule reads the frame's geometry: default frames at 8 and 16 kHz
-        # take the lag-limited sum, and higher rates or longer frames the FFT
+        # take the lag-limited sum one frame at a time, and higher rates or
+        # longer frames the FFT, a chunk of block_frames(2 * (flen + lag_hi))
+        # frames a call
         buf = AudioBuffer(pulse_train(150.0, 0.5, fs), fs)
         g = make_grid(buf, frame_len_ms=frame_len_ms)
         with (
@@ -233,8 +249,32 @@ class TestDetectPitchAutocorr:
             mock.patch.object(voicing, "_lag_correlation", wraps=_lag_correlation) as lag,
         ):
             assert detect_pitch_autocorr([(buf, g)]).all()
-        assert (fft.call_count, lag.call_count) == ((g.num_frames, 0) if by_fft else (0, g.num_frames))
+        fft_rows = sum(len(call.args[0]) for call in fft.call_args_list)
+        assert (fft_rows, lag.call_count) == ((g.num_frames, 0) if by_fft else (0, g.num_frames))
+        chunk = block_frames(2 * (g.frame_len + _lags(fs, g.frame_len)[1]))
+        assert fft.call_count == (-(-g.num_frames // chunk) if by_fft else 0)
+        assert chunk < g.num_frames  # so a frame-at-a-time FFT would show
 
+    def test_peak_memory_does_not_grow_with_the_block(self):
+        # the FFT side holds one chunk of frames and spectra at a time, not
+        # the block's; batching a whole block of 64 frames would pass 3 MB
+        fs, peaks = 48000, []
+        for frames in (64, 640):
+            dur = (frames - 1) * 0.01 + 0.025
+            sig = sine(150.0, dur, fs) + white_noise(dur, 0.05, fs, rng=np.random.default_rng(frames))
+            buf = AudioBuffer(sig[: round(dur * fs)], fs)
+            g = make_grid(buf)
+            block = [(buf, g, frame_energy(buf, g))]
+            assert g.num_frames == frames
+            assert detect_pitch_autocorr(block).mean() > 0.9
+            tracemalloc.start()
+            try:
+                detect_pitch_autocorr(block)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 3 * BLOCK_BYTES
+        assert peaks[1] - peaks[0] <= BLOCK_BYTES // 8
 
 
 @settings(max_examples=600, deadline=None)
@@ -261,11 +301,19 @@ RATES = (8000, 16000, 22050, 32000, 44100, 48000)
 
 
 @st.composite
-def fft_frames(draw):
-    """(fs, frame) on the FFT side of the pitch search's rule: the default
+def fft_blocks(draw):
+    """(fs, frames, energies, threshold) of a block on the FFT side of the
+    pitch search's rule, with more frames than one FFT chunk: the default
     25 ms frame at 22.05-48 kHz, or a frame of any length that the rule sends
-    to the FFT, at any scale, with a zeroed stretch, a near-silent tail, or
-    as an exact-period pulse train."""
+    to the FFT.  Each frame has its own scale from 1e-8 to 1e3 and is noise,
+    noise with a zeroed stretch or a near-silent tail, an exact-period pulse
+    train alone or in noise, a click before the shortest lag (no lag has
+    energy on both sides), all zero, or pulses under the gate.  The energies
+    only gate the search, so frames of every scale are searched in one
+    block: 1 for a searched frame, 0 for an all-zero one and 1e-7 (under
+    1e-6 of the loudest) for a gated one.  The threshold is the default, or
+    one searched frame's exact peak or one step either side of it, where
+    the FFT's error alone would flip that frame's decision."""
     fs, flen = draw(
         st.one_of(
             st.sampled_from([(fs, round(0.025 * fs)) for fs in RATES[2:]]),
@@ -276,47 +324,93 @@ def fft_frames(draw):
     assume(lag_lo <= lag_hi)
     q, n = flen - lag_lo + 1, next_pow2(flen + lag_hi)
     assume(q * q > voicing.FFT_COST * n * np.log2(n))
+    chunk = block_frames(2 * (flen + lag_hi))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["noise", "zeroed", "tail", "pulses", "pulses in noise", "click", "zero", "gated"]),
+                st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
+            ),
+            min_size=chunk + 1,
+            max_size=2 * chunk + 1,
+        )
+    )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["noise", "zeroed", "tail", "pulses", "pulses in noise"]))
-    f = np.zeros(flen) if kind == "pulses" else rng.standard_normal(flen)
-    if "pulses" in kind:
-        period = int(rng.integers(lag_lo, lag_hi + 1))
-        f[int(rng.integers(period)) :: period] += 1.0 if kind == "pulses" else 10.0
-    if kind == "zeroed":
-        lo = int(rng.integers(flen))
-        f[lo : lo + int(rng.integers(flen + 1))] = 0.0
-    if kind == "tail":
-        f[int(rng.integers(lag_lo, flen)) :] *= 10.0 ** -rng.uniform(6.0, 20.0)
-    return fs, draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e3])) * f
+    frames, energies = np.zeros((len(rows), flen)), np.ones(len(rows))
+    for m, (f, (kind, scale)) in enumerate(zip(frames, rows)):
+        if kind in ("noise", "zeroed", "tail", "pulses in noise"):
+            f[:] = rng.standard_normal(flen)
+        if "pulses" in kind or kind == "gated":
+            period = int(rng.integers(lag_lo, lag_hi + 1))
+            f[int(rng.integers(period)) :: period] += 10.0 if kind == "pulses in noise" else 1.0
+        if kind == "zeroed":
+            lo = int(rng.integers(flen))
+            f[lo : lo + int(rng.integers(flen + 1))] = 0.0
+        if kind == "tail":
+            f[int(rng.integers(lag_lo, flen)) :] *= 10.0 ** -rng.uniform(6.0, 20.0)
+        if kind == "click":
+            f[int(rng.integers(lag_lo))] = 1.0
+        f *= scale
+        energies[m] = {"zero": 0.0, "gated": 1e-7}.get(kind, 1.0)
+    threshold = draw(st.sampled_from(["default", "peak", "below peak", "above peak"]))
+    at = draw(st.integers(0, len(rows) - 1))
+    return fs, frames, energies, threshold, at
 
 
 def _lags(fs, flen):
     return round(fs / RvadConfig.pitch_f_max), min(round(fs / RvadConfig.pitch_f_min), flen - 1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(frame=fft_frames(), threshold=st.sampled_from(["default", "peak", "below peak", "above peak"]))
-def test_fft_correlation_gives_the_decisions_of_the_lag_limited_sum(frame, threshold):
-    fs, f = frame
-    flen = len(f)
-    lag_lo, lag_hi = _lags(fs, flen)
-    exact = _lag_correlation(f, lag_lo, lag_hi)
-    fft = _fft_correlation(f, lag_lo, lag_hi, next_pow2(flen + lag_hi))
-    assert np.abs(fft - exact).max() <= 1e-12 * (f @ f)
-
-    # the normalized peak of the exact correlation, and a threshold at it or
-    # one step either side, where the FFT's error alone would flip the decision
-    lags = np.arange(lag_lo, lag_hi + 1)
+def _denominators(f, lag_lo, lag_hi):
+    """sqrt of the energies of x(0 .. flen-1-tau) and x(tau .. flen-1), the
+    per-frame form of the pitch search's normalisation."""
+    flen, lags = len(f), np.arange(lag_lo, lag_hi + 1)
     csum = np.concatenate(([0.0], np.cumsum(f * f)))
-    denom = np.sqrt(csum[flen - lags] * (csum[flen] - csum[lags]))
-    valid = denom > 0.0
-    peak = (exact[valid] / denom[valid]).max() if valid.any() else 0.0
+    return np.sqrt(csum[flen - lags] * (csum[flen] - csum[lags]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=fft_blocks())
+def test_fft_correlation_gives_the_decisions_of_the_lag_limited_sum(block):
+    fs, frames, energies, threshold, at = block
+    lag_lo, lag_hi = _lags(fs, frames.shape[1])
+    searched = (energies > 0.0) & (energies >= voicing.ENERGY_GATE_RATIO * energies.max())
+    exact = [_lag_correlation(f, lag_lo, lag_hi) for f in frames]
+    denoms = [_denominators(f, lag_lo, lag_hi) for f in frames]
+    peaks = np.array([(c[d > 0.0] / d[d > 0.0]).max() if (d > 0.0).any() else -np.inf for c, d in zip(exact, denoms)])
+
+    # a threshold at one searched frame's normalized peak, or one step either side
+    candidates = np.flatnonzero(searched & np.isfinite(peaks))
+    peak = peaks[candidates[at % len(candidates)]] if len(candidates) else RvadConfig.pitch_rho
     rho = {"default": RvadConfig.pitch_rho, "peak": peak, "below peak": np.nextafter(peak, -np.inf),
            "above peak": np.nextafter(peak, np.inf)}[threshold]
-    args = (f[None, :], np.array([f @ f]), fs, RvadConfig.pitch_f_min, RvadConfig.pitch_f_max, rho)
+    args = (frames, energies, fs, RvadConfig.pitch_f_min, RvadConfig.pitch_f_max, rho)
     with mock.patch.object(voicing, "FFT_COST", np.inf):
         direct = _pitch_peaks(*args)
-    assert direct[0] == (valid.any() and peak >= rho and f @ f > 0.0)
+    assert direct.tobytes() == (searched & (peaks >= rho)).tobytes()
+
+    with (
+        mock.patch.object(voicing, "_fft_correlation", wraps=_fft_correlation) as fft,
+        mock.patch.object(voicing, "_lag_correlation", wraps=_lag_correlation) as lag,
+    ):
+        chunked = _pitch_peaks(*args)
     # a frame whose decision the FFT's error could flip is searched again
     # exactly, so the decisions are the direct path's everywhere
-    assert _pitch_peaks(*args).tobytes() == direct.tobytes()
+    assert chunked.tobytes() == direct.tobytes()
+
+    # each row of each stack lies within 1e-12 * (f.f) of its own exact sum,
+    # and exactly the rows within twice FFT_ERROR * (f.f) of the threshold,
+    # by their own f.f, are searched again
+    index = {f.tobytes(): m for m, f in enumerate(frames)}
+    stacked, near = [], []
+    for call in fft.call_args_list:
+        for f, corr in zip(call.args[0], _fft_correlation(*call.args)):
+            m = index[f.tobytes()]
+            stacked.append(m)
+            assert np.abs(corr - exact[m]).max() <= 1e-12 * (f @ f)
+            valid = denoms[m] > 0.0
+            margin = (corr - rho * denoms[m])[valid].max() if valid.any() else -np.inf
+            if abs(margin) <= 2.0 * voicing.FFT_ERROR * (f @ f):
+                near.append(m)
+    assert sorted(stacked) == sorted(index[f.tobytes()] for f in frames[searched])
+    assert sorted(index[call.args[0].tobytes()] for call in lag.call_args_list) == sorted(near)
