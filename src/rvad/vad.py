@@ -127,19 +127,44 @@ def _blocks(grid: FrameGrid) -> list[Block]:
     return blocks(grid, SWEEP_BLOCKS * block_frames(grid.frame_len))
 
 
+class _Framed(NamedTuple):
+    """A block's high-passed samples, their frames' grid and energies: a voicing detector's input."""
+
+    filtered: AudioBuffer
+    grid: FrameGrid
+    energies: np.ndarray
+
+
+class _Filtered(NamedTuple):
+    """A block's high-passed samples and the next block's `zi`."""
+
+    filtered: AudioBuffer
+    zi: tuple[float, float] | None
+
+
+class _Output(NamedTuple):
+    """A piece of sweep 2's output, with its sweep block and that block's zeroed samples."""
+
+    block: Block
+    filtered: AudioBuffer
+    finished: np.ndarray
+
+
 @dataclass
-class _FirstSweep:
-    """What the first sweep leaves for the second one and the VAD stage,
-    filled in as it goes: per-frame arrays, the noise segments to zero and
-    the high-pass `zi` at each block's first sample.  An utterance of one
-    block also keeps its high-passed samples, which the second sweep zeroes
-    in place instead of filtering them again, and in fast mode with
-    enhancement on the spectra its voicing took, one per STFT block, at most
-    SWEEP_BLOCKS * BLOCK_BYTES; the second sweep takes them once.  The
-    samples are a view of this thread's "filtered" work array, used only
-    while it is the stretch last handed out, else filtered again from `zi`.
-    A longer utterance keeps neither: each of its blocks is filtered again
-    from its `zi`, the same bits."""
+class _Run:
+    """The record of one run, each field filled by the stage that decides
+    it: sweep 1 (`_first_sweep`) the grid, its `blocks`, the frame energies
+    `e1`, the high-pass `zi` at each block's first sample (`starts`), the
+    voicing `mask`, the `high_energy` segments and the noise segments among
+    them (`zeroed`); `_run` the `pitch` segments and their extension
+    (`extended`); the VAD stage (`_labels`) the segment decisions (`raw`)
+    and the post-processed `labels`.  Between the sweeps a one-block
+    utterance also keeps its high-passed `samples`, a view of this thread's
+    "filtered" work array that sweep 2 zeroes in place while it is the
+    stretch last handed out (else it filters again from `zi`), and in fast
+    mode with enhancement on the `spectra` its voicing took, at most
+    SWEEP_BLOCKS * BLOCK_BYTES, which sweep 2 takes once.  Once `_run`
+    returns neither is held, and no field is a view of a work array."""
 
     grid: FrameGrid
     blocks: list[Block]
@@ -147,12 +172,15 @@ class _FirstSweep:
     starts: list[tuple[float, float] | None] = field(default_factory=list)
     samples: AudioBuffer | None = None
     mask: np.ndarray | None = None
+    high_energy: list[Segment] = field(default_factory=list)
     zeroed: list[Segment] = field(default_factory=list)
     spectra: list[Spectrogram] | None = None
+    pitch: list[Segment] = field(default_factory=list)
+    extended: list[Segment] = field(default_factory=list)
+    raw: np.ndarray | None = None
+    labels: np.ndarray | None = None
 
-    def high_passed(
-        self, audio: AudioBuffer, cfg: RvadConfig
-    ) -> Iterator[tuple[AudioBuffer, FrameGrid, np.ndarray]]:
+    def high_passed(self, audio: AudioBuffer, cfg: RvadConfig) -> Iterator[_Framed]:
         """Each block's high-passed samples, the grid of its frames on them
         and their energies, keeping the filter's `zi` at each block's first
         sample, the frame energies and a one-block utterance's samples on
@@ -170,43 +198,41 @@ class _FirstSweep:
             self.e1[block.rows] = frame_energy(filtered, block.grid)
             if len(self.blocks) == 1:  # nothing filters into its work array before the second sweep
                 self.samples = filtered
-            yield filtered, block.grid, self.e1[block.rows]
+            yield _Framed(filtered, block.grid, self.e1[block.rows])
 
 
-def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None) -> _FirstSweep:
+def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None) -> _Run:
     """High-pass, frame energies and voicing one block at a time, then the
     features, the high-energy segments and the noise segments among them."""
     if audio.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
         raise ValueError(f"sample rate must be >= {MIN_SAMPLE_RATE_HZ} Hz")
     grid = make_grid(audio, cfg.frame_len_ms, cfg.frame_shift_ms)
-    first = _FirstSweep(grid, _blocks(grid), np.empty(grid.num_frames))
-    pieces = first.high_passed(audio, cfg)
+    run = _Run(grid, _blocks(grid), np.empty(grid.num_frames))
+    pieces = run.high_passed(audio, cfg)
     if voicing is not None:
-        first.mask = np.asarray(voicing, dtype=bool)
-        if len(first.mask) != grid.num_frames:
-            raise ValueError(f"voicing mask has {len(first.mask)} frames, expected {grid.num_frames}")
+        run.mask = np.asarray(voicing, dtype=bool)
+        if len(run.mask) != grid.num_frames:
+            raise ValueError(f"voicing mask has {len(run.mask)} frames, expected {grid.num_frames}")
         for _ in pieces:
             pass
     elif cfg.mode == "fast":
-        walks = (_spectra(filtered, block, grid) for (filtered, *_), block in zip(pieces, first.blocks))
+        walks = (_spectra(piece.filtered, block, grid) for piece, block in zip(pieces, run.blocks))
         spectra = (spec for walk in walks for _, spec in walk)
         # Only a one-block utterance's spectra are kept: the last block's of
         # a longer input, held through the whole second sweep, raised the
         # peak of `run_rvad` on two minutes at 16 kHz from 3.17 to 4.08 MB.
-        if cfg.enhance != "none" and len(first.blocks) == 1:
-            spectra = first.spectra = list(spectra)
-        first.mask = sft_voicing(spectra, cfg.theta_sft)
+        if cfg.enhance != "none" and len(run.blocks) == 1:
+            spectra = run.spectra = list(spectra)
+        run.mask = sft_voicing(spectra, cfg.theta_sft)
     else:
-        first.mask = detect_pitch_autocorr(pieces, cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
-    feats = compute_features(first.e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
-    he_segs = dn.detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
-    first.zeroed = dn.noise_segments(he_segs, first.mask, cfg.min_pitch_frames)
-    return first
+        run.mask = detect_pitch_autocorr(pieces, cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
+    feats = compute_features(run.e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
+    run.high_energy = dn.detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
+    run.zeroed = dn.noise_segments(run.high_energy, run.mask, cfg.min_pitch_frames)
+    return run
 
 
-def _highpassed(
-    audio: AudioBuffer, block: Block, cfg: RvadConfig, zi: tuple[float, float] | None
-) -> tuple[AudioBuffer, tuple[float, float] | None]:
+def _highpassed(audio: AudioBuffer, block: Block, cfg: RvadConfig, zi: tuple[float, float] | None) -> _Filtered:
     """The block's samples [lo, hi) of the caller's signal, high-passed on
     from `zi` into this thread's work array, and the next block's
     `zi`: the input and output samples just before `split`, None for an
@@ -215,10 +241,10 @@ def _highpassed(
     piece = AudioBuffer._trusted(x, audio.sample_rate_hz)
     filtered = highpass(piece, cfg.hpf_cutoff_hz, zi, out=_scratch("filtered", len(x)))
     end = block.split - block.lo - 1
-    return filtered, (x[end], filtered.samples[end]) if end >= 0 else None
+    return _Filtered(filtered, (x[end], filtered.samples[end]) if end >= 0 else None)
 
 
-def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touched_until: int | None = None):
+def _second_sweep(audio, run: _Run, cfg: RvadConfig, noise=None, touched_until: int | None = None) -> Iterator[_Output]:
     """Each block high-passed again from its stored `zi` (a one-block
     utterance's samples are at hand), its noise segments zeroed and, with
     enhancement on, taken through STFT, noise tracking, subtraction and
@@ -232,27 +258,27 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
     after that frame; rows of the noise track go into `noise` if given.
     `_spectra` decides where each block's spectrum comes from.
     """
-    grid = first.grid
+    grid = run.grid
     # sample spans of the zeroed segments; both ends ascend
-    spans = np.array([grid.sample_span(*seg) for seg in first.zeroed], dtype=np.int64).reshape(-1, 2)
-    frozen = segments_to_mask(first.zeroed, grid.num_frames) if cfg.enhance == "msne-mod" else None
+    spans = np.array([grid.sample_span(*seg) for seg in run.zeroed], dtype=np.int64).reshape(-1, 2)
+    frozen = segments_to_mask(run.zeroed, grid.num_frames) if cfg.enhance == "msne-mod" else None
     tracker, ola = dn.MsneState(), dn.OverlapAddState()
     # zeroing and subtraction work in place, so what is kept serves one sweep
-    samples, first.samples = first.samples, None
+    samples, run.samples = run.samples, None
     if samples is not None and samples.samples is not getattr(_lent, "filtered", None):
         samples = None
-    kept, first.spectra = first.spectra, None
-    for block, zi in zip(first.blocks, first.starts):
+    kept, run.spectra = run.spectra, None
+    for block, zi in zip(run.blocks, run.starts):
         hit = _touching(spans, block.lo, block.hi)
         if touched_until is not None:
             if block.rows.start > touched_until:
                 break
             if hit.start >= hit.stop:
                 continue
-        filtered = _highpassed(audio, block, cfg, zi)[0] if samples is None else samples
-        dn.zero_segments(filtered, grid, first.zeroed[hit], block.lo)
+        filtered = _highpassed(audio, block, cfg, zi).filtered if samples is None else samples
+        dn.zero_segments(filtered, grid, run.zeroed[hit], block.lo)
         if cfg.enhance == "none":
-            yield block, filtered, filtered.samples[: block.split - block.lo]
+            yield _Output(block, filtered, filtered.samples[: block.split - block.lo])
             continue
         for rows, spec in _spectra(filtered, block, grid, kept, spans):
             power = np.abs(spec.frames) ** 2
@@ -270,7 +296,7 @@ def _second_sweep(audio, first: _FirstSweep, cfg: RvadConfig, noise=None, touche
             dn.spectral_subtract(spec, track, cfg.subtract_floor, power)
             if cfg.enhance == "msne-mod":
                 dn.lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
-            yield block, filtered, dn.reconstruct(spec, grid, ola).samples
+            yield _Output(block, filtered, dn.reconstruct(spec, grid, ola).samples)
 
 
 def _touching(spans: np.ndarray, lo: int, hi: int) -> slice:
@@ -298,7 +324,7 @@ def _spectra(
             yield part.rows, stft(AudioBuffer._trusted(piece, filtered.sample_rate_hz), part.grid)
 
 
-def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig, last: int | None = None) -> np.ndarray:
+def _energies(audio: AudioBuffer, run: _Run, cfg: RvadConfig, last: int | None = None) -> np.ndarray:
     """Frame energies of the second sweep's output, a few frames behind it,
     up to frame `last` (None: the last frame).  The sweep stops after the
     block that completes that frame's energy; the frames it leaves are NaN
@@ -311,20 +337,20 @@ def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig, last: int
     14 % of the file's time in fast mode, and 16 instead of 2 ms per 30 s
     48 kHz clip.
     """
-    grid = first.grid
+    grid = run.grid
     if last is None:
         last = grid.num_frames - 1
     if cfg.enhance == "none":
-        e2 = first.e1.copy()
-        for block, filtered, _ in _second_sweep(audio, first, cfg, touched_until=last):
-            e2[block.rows] = frame_energy(filtered, block.grid)
+        e2 = run.e1.copy()
+        for out in _second_sweep(audio, run, cfg, touched_until=last):
+            e2[out.block.rows] = frame_energy(out.filtered, out.block.grid)
         return e2
     flen, shift = grid.frame_len, grid.frame_shift
     e2 = np.empty(grid.num_frames)
     # the finished samples from frame `done`'s first sample on
     done, pending = 0, np.empty(0)
-    for _, _, finished in _second_sweep(audio, first, cfg):
-        pending = np.concatenate([pending, finished])
+    for out in _second_sweep(audio, run, cfg):
+        pending = np.concatenate([pending, out.finished])
         ready = min(grid.num_frames, (done * shift + len(pending) - flen) // shift + 1) - done
         if ready > 0:
             piece = AudioBuffer._trusted(pending, audio.sample_rate_hz)
@@ -337,20 +363,29 @@ def _energies(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig, last: int
     return e2
 
 
-def _last_read(pitch: list[Segment], cfg: RvadConfig, num_frames: int) -> int:
-    """The last frame whose energy the VAD stage reads: the end of the last
-    extended segment or, if later, of the near rule's reach past the last
-    pitch segment, which there must be."""
-    return min(num_frames - 1, pitch[-1][1] + max(cfg.ext_frames, cfg.pp_near_right))
+def _labels(run: _Run, e2: np.ndarray, cfg: RvadConfig) -> None:
+    """The VAD stage: segment decisions inside the extended segments, then
+    post-processing."""
+    run.raw = np.zeros(len(run.mask), dtype=bool)
+    for s, t in run.extended:
+        run.raw[s : t + 1] = segment_vad(e2[s : t + 1], run.mask[s : t + 1], cfg.beta, cfg.smooth_n)
+    run.labels = post_process(run.raw, run.pitch, e2, cfg)
 
 
-def _labels(mask: np.ndarray, e2: np.ndarray, cfg: RvadConfig, pitch: list[Segment]) -> np.ndarray:
-    """The VAD stage: segment decisions inside the pitch segments extended
-    from both ends, then post-processing."""
-    labels = np.zeros(len(mask), dtype=bool)
-    for s, t in extend_segments(pitch, cfg.ext_frames, len(mask)):
-        labels[s : t + 1] = segment_vad(e2[s : t + 1], mask[s : t + 1], cfg.beta, cfg.smooth_n)
-    return post_process(labels, pitch, e2, cfg)
+def _run(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None) -> _Run:
+    """Both sweeps and the VAD stage, each stage's decisions kept in the record."""
+    run = _first_sweep(audio, cfg, voicing)
+    num = run.grid.num_frames
+    run.pitch = mask_to_segments(run.mask)
+    if run.pitch:
+        run.extended = extend_segments(run.pitch, cfg.ext_frames, num)
+        # the last frame the VAD stage reads: the last extended segment's end or the near rule's reach
+        last = min(num - 1, max(run.extended[-1][1], run.pitch[-1][1] + cfg.pp_near_right))
+        _labels(run, _energies(audio, run, cfg, last), cfg)
+    else:  # no speech, and no second sweep
+        run.raw = run.labels = np.zeros(num, dtype=bool)
+    run.samples = run.spectra = None  # what a one-block utterance keeps for a second sweep that did not run
+    return run
 
 
 def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> VadResult:
@@ -366,14 +401,7 @@ def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndar
     segment.  `run_denoise` gives the waveform.
     """
     cfg = cfg or RvadConfig()
-    first = _first_sweep(audio, cfg, voicing)
-    pitch = mask_to_segments(first.mask)
-    if pitch:
-        e2 = _energies(audio, first, cfg, _last_read(pitch, cfg, first.grid.num_frames))
-        labels = _labels(first.mask, e2, cfg, pitch)
-    else:  # no speech, and no second sweep
-        labels = np.zeros(first.grid.num_frames, dtype=bool)
-    return VadResult(labels, cfg.frame_shift_ms, cfg.frame_len_ms)
+    return VadResult(_run(audio, cfg, voicing).labels, cfg.frame_shift_ms, cfg.frame_len_ms)
 
 
 def run_denoise(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> Denoised:
@@ -388,15 +416,15 @@ def run_denoise(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.n
     return _denoise(audio, _first_sweep(audio, cfg, voicing), cfg)
 
 
-def _denoise(audio: AudioBuffer, first: _FirstSweep, cfg: RvadConfig) -> Denoised:
+def _denoise(audio: AudioBuffer, run: _Run, cfg: RvadConfig) -> Denoised:
     """The second sweep's finished samples put in place, and its noise track."""
-    grid = first.grid
+    grid = run.grid
     out = np.zeros(grid.total_samples)
     noise = None if cfg.enhance == "none" else np.empty((grid.num_frames, next_pow2(grid.frame_len) // 2 + 1))
     done = 0
-    for _, _, finished in _second_sweep(audio, first, cfg, noise):
-        out[done : done + len(finished)] = finished
-        done += len(finished)
+    for piece in _second_sweep(audio, run, cfg, noise):
+        out[done : done + len(piece.finished)] = piece.finished
+        done += len(piece.finished)
     return Denoised(AudioBuffer._trusted(out, audio.sample_rate_hz), noise)
 
 

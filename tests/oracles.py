@@ -178,6 +178,8 @@ class WholeFront:
 
     grid: FrameGrid
     mask: np.ndarray
+    high: list[Segment]
+    zeroed: list[Segment]
     e2: np.ndarray
     enhanced: AudioBuffer
     noise: np.ndarray | None
@@ -213,7 +215,7 @@ def front_whole(
         if cfg.enhance == "msne-mod":
             lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
         work = reconstruct(spec, grid)
-    return WholeFront(grid, mask, frame_energy(work, grid), work, noise)
+    return WholeFront(grid, mask, high, zeroed, frame_energy(work, grid), work, noise)
 
 
 def central_smooth_whole(x: np.ndarray, n: int) -> np.ndarray:

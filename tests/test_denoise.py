@@ -615,7 +615,7 @@ class TestBlockwiseSecondPass:
         cfg = RvadConfig(enhance="msne-mod")
         first = replace(_first_sweep(audio, cfg, None), zeroed=[(3, 9)])
         noise = np.full((first.grid.num_frames, 129), np.nan)
-        with_track = [finished.tobytes() for *_, finished in _second_sweep(audio, first, cfg, noise)]
-        without = [finished.tobytes() for *_, finished in _second_sweep(audio, first, cfg)]
+        with_track = [out.finished.tobytes() for out in _second_sweep(audio, first, cfg, noise)]
+        without = [out.finished.tobytes() for out in _second_sweep(audio, first, cfg)]
         assert with_track == without
         assert not np.isnan(noise).any()

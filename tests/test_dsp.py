@@ -279,10 +279,12 @@ class TestStftBlocks:
             grid = make_grid(buf)
             assert grid.num_frames == frames
             whole = stft(buf, grid)
+            # each part copied as the walk yields it, so a walk that reuses
+            # one spectrum's memory for the next part still shows every part
             parts = [
-                part
+                (rows, Spectrogram(spec.frames.copy(), spec.nfft, spec.sample_rate_hz))
                 for b in _blocks(grid)
-                for part in _spectra(AudioBuffer(buf.samples[b.lo : b.hi], fs), b, grid)
+                for rows, spec in _spectra(AudioBuffer(buf.samples[b.lo : b.hi], fs), b, grid)
             ]
             assert [rows.start for rows, _ in parts] == list(range(0, frames, block))
             assert all(rows.stop - rows.start == len(spec.frames) <= block for rows, spec in parts)

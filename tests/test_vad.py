@@ -11,6 +11,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +21,7 @@ from hypothesis import strategies as st
 import rvad
 from rvad import AudioBuffer, RvadConfig, read_wav, run_batch, run_denoise, run_rvad, write_wav
 from rvad.config import ENHANCERS, MODES
-from rvad.denoise import detect_high_energy
 from rvad.dsp import FrameGrid, block_frames, frame_energy, highpass, make_grid, stft
-from rvad.features import compute_features
 from rvad.segments import extend_segments, mask_to_segments, segments_to_mask
 from rvad.vad import (
     SWEEP_BLOCKS,
@@ -31,7 +30,8 @@ from rvad.vad import (
     _energies,
     _first_sweep,
     _labels,
-    _last_read,
+    _run,
+    _Run,
     _spectra,
     post_process,
     segment_vad,
@@ -408,6 +408,29 @@ def _random_utterance(fs, seconds, seed):
     return AudioBuffer(samples, fs)
 
 
+def _oracle_labels(expected, cfg: RvadConfig) -> np.ndarray:
+    """The VAD stage's labels on the whole-buffer oracle's voicing and energies."""
+    pitch = mask_to_segments(expected.mask)
+    extended = extend_segments(pitch, cfg.ext_frames, len(expected.mask))
+    run = _Run(expected.grid, [], expected.e2, mask=expected.mask, pitch=pitch, extended=extended)
+    _labels(run, expected.e2, cfg)
+    return run.labels
+
+
+def _spied_run(audio: AudioBuffer, cfg: RvadConfig):
+    """`_run`'s record, the frame its second sweep stopped at and the
+    energies that sweep gave the VAD stage (None and None without one)."""
+    seen = [None, None]
+
+    def energies(audio, run, cfg, last):
+        seen[:] = last, _energies(audio, run, cfg, last)
+        return seen[1]
+
+    with mock.patch.object(rvad.vad, "_energies", energies):
+        run = _run(audio, cfg, None)
+    return run, *seen
+
+
 PIPELINES = dict(
     fs=st.sampled_from([8000, 16000, 44100, 48000]),
     seconds=st.floats(0.0, 3.0),
@@ -439,8 +462,10 @@ class TestPipelineProperties:
         e2 = _energies(audio, first, cfg)
         assert first.mask.tobytes() == expected.mask.tobytes()
         assert e2.tobytes() == expected.e2.tobytes()
+        run, _, stopped = _spied_run(audio, cfg)
+        assert run.high_energy == expected.high and run.zeroed == expected.zeroed
+        assert run.labels.tobytes() == _oracle_labels(expected, cfg).tobytes()
         pitch = mask_to_segments(expected.mask)
-        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg, pitch).tobytes()
         if pitch:
             # every frame the VAD stage may read: the extended segments and
             # the frames the near rule makes speech
@@ -448,7 +473,6 @@ class TestPipelineProperties:
             rules_only = replace(cfg, energy_ratio=0.0)
             near = post_process_whole(np.zeros(num, dtype=bool), pitch, np.ones(num), rules_only)
             read = segments_to_mask(extend_segments(pitch, cfg.ext_frames, num), num) | near
-            stopped = _energies(audio, first, cfg, _last_read(pitch, cfg, num))
             assert stopped[read].tobytes() == expected.e2[read].tobytes()
 
     @pytest.mark.parametrize("fs", [16000, 48000])
@@ -577,7 +601,7 @@ class TestVoicingSpectraReuse:
 
         expected = front_whole(audio, cfg)
         labels = run_rvad(audio, cfg).labels
-        assert labels.tobytes() == _labels(expected.mask, expected.e2, cfg, mask_to_segments(expected.mask)).tobytes()
+        assert labels.tobytes() == _oracle_labels(expected, cfg).tobytes()
         enhanced, noise = run_denoise(audio, cfg)
         assert enhanced.samples.tobytes() == expected.enhanced.samples.tobytes()
         assert noise.tobytes() == expected.noise.tobytes()
@@ -656,25 +680,6 @@ def _counting(monkeypatch, module, name):
 class TestSecondSweepStops:
     """The second sweep runs only as far as the VAD stage reads."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        mask=st.lists(st.booleans(), min_size=1, max_size=400).filter(any),
-        ext=st.integers(0, 120),
-        near=st.integers(0, 120),
-        voiced_end=st.booleans(),
-    )
-    def test_last_read_is_the_extension_or_the_near_rule(self, mask, ext, near, voiced_end):
-        # the closed form against the end of the last extended segment and
-        # the near rule's reach past the last pitch segment; `voiced_end`
-        # makes masks whose last segment ends at the last frame common
-        mask = np.array(mask)
-        mask[-1] |= voiced_end
-        num = len(mask)
-        cfg = RvadConfig(ext_frames=ext, pp_near_right=near)
-        pitch = mask_to_segments(mask)
-        extended = extend_segments(pitch, ext, num)
-        assert _last_read(pitch, cfg, num) == min(num - 1, max(extended[-1][1], pitch[-1][1] + near))
-
     @pytest.mark.parametrize("enhance", ["none", "msne", "msne-mod"])
     def test_no_pitch_segment_no_second_sweep(self, enhance, monkeypatch):
         audio = _random_utterance(16000, 3.0, 5)
@@ -697,10 +702,8 @@ class TestSecondSweepStops:
         grid = make_grid(audio)
         step = block_frames(grid.frame_len)
         calls = _counting(monkeypatch, rvad.denoise, "reconstruct")
-        labels = run_rvad(audio, cfg).labels
-        assert labels[50:150].any() and not labels[400:].any()
-        mask = _first_sweep(audio, cfg, None).mask
-        last = _last_read(mask_to_segments(mask), cfg, grid.num_frames)
+        run, last, _ = _spied_run(audio, cfg)
+        assert run.labels[50:150].any() and not run.labels[400:].any()
         assert len(calls) <= -(-(last + 2) // step) + 1 < -(-grid.num_frames // step)
         calls.clear()
         run_denoise(audio, cfg)
@@ -722,8 +725,8 @@ class TestSecondSweepStops:
         pitch = mask_to_segments(expected.mask)
         near = min(pitch[-1][1] + cfg.pp_near_right, num - 1)
         assert near >= extend_segments(pitch, cfg.ext_frames, num)[-1][1] + 40
-        assert run_rvad(audio, cfg).labels.tobytes() == _labels(expected.mask, expected.e2, cfg, pitch).tobytes()
-        stopped = _energies(audio, _first_sweep(audio, cfg, None), cfg, _last_read(pitch, cfg, num))
+        run, _, stopped = _spied_run(audio, cfg)
+        assert run.labels.tobytes() == _oracle_labels(expected, cfg).tobytes()
         assert stopped[: near + 1].tobytes() == expected.e2[: near + 1].tobytes()
 
     def test_trailing_non_speech_not_filtered_again(self, monkeypatch):
@@ -738,7 +741,8 @@ class TestSecondSweepStops:
         audio = AudioBuffer(samples, fs)
         cfg = RvadConfig(mode="full", enhance="none")
         first = _first_sweep(audio, cfg, None)
-        assert _last_read(mask_to_segments(first.mask), cfg, first.grid.num_frames) < first.blocks[1].rows.start
+        _, last, _ = _spied_run(audio, cfg)
+        assert last < first.blocks[1].rows.start
         calls = _counting(monkeypatch, rvad.vad, "_highpassed")
         run_rvad(audio, cfg)
         second = len(calls) - len(first.blocks)
@@ -747,11 +751,11 @@ class TestSecondSweepStops:
         assert second == 1 < len(calls)
 
 
-@pytest.mark.parametrize("seconds, blocks", [(3.0, 1), (6.0, 2)])
-def test_second_sweep_filters_each_block_of_a_longer_utterance(tmp_path, seconds, blocks, monkeypatch):
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_second_sweep_filters_each_block_of_a_longer_utterance(tmp_path, blocks, monkeypatch):
     # the first sweep keeps a block's samples for the second one only when
-    # it is the utterance's one block; at 8 kHz a sweep block is 5.12 s
-    audio = read_wav(_speech_wav(tmp_path / "u.wav", seconds, 4, fs=8000))
+    # it is the utterance's one block
+    audio = read_wav(_speech_wav(tmp_path / "u.wav", 0.6 * blocks * _sweep_block_seconds(8000), 4, fs=8000))
     cfg = RvadConfig(mode="fast", enhance="msne")
     calls = _counting(monkeypatch, rvad.vad, "_highpassed")
     first = _first_sweep(audio, cfg, None)
@@ -852,11 +856,13 @@ def test_vad_stage_peak_memory_on_one_long_segment():
     mask[-1] = True
     cfg = RvadConfig()
     pitch = mask_to_segments(mask)
-    assert extend_segments(pitch, cfg.ext_frames, frames) == [(0, frames - 1)]
+    extended = extend_segments(pitch, cfg.ext_frames, frames)
+    assert extended == [(0, frames - 1)]
+    run = _Run(None, [], e, mask=mask, pitch=pitch, extended=extended)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        _labels(mask, e, cfg, pitch)
+        _labels(run, e, cfg)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -880,6 +886,12 @@ def test_file_path_peak_memory_is_per_frame(tmp_path):
         tracemalloc.stop()
     assert result.num_speech_frames > 0
     assert peak <= 0.25 * samples.nbytes
+
+
+def _sweep_block_seconds(fs: int) -> float:
+    """The duration of one sweep block of default frames at `fs`."""
+    grid = make_grid(AudioBuffer(np.zeros(fs), fs))
+    return SWEEP_BLOCKS * block_frames(grid.frame_len) * grid.frame_shift / fs
 
 
 def _speech_wav(path, seconds, seed, fs=16000):
@@ -925,14 +937,16 @@ def _in_threads(*jobs):
 @pytest.mark.parametrize("mode", ["fast", "full"])
 def test_outputs_do_not_depend_on_the_work_arrays_history(tmp_path, mode, enhance):
     # the sweeps decode, filter and window in each thread's work arrays: a
-    # 4 s file (two sweep blocks at 16 kHz) gives the same bits in a fresh
-    # thread, after a 20 s file of eight blocks has grown and filled those
-    # arrays in the same thread, after a file of one block, whose samples
-    # wait in them between the sweeps, and while two more threads run
-    # beside it; and the one-block file gives its own bits after the others
+    # file of two sweep blocks gives the same bits in a fresh thread, after
+    # a file of eight blocks has grown and filled those arrays in the same
+    # thread, after a file of one block, whose samples wait in them between
+    # the sweeps, and while two more threads run beside it; and the
+    # one-block file gives its own bits after the others
     cfg = RvadConfig(mode=mode, enhance=enhance)
-    short, long = _speech_wav(tmp_path / "short.wav", 4.0, 1), _speech_wav(tmp_path / "long.wav", 20.0, 2)
-    one = _speech_wav(tmp_path / "one.wav", 3.0, 5, fs=8000)
+    block_s = _sweep_block_seconds(16000)
+    short = _speech_wav(tmp_path / "short.wav", 1.5 * block_s, 1)
+    long = _speech_wav(tmp_path / "long.wav", 7.5 * block_s, 2)
+    one = _speech_wav(tmp_path / "one.wav", 0.6 * _sweep_block_seconds(8000), 5, fs=8000)
     assert len(_blocks(make_grid(read_wav(short)))) == 2 and len(_blocks(make_grid(read_wav(long)))) == 8
     assert len(_blocks(make_grid(read_wav(one)))) == 1
     [[fresh], [fresh_one]] = _in_threads([lambda: _outputs(short, cfg)], [lambda: _outputs(one, cfg)])
@@ -985,34 +999,32 @@ def test_kept_one_block_samples_survive_a_call_between_the_sweeps(mode, enhance)
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), mode=st.sampled_from(MODES), enhance=st.sampled_from(ENHANCERS), data=st.data())
 def test_stage_invariants(seed, mode, enhance, data):
-    # zeroing, segment extension and the VAD stage's reach, on the first
-    # sweep's artefacts: zeroed are exactly the high-energy segments with at
-    # most min_pitch_frames voiced frames, every extended segment holds a
-    # pitch segment, and with the near rule's reach inside the extension no
-    # speech lies outside the extended segments
+    # zeroing, segment extension and the VAD stage's reach, on the run's
+    # record: zeroed are exactly the high-energy segments with at most
+    # min_pitch_frames voiced frames, every extended segment holds a pitch
+    # segment, the segment decisions lie inside the extended segments, and
+    # with the near rule's reach inside the extension so do the labels
     ext = data.draw(st.integers(0, 80), label="ext_frames")
     near_left = data.draw(st.integers(0, ext), label="pp_near_left")
     near_right = data.draw(st.integers(0, ext), label="pp_near_right")
     cfg = RvadConfig(mode=mode, enhance=enhance, ext_frames=ext, pp_near_left=near_left, pp_near_right=near_right)
-    audio = _bursts_and_noise(seed)
-    first = _first_sweep(audio, cfg, None)
-    feats = compute_features(first.e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
-    high = detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
-    voiced = [np.count_nonzero(first.mask[s : t + 1]) for s, t in high]
-    assert first.zeroed == [seg for seg, n in zip(high, voiced) if n <= cfg.min_pitch_frames]
+    run = _run(_bursts_and_noise(seed), cfg, None)
+    voiced = [np.count_nonzero(run.mask[s : t + 1]) for s, t in run.high_energy]
+    assert run.zeroed == [seg for seg, n in zip(run.high_energy, voiced) if n <= cfg.min_pitch_frames]
 
-    pitch = mask_to_segments(first.mask)
-    extended = extend_segments(pitch, ext, len(first.mask))
-    for s, t in extended:
-        assert any(s <= p and q <= t for p, q in pitch)
+    for s, t in run.extended:
+        assert any(s <= p and q <= t for p, q in run.pitch)
 
-    labels = run_rvad(audio, cfg).labels
-    assert not labels[~segments_to_mask(extended, len(labels))].any()
+    outside = ~segments_to_mask(run.extended, len(run.labels))
+    assert not run.raw[outside].any()
+    assert not run.labels[outside].any()
 
 
 def test_returned_arrays_are_not_work_arrays(tmp_path):
     # every array handed back to a caller is its own, never a view of the
-    # thread's work arrays, which the next call overwrites
+    # thread's work arrays, which the next call overwrites; nor is any array
+    # a run's record holds once it returns, for a one-block utterance with
+    # speech and one with no pitch segment, where sweep 2 does not run
     path = _speech_wav(tmp_path / "u.wav", 4.0, 3)
     returned = [read_wav(path).samples]
     for mode in ("fast", "full"):
@@ -1027,6 +1039,16 @@ def test_returned_arrays_are_not_work_arrays(tmp_path):
         piece = AudioBuffer(audio.samples[block.lo : block.hi], audio.sample_rate_hz)
         returned.extend(spec.frames for _, spec in _spectra(piece, block, grid))
     returned.append(stft(audio, FrameGrid(grid.frame_len, grid.frame_shift, 3, grid.total_samples)).frames)
+    one = _bursts_and_noise(31, 2.0, 16000)
+    assert len(_blocks(make_grid(one))) == 1
+    silent = np.zeros(make_grid(one).num_frames, dtype=bool)
+    for mode in ("fast", "full"):
+        for enhance in ("none", "msne", "msne-mod"):
+            for voicing in (None, silent):
+                run = _run(one, RvadConfig(mode=mode, enhance=enhance), voicing)
+                assert bool(run.pitch) == (voicing is None) and run.samples is None and run.spectra is None
+                held = (getattr(value, "samples", value) for value in vars(run).values())
+                returned.extend(value for value in held if isinstance(value, np.ndarray))
     work = list(vars(rvad.dsp._work).values())
     assert len(work) == 3  # decoded, filtered and windowed samples
     for array in returned:

@@ -77,7 +77,10 @@ class TestDetectSft:
 class TestSftVoicingChunked:
     def test_identical_to_composed_ops(self):
         rng = np.random.default_rng(32)
-        sig = white_noise(5.5, 0.005, rng=rng)
+        flen, shift = int(round(0.025 * FS)), int(round(0.010 * FS))
+        block = block_frames(flen)
+        sweep = SWEEP_BLOCKS * block
+        sig = white_noise(sweep * shift / FS + 0.5, 0.005, rng=rng)  # past a sweep block's edge
         sig[4000:12000] += pulse_train(170.0, 1.0)
         sig[18000:26000] += pulse_train(140.0, 1.0)
         buf = AudioBuffer(sig, FS)
@@ -88,8 +91,6 @@ class TestSftVoicingChunked:
         # block of the high-passed signal one STFT block at a time, at frame
         # counts on either side of an STFT block's and a sweep block's edge,
         # voiced across the first
-        block = block_frames(g.frame_len)
-        sweep = SWEEP_BLOCKS * block
         assert detect_sft(stft(highpass(buf), g), 0.5)[block - 2 : block + 2].all()
         for frames in (block - 1, block, block + 1, 2 * block, 2 * block + 1, sweep - 1, sweep, sweep + 1):
             part = AudioBuffer(sig[: (frames - 1) * g.frame_shift + g.frame_len], FS)
