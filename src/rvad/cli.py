@@ -21,9 +21,6 @@ from .config import CHOICES, RvadConfig
 from .metrics import DEFAULT_GAMMA, EvalResult, aggregate, count_errors, rates_from_counts
 from .vad import _process_one, run_batch, run_denoise
 
-# accepted config-file spellings for awkward keys
-_KEY_ALIASES = {"he_threshold": "he_threshold_basis"}
-
 _CONFIG_FIELDS = {f.name: type(f.default) for f in fields(RvadConfig)}
 
 
@@ -47,9 +44,7 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        key = _KEY_ALIASES.get(key, key)
-        values[key] = value.strip("\"'")
+        values[key.replace("-", "_")] = value.strip("\"'")
     return values
 
 

@@ -8,14 +8,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["RvadConfig", "MODES", "ENHANCERS", "THRESHOLD_BASES", "CHOICES"]
+__all__ = ["RvadConfig", "MODES", "ENHANCERS", "CHOICES"]
 
 MODES = ("full", "fast")
 ENHANCERS = ("none", "msne", "msne-mod")
-THRESHOLD_BASES = ("distance", "energy")
 
 # the string fields of RvadConfig and the values each takes
-CHOICES = {"mode": MODES, "enhance": ENHANCERS, "he_threshold_basis": THRESHOLD_BASES}
+CHOICES = {"mode": MODES, "enhance": ENHANCERS}
 
 
 @dataclass
@@ -43,7 +42,6 @@ class RvadConfig:
     theta_sft: float = 0.5
     mode: str = "full"
     enhance: str = "msne"
-    he_threshold_basis: str = "distance"
     pitch_f_min: float = 60.0
     pitch_f_max: float = 400.0
     pitch_rho: float = 0.6

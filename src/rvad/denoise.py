@@ -33,20 +33,14 @@ def detect_high_energy(
     features: FrameFeatures,
     super_len: int = RvadConfig.super_len,
     alpha: float = RvadConfig.alpha,
-    basis: str = RvadConfig.he_threshold_basis,
 ) -> list[Segment]:
-    """Group frames whose smoothed energy difference tops a per-super-segment threshold.
-
-    The threshold is `alpha` times the super-segment maximum of the smoothed
-    difference itself; basis="energy" compares against the frame-energy
-    maximum instead.
-    """
-    reference = features.d_smooth if basis == "distance" else features.e
+    """Group frames whose smoothed energy difference tops a per-super-segment threshold:
+    `alpha` times the super-segment maximum of the smoothed difference itself."""
     d_smooth = features.d_smooth
     hot = np.zeros(len(d_smooth), dtype=bool)
     for i in range(0, len(d_smooth), super_len):
         block = slice(i, min(i + super_len, len(d_smooth)))
-        theta = alpha * reference[block].max(initial=0.0)
+        theta = alpha * d_smooth[block].max(initial=0.0)
         hot[block] = d_smooth[block] > theta
     return mask_to_segments(hot)
 

@@ -227,7 +227,7 @@ def _first_sweep(audio: AudioBuffer, cfg: RvadConfig, voicing: np.ndarray | None
     else:
         run.mask = detect_pitch_autocorr(pieces, cfg.pitch_f_min, cfg.pitch_f_max, cfg.pitch_rho)
     feats = compute_features(run.e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
-    run.high_energy = dn.detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
+    run.high_energy = dn.detect_high_energy(feats, cfg.super_len, cfg.alpha)
     run.zeroed = dn.noise_segments(run.high_energy, run.mask, cfg.min_pitch_frames)
     return run
 

@@ -196,7 +196,7 @@ def front_whole(
     grid = make_grid(work, cfg.frame_len_ms, cfg.frame_shift_ms)
     e1 = frame_energy(work, grid)
     feats = compute_features(e1, cfg.super_len, cfg.smooth_n, cfg.noise_forget)
-    high = detect_high_energy(feats, cfg.super_len, cfg.alpha, cfg.he_threshold_basis)
+    high = detect_high_energy(feats, cfg.super_len, cfg.alpha)
     if voicing is not None:
         mask = np.asarray(voicing, dtype=bool)
     elif cfg.mode == "fast":

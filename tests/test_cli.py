@@ -159,23 +159,28 @@ class TestVadCommand:
 
     def test_config_file_with_flag_override(self, tmp_path, tone_wav):
         cfgfile = tmp_path / "rvad.cfg"
-        cfgfile.write_text("# pipeline knobs\nmode = fast\nbeta = 0.5\nhe-threshold = distance\n")
+        cfgfile.write_text("# pipeline knobs\nmode = fast\nbeta = 0.5\npp-near-right = 12\n")
         out = tmp_path / "out"
         rc = _run(["vad", "--in", tone_wav, "--out", out, "--config", cfgfile, "--beta", "0.4", "--enhance", "none"])
         assert rc == 0
         assert (out / "tone.vad").exists()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, tone_wav):
+        # a misspelling, and the retired high-energy threshold option under both its spellings
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("betta = 0.4\n")
-        with pytest.raises(SystemExit) as exc:
-            _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", "--config", cfgfile])
-        assert exc.value.code == 2
+        for text in ("betta = 0.4\n", "he_threshold_basis = energy\n", "he_threshold = energy\n"):
+            cfgfile.write_text(text)
+            with pytest.raises(SystemExit) as exc:
+                _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", "--config", cfgfile])
+            assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_bad_flag_value_is_usage_error(self, tmp_path, tone_wav):
-        with pytest.raises(SystemExit) as exc:
-            _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", "--mode", "turbo"])
-        assert exc.value.code == 2
+        # a value outside a flag's choices, and the retired high-energy threshold flag
+        for argv in (["--mode", "turbo"], ["--he-threshold-basis", "energy"]):
+            with pytest.raises(SystemExit) as exc:
+                _run(["vad", "--in", tone_wav, "--out", tmp_path / "o", *argv])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "flag, value",

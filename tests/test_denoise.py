@@ -31,10 +31,9 @@ from oracles import first_pass_denoise, msne_noise_track_loop, reconstruct_loop,
 from synth import FS, pulse_train, white_noise
 
 
-def _features_from(d_smooth, e=None):
+def _features_from(d_smooth):
     d_smooth = np.asarray(d_smooth, dtype=float)
-    e = d_smooth.copy() if e is None else np.asarray(e, dtype=float)
-    return FrameFeatures(e=e, snr_db=np.zeros_like(d_smooth), d=d_smooth.copy(), d_smooth=d_smooth)
+    return FrameFeatures(e=d_smooth.copy(), snr_db=np.zeros_like(d_smooth), d=d_smooth.copy(), d_smooth=d_smooth)
 
 
 class TestDetectHighEnergy:
@@ -72,13 +71,6 @@ class TestDetectHighEnergy:
         feats = _features_from(d)
         got = detect_high_energy(feats, super_len=200, alpha=0.25)
         assert (230, 230) in got
-
-    def test_energy_basis_switch(self):
-        d = np.full(100, 1.0)
-        e = np.full(100, 100.0)  # alpha * max(e) = 25 > d everywhere
-        feats = _features_from(d, e)
-        assert detect_high_energy(feats, super_len=200, alpha=0.25, basis="energy") == []
-        assert detect_high_energy(feats, super_len=200, alpha=0.25, basis="distance") == [(0, 99)]
 
 
 class TestNoiseSegments:

@@ -53,3 +53,11 @@ def test_synth_inputs_cover_the_rates_between_the_benchmarks():
     rates = [audio.sample_rate_hz for _, audio, _ in digest.synth_inputs()]
     assert sorted(set(rates)) == [22050, 32000, 44100]
     assert len(rates) == 3 * digest.SYNTH_UTTERANCES
+
+
+def test_every_string_option_is_digested():
+    # the digests run every value of `mode` and `enhance` and the defaults of every other
+    # field, so a new string field of RvadConfig fails here until the digests cover it
+    from rvad.config import CHOICES
+
+    assert CHOICES == {"mode": digest.MODES, "enhance": digest.ENHANCERS}

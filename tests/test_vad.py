@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rvad
@@ -391,17 +391,19 @@ class TestRunRvad:
         assert not np.array_equal(e2, frame_energy(highpass(audio), grid))
 
 
-def _random_utterance(fs, seconds, seed):
+def _random_utterance(fs, seconds, seed, tail=0.0):
     """Noise at a random level with pulse-train bursts at random levels and
     a loud noise burst, so that frames are voiced, zeroed, or quiet enough
-    for the autocorrelation gate only once a louder frame comes later."""
+    for the autocorrelation gate only once a louder frame comes later; then
+    `tail` seconds of the noise alone."""
     rng = np.random.default_rng(seed)
     n = int(seconds * fs)
-    samples = 10.0 ** rng.uniform(-5.0, -1.0) * rng.standard_normal(n)
+    samples = 10.0 ** rng.uniform(-5.0, -1.0) * rng.standard_normal(n + int(tail * fs))
     for _ in range(int(rng.integers(0, 4))):
         lo = int(rng.integers(0, n + 1))
         tone = pulse_train(rng.uniform(100.0, 300.0), rng.uniform(0.1, 1.0), fs, amp=10.0 ** rng.uniform(-4.0, -0.5))
-        samples[lo : lo + len(tone)] += tone[: n - lo]
+        tone = tone[: n - lo]
+        samples[lo : lo + len(tone)] += tone
     lo = int(rng.integers(0, n + 1))
     width = min(int(rng.integers(0, fs // 2)), n - lo)
     samples[lo : lo + width] += 10.0 ** rng.uniform(-2.0, -0.5) * rng.standard_normal(width)
@@ -450,12 +452,25 @@ class TestPipelineProperties:
             {"ext_frames": st.integers(0, 60)}
             | {name: st.integers(0, 120) for name in ("pp_near_left", "pp_near_right", "pp_far_left", "pp_far_right")}
         ),
+        tail=st.floats(0.0, 1.0),
     )
-    def test_sweeps_equal_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed, post):
+    # a near rule reaching 120 frames past the last pitch segment against an
+    # extension of 2: the second sweep must run on past the 64-frame STFT
+    # block that completes the extension
+    @example(
+        fs=16000,
+        seconds=2.0,
+        mode="full",
+        enhance="msne",
+        seed=3,
+        post={"ext_frames": 2, "pp_near_left": 5, "pp_near_right": 120, "pp_far_left": 33, "pp_far_right": 47},
+        tail=1.0,
+    )
+    def test_sweeps_equal_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed, post, tail):
         # the second sweep stops at the last frame the VAD stage reads; the
         # oracle's energies cover every frame, under reaches either side of
-        # the extension
-        audio = _random_utterance(fs, seconds, seed)
+        # the extension, which the tail of noise leaves room for
+        audio = _random_utterance(fs, seconds, seed, tail)
         cfg = RvadConfig(mode=mode, enhance=enhance, **post)
         expected = front_whole(audio, cfg)
         first = _first_sweep(audio, cfg, None)
@@ -1274,7 +1289,6 @@ class TestRvadConfig:
             {"energy_ratio": float("nan")},
             {"energy_ratio": -0.1},
             {"theta_sft": float("nan")},
-            {"he_threshold_basis": "both"},
         ):
             with pytest.raises(ValueError):
                 RvadConfig(**bad)
