@@ -67,9 +67,9 @@ class AudioBuffer:
 
     A buffer made from an array holds that array.  One from `read_wav`
     reads its file: `read(lo, hi)` decodes samples [lo, hi) only, opening
-    the file for that read unless `read_wav` kept the chunk's bytes, and
-    `samples` decodes the whole data chunk on first use and keeps it.  The
-    file must not change while such a buffer reads it.
+    the file for that read unless it is a pipe, whose bytes `read_wav`
+    kept, and `samples` decodes the whole data chunk on first use and keeps
+    it.  The file must not change while such a buffer reads it.
     """
 
     def __init__(self, samples, sample_rate_hz: int):
@@ -125,10 +125,9 @@ def _check_finite(samples: np.ndarray) -> None:
 
 class _DataChunk:
     """The samples of a WAV file's data chunk, decoded to mono float64 a
-    stretch at a time.  `source` is the bytes of a pipe or of a short data
-    chunk, or else the file's absolute path, which each read opens: a
-    buffer holds no file open, and threads sharing one share no file
-    position."""
+    stretch at a time.  `source` is the bytes of a pipe, which cannot seek,
+    or else the file's absolute path, which each read opens: a buffer holds
+    no file open, and threads sharing one share no file position."""
 
     def __init__(self, source: str | bytes, at: int, count: int, tag: int, bits: int, channels: int):
         self.source, self.at, self.count = source, at, count
@@ -189,10 +188,9 @@ def read_wav(path) -> AudioBuffer:
     32767/32768.
 
     The buffer reads the samples from the file when they are needed, see
-    `AudioBuffer`.  Its bytes are held instead for a pipe, which cannot seek
-    and is read whole, and for a data chunk of at most READ_BYTES, which is
-    read in the open that parses the header.  A float file is scanned once
-    for NaN and infinity, which raise ValueError.
+    `AudioBuffer`.  Only a pipe's bytes are held instead, since a pipe
+    cannot seek and is read whole.  A float file is scanned once for NaN
+    and infinity, which raise ValueError.
     """
     with open(path, "rb") as raw:
         # a pipe cannot seek, so its bytes are held; a file is read when needed
@@ -233,11 +231,6 @@ def read_wav(path) -> AudioBuffer:
             raise AudioFormatError(f"{path}: unsupported encoding (tag={tag}, bits={bits})")
         width = bits // 8
         present = min(declared, file_size - data_at)
-        if isinstance(source, str) and present <= READ_BYTES:
-            # a short chunk is read in this open, so no read opens the file again
-            fh.seek(data_at)
-            source, data_at = fh.read(present), 0
-            present = len(source)
         if present < declared:
             warnings.warn(
                 f"{path}: data chunk declares {declared} bytes but the file holds {present};"

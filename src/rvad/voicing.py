@@ -158,6 +158,11 @@ def _lag_correlation(f: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
     len(f)**2.  From sample lag_lo on, lag_lo would be numpy's middle output,
     which it takes in a loop of its own when the overlap is 11 samples or
     fewer, and that can differ in the last place.
+
+    numpy's full mode also computes the q - 1 left-ramp outputs that the
+    slice drops: at 16 kHz (q = 361) one call does 130,321 multiply-adds,
+    and the 228 kept lags need only 56,202 of them (43 %).  Like the FFT
+    side, that saving is fenced by criterion 7 (see FFT_COST).
     """
     q = len(f) - lag_lo + 1
     return np.correlate(f[lag_lo - 1 :], f[:q], mode="full")[q : q + lag_hi - lag_lo + 1]

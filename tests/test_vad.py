@@ -392,17 +392,25 @@ class TestRunRvad:
 
 
 def _random_utterance(fs, seconds, seed, tail=0.0):
-    """Noise at a random level with pulse-train bursts at random levels and
-    a loud noise burst, so that frames are voiced, zeroed, or quiet enough
-    for the autocorrelation gate only once a louder frame comes later; then
-    `tail` seconds of the noise alone."""
+    """Noise at a random level with pulse-train bursts and a loud noise
+    burst, so that frames are voiced, zeroed, or quiet enough for the
+    autocorrelation gate only once a louder frame comes later; then `tail`
+    seconds of the noise alone.  The first burst fits in the input and its
+    peak clears the noise's RMS by 40 to 50 dB, which both voicing detectors
+    pass, so most inputs have a pitch segment; up to two more fall anywhere
+    at any level."""
     rng = np.random.default_rng(seed)
     n = int(seconds * fs)
-    samples = 10.0 ** rng.uniform(-5.0, -1.0) * rng.standard_normal(n + int(tail * fs))
-    for _ in range(int(rng.integers(0, 4))):
-        lo = int(rng.integers(0, n + 1))
-        tone = pulse_train(rng.uniform(100.0, 300.0), rng.uniform(0.1, 1.0), fs, amp=10.0 ** rng.uniform(-4.0, -0.5))
-        tone = tone[: n - lo]
+    noise = 10.0 ** rng.uniform(-5.0, -2.5)
+    samples = noise * rng.standard_normal(n + int(tail * fs))
+    for k in range(int(rng.integers(1, 4))):
+        f0, dur = rng.uniform(100.0, 300.0), rng.uniform(0.1, 1.0)
+        if k == 0:
+            tone = pulse_train(f0, dur, fs, amp=noise * 10.0 ** rng.uniform(2.0, 2.5))[:n]
+            lo = int(rng.integers(0, n - len(tone) + 1))
+        else:
+            lo = int(rng.integers(0, n + 1))
+            tone = pulse_train(f0, dur, fs, amp=10.0 ** rng.uniform(-4.0, -0.5))[: n - lo]
         samples[lo : lo + len(tone)] += tone
     lo = int(rng.integers(0, n + 1))
     width = min(int(rng.integers(0, fs // 2)), n - lo)
@@ -466,6 +474,11 @@ class TestPipelineProperties:
         post={"ext_frames": 2, "pp_near_left": 5, "pp_near_right": 120, "pp_far_left": 33, "pp_far_right": 47},
         tail=1.0,
     )
+    # no pitch segment, so no second sweep: the voiced burst lies under the
+    # loud noise burst, which hides it from both detectors at 48 kHz and
+    # from fast mode's flatness at 8 kHz
+    @example(fs=48000, seconds=2.0, mode="full", enhance="msne", seed=86, post={}, tail=0.0)
+    @example(fs=8000, seconds=2.0, mode="fast", enhance="msne-mod", seed=77, post={}, tail=0.0)
     def test_sweeps_equal_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed, post, tail):
         # the second sweep stops at the last frame the VAD stage reads; the
         # oracle's energies cover every frame, under reaches either side of
@@ -506,6 +519,9 @@ class TestPipelineProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(**PIPELINES)
+    # no pitch segment, as in the sweeps' property
+    @example(fs=48000, seconds=2.0, mode="full", enhance="msne", seed=86)
+    @example(fs=8000, seconds=2.0, mode="fast", enhance="msne-mod", seed=77)
     def test_denoise_equals_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed):
         audio = _random_utterance(fs, seconds, seed)
         cfg = RvadConfig(mode=mode, enhance=enhance)
