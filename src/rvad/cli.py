@@ -228,11 +228,18 @@ def _cmd_eval(args, parser) -> int:
     for file_id, ref_path, hyp_path in pairs:
         try:
             (ref, ref_counted), (hyp, hyp_counted) = _read_labels(ref_path), _read_labels(hyp_path)
-            if not (ref_counted and hyp_counted):
+            if ref_counted and hyp_counted:
+                n = min(len(ref), len(hyp))
+                if len(ref) != len(hyp):
+                    print(
+                        f"rvad: {file_id}: label length mismatch ({len(ref)} vs {len(hyp)}); truncating to {n} frames",
+                        file=sys.stderr,
+                    )
+            else:
                 # a segments file or an empty one does not count its frames: it takes
                 # the other file's count, and of two such files the longer sets it
                 n = len(ref) if ref_counted else len(hyp) if hyp_counted else max(len(ref), len(hyp))
-                ref, hyp = (np.pad(x.labels[:n], (0, max(n - len(x), 0))) for x in (ref, hyp))
+            ref, hyp = (np.pad(x.labels[:n], (0, max(n - len(x), 0))) for x in (ref, hyp))
             counts = count_errors(ref, hyp)
             rates = rates_from_counts(counts, args.gamma)
         except Exception as exc:

@@ -87,15 +87,15 @@ class MsneState:
 
 
 def msne_noise_track(
-    spec: Spectrogram,
+    power: np.ndarray,
+    state: MsneState,
     frozen: np.ndarray | None = None,
     smoothing: float = RvadConfig.msne_smoothing,
     bias: float = RvadConfig.msne_bias,
     window_frames: int = RvadConfig.msne_window_frames,
-    state: MsneState | None = None,
-    power: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Noise power per (frame, bin) by minimum statistics.
+    """Noise power per (frame, bin) by minimum statistics, from a block's
+    periodogram `power` (frames x bins), which is read and not changed.
 
     Each bin's periodogram is smoothed recursively, starting from the first
     frame, and the estimate is `bias` times the minimum of the smoothed
@@ -103,12 +103,8 @@ def msne_noise_track(
     do not update the tracker: they repeat the estimate of the last frame
     that did, or zeros before the first one.  Calls on consecutive blocks of
     frames that share one `state` give the rows of a single call on all of
-    them; without a state the frames are tracked from scratch.  A caller
-    that has the periodogram `np.abs(spec.frames) ** 2` may pass it as
-    `power`, which is read and not changed.
+    them; a fresh `MsneState()` tracks the frames from scratch.
     """
-    state = MsneState() if state is None else state
-    power = np.abs(spec.frames) ** 2 if power is None else power
     live = None if frozen is None else ~np.asarray(frozen, dtype=bool)
     if live is None or live.all():
         return _min_stats(power, state, smoothing, bias, window_frames)
@@ -213,24 +209,19 @@ def _running_min(rows: np.ndarray, out: np.ndarray, reverse: bool = False) -> No
 
 
 def spectral_subtract(
-    spec: Spectrogram,
-    noise_power: np.ndarray,
-    floor: float = RvadConfig.subtract_floor,
-    power: np.ndarray | None = None,
+    spec: Spectrogram, power: np.ndarray, noise_power: np.ndarray, floor: float = RvadConfig.subtract_floor
 ) -> Spectrogram:
     """Power-domain subtraction with a spectral floor, keeping the noisy phase.
 
-    Output power per bin is max(|X|^2 - noise, floor*noise), so it never
-    drops below the floor level and never exceeds the observed power plus
-    the floor.  The frames of `spec` are overwritten and `spec` returned.
-    A caller that has `np.abs(spec.frames) ** 2` may pass it as `power`,
-    which is then overwritten too.
+    `power` is the periodogram `np.abs(spec.frames) ** 2`.  Output power
+    per bin is max(power - noise, floor*noise), so it never drops below
+    the floor level and never exceeds the observed power plus the floor.
+    The frames of `spec` and `power` are overwritten and `spec` returned.
     """
     noise_power = np.asarray(noise_power, dtype=np.float64)
     frames = spec.frames
-    if noise_power.shape != frames.shape:
-        raise ValueError("noise power shape does not match the spectrogram")
-    power = np.abs(frames) ** 2 if power is None else power
+    if not noise_power.shape == power.shape == frames.shape:
+        raise ValueError("power or noise power shape does not match the spectrogram")
     out_power = np.subtract(power, noise_power)
     np.maximum(out_power, floor * noise_power, out=out_power)
     magnitude = np.sqrt(power, out=power)

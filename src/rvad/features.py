@@ -25,12 +25,12 @@ __all__ = [
 ENERGY_FLOOR = 1e-12
 
 
-def rank_low_energy(e: np.ndarray, fraction: float = 0.10) -> float:
-    """Energy of the frame ranked at `fraction` of lowest energy (1-based ceil rank)."""
+def rank_low_energy(e: np.ndarray) -> float:
+    """Energy of the frame ranked at 10 % of lowest energy (1-based ceil rank)."""
     n = len(e)
     if n == 0:
         raise ValueError("need at least one frame")
-    k = int(np.ceil(fraction * n))
+    k = int(np.ceil(0.10 * n))
     return float(np.sort(e)[max(k - 1, 0)])
 
 
@@ -61,15 +61,12 @@ def track_noise_energy(
     return NoiseEnergyTrack(e_v, smooth)
 
 
-def log_energy_ratio_db(e, noise) -> np.ndarray:
-    """Floored 10*log10(e/noise); `e` an array or a scalar, `noise` a
-    scalar or an array of `e`'s shape when `e` is one.  For an array `e`
-    the ratio, its log and the scaling are taken in the floored `e`'s own
-    array."""
+def log_energy_ratio_db(e: np.ndarray, noise) -> np.ndarray:
+    """Floored 10*log10(e/noise) of an array `e`, against a scalar `noise`
+    or an array of `e`'s shape.  The ratio, its log and the scaling are
+    taken in the floored `e`'s own array."""
     num = np.maximum(e, ENERGY_FLOOR)
     den = np.maximum(noise, ENERGY_FLOOR)
-    if np.ndim(e) == 0:
-        return 10.0 * np.log10(num / den)
     np.divide(num, den, out=num)
     np.log10(num, out=num)
     return np.multiply(num, 10.0, out=num)

@@ -283,17 +283,16 @@ def _second_sweep(audio, run: _Run, cfg: RvadConfig, noise=None, touched_until: 
         for rows, spec in _spectra(filtered, block, grid, kept, spans):
             power = np.abs(spec.frames) ** 2
             track = dn.msne_noise_track(
-                spec,
+                power,
+                tracker,
                 None if frozen is None else frozen[rows],
                 cfg.msne_smoothing,
                 cfg.msne_bias,
                 cfg.msne_window_frames,
-                tracker,
-                power,
             )
             if noise is not None:
                 noise[rows] = track
-            dn.spectral_subtract(spec, track, cfg.subtract_floor, power)
+            dn.spectral_subtract(spec, power, track, cfg.subtract_floor)
             if cfg.enhance == "msne-mod":
                 dn.lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
             yield _Output(block, filtered, dn.reconstruct(spec, grid, ola).samples)
@@ -324,11 +323,11 @@ def _spectra(
             yield part.rows, stft(AudioBuffer._trusted(piece, filtered.sample_rate_hz), part.grid)
 
 
-def _energies(audio: AudioBuffer, run: _Run, cfg: RvadConfig, last: int | None = None) -> np.ndarray:
+def _energies(audio: AudioBuffer, run: _Run, cfg: RvadConfig, last: int) -> np.ndarray:
     """Frame energies of the second sweep's output, a few frames behind it,
-    up to frame `last` (None: the last frame).  The sweep stops after the
-    block that completes that frame's energy; the frames it leaves are NaN
-    with enhancement and keep their first-sweep energies without.
+    up to frame `last`.  The sweep stops after the block that completes
+    that frame's energy; the frames it leaves are NaN with enhancement and
+    keep their first-sweep energies without.
 
     Without enhancement a frame's energy changes only where samples were
     zeroed, so only the blocks holding zeroed samples are visited and every
@@ -338,8 +337,6 @@ def _energies(audio: AudioBuffer, run: _Run, cfg: RvadConfig, last: int | None =
     48 kHz clip.
     """
     grid = run.grid
-    if last is None:
-        last = grid.num_frames - 1
     if cfg.enhance == "none":
         e2 = run.e1.copy()
         for out in _second_sweep(audio, run, cfg, touched_until=last):

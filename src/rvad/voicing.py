@@ -19,20 +19,13 @@ ENERGY_GATE_RATIO = 1e-6
 # q*q > FFT_COST * n*log2(n) (q = flen - lag_lo + 1), and from the q*q
 # multiply-adds of `_lag_correlation` otherwise.  The FFT side searches a
 # block's frames a chunk at a time, the sum one frame at a time.
-# Microseconds a 25 ms frame of the whole search, `tools/pitch_costs.py`
-# (medians of 10 interleaved runs of 400 noise frames on a 2-vCPU x86-64
-# host; a loaded host read up to 1.5 times these):
-#
-#   fs (kHz)           8     16   22.05     32   44.1     48
-#   q*q / n*log2(n)  7.1   12.7    24.1   23.1   43.8   51.9
-#   lag-limited sum 19.0   33.1    52.3   81.9  150.3  156.9
-#   chunked FFT      5.9   11.3    12.8   27.7   29.6   30.2
-#
-# The chunked FFT is cheaper at every rate.  FFT_COST draws the line between
-# default frames at 16 kHz (12.7) and 22.05 kHz (24.1): 8 and 16 kHz keep
-# the exact sum because of criterion 7 (full mode at least 5 times slower
-# than fast mode on 16 kHz files), not cost.  The rule reads the frame's
-# geometry, so 50 ms frames at 16 kHz (25.7) take the FFT too.
+# `tools/pitch_costs.py` prints what a frame of each side costs at 8-48 kHz,
+# and README holds its table: the chunked FFT is cheaper at every rate.
+# FFT_COST draws the line between default frames at 16 kHz (q*q / n*log2(n)
+# = 12.7) and 22.05 kHz (24.1): 8 and 16 kHz keep the exact sum because of
+# criterion 7 (full mode at least 5 times slower than fast mode on 16 kHz
+# files), not cost.  The rule reads the frame's geometry, so 50 ms frames
+# at 16 kHz (25.7) take the FFT too.
 FFT_COST = 16.0
 # The FFT correlation lies within FFT_ERROR * (f.f) of the exact sum's.  A
 # frame whose decision that error could flip is searched again exactly, so

@@ -13,6 +13,7 @@ import numpy as np
 
 from rvad.audio_io import AudioBuffer
 from rvad.denoise import (
+    MsneState,
     detect_high_energy,
     lowfreq_suppress,
     msne_noise_track,
@@ -76,15 +77,15 @@ class MinimumStatisticsNoiseEstimator:
 
 
 def msne_noise_track_loop(
-    spec: Spectrogram,
+    power: np.ndarray,
     frozen: np.ndarray | None = None,
     smoothing: float = RvadConfig.msne_smoothing,
     bias: float = RvadConfig.msne_bias,
     window_frames: int = RvadConfig.msne_window_frames,
 ) -> np.ndarray:
-    """Reference for `rvad.denoise.msne_noise_track`: one estimator update per frame."""
-    estimator = MinimumStatisticsNoiseEstimator(spec.num_bins, smoothing, bias, window_frames)
-    power = np.abs(spec.frames) ** 2
+    """Reference for `rvad.denoise.msne_noise_track`: one estimator update
+    per frame of the periodogram `power`, tracked from scratch."""
+    estimator = MinimumStatisticsNoiseEstimator(power.shape[1], smoothing, bias, window_frames)
     out = np.empty_like(power)
     for m in range(power.shape[0]):
         if frozen is not None and frozen[m]:
@@ -210,8 +211,9 @@ def front_whole(
     if cfg.enhance != "none":
         spec = stft(work, grid)
         frozen = segments_to_mask(zeroed, grid.num_frames) if cfg.enhance == "msne-mod" else None
-        noise = msne_noise_track(spec, frozen, cfg.msne_smoothing, cfg.msne_bias, cfg.msne_window_frames)
-        spectral_subtract(spec, noise, cfg.subtract_floor)
+        power = np.abs(spec.frames) ** 2
+        noise = msne_noise_track(power, MsneState(), frozen, cfg.msne_smoothing, cfg.msne_bias, cfg.msne_window_frames)
+        spectral_subtract(spec, power, noise, cfg.subtract_floor)
         if cfg.enhance == "msne-mod":
             lowfreq_suppress(spec, cfg.lowfreq_cutoff_hz)
         work = reconstruct(spec, grid)

@@ -411,6 +411,21 @@ class TestEvalCommand:
         ref = "0.500000 1.500000\n2.000000 3.000000\n"
         assert self._score_segments(tmp_path, capsys, ref, "0.500000 1.500000\n") == (0, 300, 33.3333)
 
+    def test_each_truncated_pair_is_named(self, tmp_path, capsys):
+        # two pairs of frame-format files, each 4 reference frames against 3
+        for side, text in (("ref", "1\n0\n1\n1\n"), ("hyp", "1\n1\n0\n")):
+            (tmp_path / side).mkdir()
+            for name in ("a", "b"):
+                (tmp_path / side / f"{name}.vad").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = _run(["eval", "--ref", tmp_path / "ref", "--hyp", tmp_path / "hyp"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        lines = [line for line in err.splitlines() if "mismatch" in line]
+        assert lines == [f"rvad: {name}: label length mismatch (4 vs 3); truncating to 3 frames" for name in "ab"]
+        assert [row.split(",")[:2] for row in out.splitlines()[1:]] == [["a", "3"], ["b", "3"], ["OVERALL", "6"]]
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             _run([])

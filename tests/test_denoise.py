@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+import rvad.denoise
 from rvad import AudioBuffer
 from rvad.denoise import (
     MsneState,
@@ -145,13 +146,6 @@ class TestFirstPassDenoise:
         np.testing.assert_array_equal(out.samples[tone2_span], filtered.samples[tone2_span])
 
 
-def _power_spec(power):
-    """Spectrogram whose squared magnitudes are about `power`, one row per frame."""
-    power = np.asarray(power, dtype=float)
-    bins = power.shape[1]
-    return Spectrogram(np.sqrt(power).astype(complex), 2 * (bins - 1), FS)
-
-
 class TestMsne:
     def test_white_noise_convergence_band(self):
         # Monte-Carlo over 30 seeds; the asserted band was recorded from the
@@ -163,8 +157,7 @@ class TestMsne:
             rng = np.random.default_rng(1000 + run)
             buf = AudioBuffer(rng.standard_normal(5 * FS) * sigma, FS)
             grid = make_grid(buf)
-            spec = stft(buf, grid)
-            noise = msne_noise_track(spec)
+            noise = msne_noise_track(np.abs(stft(buf, grid).frames) ** 2, MsneState())
             expected = sigma**2 * np.sum(np.hamming(grid.frame_len) ** 2)
             stationary = noise[300:] / expected
             run_means.append(stationary.mean())
@@ -173,24 +166,23 @@ class TestMsne:
         assert 0.58 <= np.mean(run_means) <= 0.82
 
     def test_all_zero_input(self):
-        assert np.all(msne_noise_track(_power_spec(np.zeros((10, 8)))) == 0.0)
+        assert np.all(msne_noise_track(np.zeros((10, 8)), MsneState()) == 0.0)
 
     def test_single_loud_frame_ignored_by_minimum(self):
         power = np.ones((11, 4))
         power[10] = 1000.0
-        track = msne_noise_track(_power_spec(power), window_frames=20)
+        track = msne_noise_track(power, MsneState(), window_frames=20)
         np.testing.assert_array_equal(track[10], track[9])
 
     def test_bias_scales_estimate_exactly(self):
-        spec = _power_spec(np.random.default_rng(51).random((60, 16)))
-        a = msne_noise_track(spec, bias=1.5)
-        b = msne_noise_track(spec, bias=3.0)
+        power = np.random.default_rng(51).random((60, 16))
+        a = msne_noise_track(power, MsneState(), bias=1.5)
+        b = msne_noise_track(power, MsneState(), bias=3.0)
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
     def test_estimate_bounded_by_bias_times_smoothed(self):
-        spec = _power_spec(np.random.default_rng(52).random((100, 16)))
-        track = msne_noise_track(spec, bias=1.5, window_frames=30)
-        power = np.abs(spec.frames) ** 2
+        power = np.random.default_rng(52).random((100, 16))
+        track = msne_noise_track(power, MsneState(), bias=1.5, window_frames=30)
         smoothed = power[0]
         for m in range(len(power)):
             if m:
@@ -201,26 +193,25 @@ class TestMsne:
     def test_hold_freezes_state(self):
         # frozen frames repeat the last estimate, and later frames come out
         # as if the frozen ones had never been there
-        spec = _power_spec(np.random.default_rng(53).random((30, 8)))
+        power = np.random.default_rng(53).random((30, 8))
         frozen = np.zeros(30, dtype=bool)
         frozen[15:20] = True
-        track = msne_noise_track(spec, frozen, window_frames=10)
+        track = msne_noise_track(power, MsneState(), frozen, window_frames=10)
         for m in range(15, 20):
             np.testing.assert_array_equal(track[m], track[14])
-        live = Spectrogram(spec.frames[~frozen], spec.nfft, FS)
-        np.testing.assert_array_equal(track[~frozen], msne_noise_track(live, window_frames=10))
+        np.testing.assert_array_equal(track[~frozen], msne_noise_track(power[~frozen], MsneState(), window_frames=10))
         # frames frozen before the first update hold the initial zero estimate
         frozen[:3] = True
-        assert np.all(msne_noise_track(spec, frozen, window_frames=10)[:3] == 0.0)
+        assert np.all(msne_noise_track(power, MsneState(), frozen, window_frames=10)[:3] == 0.0)
 
     def test_frozen_frames_in_track(self):
         rng = np.random.default_rng(54)
         buf = AudioBuffer(rng.standard_normal(8000) * 0.1, FS)
         grid = make_grid(buf)
-        spec = stft(buf, grid)
+        power = np.abs(stft(buf, grid).frames) ** 2
         frozen = np.zeros(grid.num_frames, dtype=bool)
         frozen[10:20] = True
-        track = msne_noise_track(spec, frozen)
+        track = msne_noise_track(power, MsneState(), frozen)
         for m in range(10, 20):
             np.testing.assert_array_equal(track[m], track[9])
 
@@ -237,10 +228,10 @@ class TestMsne:
     )
     def test_matches_loop_oracle(self, frames, bins, window, smoothing, bias, scale, freeze, seed):
         rng = np.random.default_rng(seed)
-        spec = _power_spec(scale * rng.random((frames, bins)))
+        power = scale * rng.random((frames, bins))
         frozen = {"none": None, "random": rng.random(frames) < 0.4, "all": np.ones(frames, dtype=bool)}[freeze]
-        got = msne_noise_track(spec, frozen, smoothing, bias, window)
-        expected = msne_noise_track_loop(spec, frozen, smoothing, bias, window)
+        got = msne_noise_track(power, MsneState(), frozen, smoothing, bias, window)
+        expected = msne_noise_track_loop(power, frozen, smoothing, bias, window)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
 
@@ -263,7 +254,7 @@ class TestMsne:
         state = MsneState()
         edges = np.cumsum([0, *cuts])
         got = [
-            msne_noise_track(_power_spec(power[lo:hi]), None, smoothing, 1.0, 1, state, power[lo:hi])
+            msne_noise_track(power[lo:hi], state, None, smoothing, 1.0, 1)
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
         assert np.concatenate(got).tobytes() == expected.tobytes()
@@ -288,14 +279,13 @@ class TestStreamedTracker:
         bins=st.integers(1, 5),
         smoothing=st.floats(0.01, 0.99),
         freeze=st.sampled_from(["none", "random", "segment-edges", "whole-blocks", "all"]),
-        pass_power=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_blocks_match_loop_oracle(self, window, data, bins, smoothing, freeze, pass_power, seed):
+    def test_blocks_match_loop_oracle(self, window, data, bins, smoothing, freeze, seed):
         cuts = data.draw(_cuts(window))
         rng = np.random.default_rng(seed)
         frames = sum(cuts)
-        spec = _power_spec(rng.random((frames, bins)) * rng.choice([1e-3, 1.0, 1e6], size=(frames, 1)))
+        power = rng.random((frames, bins)) * rng.choice([1e-3, 1.0, 1e6], size=(frames, 1))
         edges = np.cumsum([0, *cuts])
         frozen = np.zeros(frames, dtype=bool)
         if freeze == "random":
@@ -322,17 +312,11 @@ class TestStreamedTracker:
         state = MsneState()
         pieces = []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            block = Spectrogram(spec.frames[lo:hi], spec.nfft, FS)
-            power = np.abs(block.frames) ** 2
-            before = power.copy()
-            pieces.append(
-                msne_noise_track(
-                    block, None if mask is None else mask[lo:hi], smoothing, 1.5, window, state, power if pass_power else None
-                )
-            )
-            assert power.tobytes() == before.tobytes()
+            block = power[lo:hi].copy()
+            pieces.append(msne_noise_track(block, state, None if mask is None else mask[lo:hi], smoothing, 1.5, window))
+            assert block.tobytes() == power[lo:hi].tobytes()
         got = np.concatenate(pieces)
-        expected = msne_noise_track_loop(spec, mask, smoothing, 1.5, window)
+        expected = msne_noise_track_loop(power, mask, smoothing, 1.5, window)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
         assert state.live == frames - np.count_nonzero(frozen if mask is not None else np.zeros(frames, bool))
@@ -343,25 +327,25 @@ class TestSpectralSubtract:
         rng = np.random.default_rng(55)
         frames = rng.standard_normal((5, 129)) + 1j * rng.standard_normal((5, 129))
         spec = Spectrogram(frames.copy(), 256, FS)
-        out = spectral_subtract(spec, np.zeros((5, 129)))
+        out = spectral_subtract(spec, np.abs(frames) ** 2, np.zeros((5, 129)))
         np.testing.assert_allclose(out.frames, frames, rtol=1e-12)
 
     def test_floor_engages_when_noise_equals_power(self):
         frames = np.full((1, 129), 2.0 + 0j)
         noise = np.full((1, 129), 4.0)  # |X|^2 == noise
-        out = spectral_subtract(Spectrogram(frames, 256, FS), noise, floor=0.002)
+        out = spectral_subtract(Spectrogram(frames, 256, FS), np.abs(frames) ** 2, noise, floor=0.002)
         np.testing.assert_allclose(np.abs(out.frames) ** 2, 0.002 * 4.0, rtol=1e-12)
 
     def test_phase_retained(self):
         frames = np.array([[1.0 + 1.0j]])
-        out = spectral_subtract(Spectrogram(frames, 2, FS), np.array([[0.5]]))
+        out = spectral_subtract(Spectrogram(frames, 2, FS), np.abs(frames) ** 2, np.array([[0.5]]))
         assert np.angle(out.frames[0, 0]) == pytest.approx(np.pi / 4)
 
     def test_power_bounds(self):
         rng = np.random.default_rng(56)
         frames = rng.standard_normal((20, 129)) + 1j * rng.standard_normal((20, 129))
         noise = rng.random((20, 129)) * 2
-        out = spectral_subtract(Spectrogram(frames.copy(), 256, FS), noise, floor=0.002)
+        out = spectral_subtract(Spectrogram(frames.copy(), 256, FS), np.abs(frames) ** 2, noise, floor=0.002)
         p = np.abs(out.frames) ** 2
         assert np.all(p >= 0.002 * noise - 1e-15)
         assert np.all(p <= np.abs(frames) ** 2 + 0.002 * noise + 1e-12)
@@ -377,7 +361,7 @@ class TestSpectralSubtract:
         spec_noisy = stft(nbuf, grid)
         sigma2 = 0.05**2 * np.sum(np.hamming(grid.frame_len) ** 2)
         oracle = np.full(spec_noisy.frames.shape, sigma2)
-        out = reconstruct(spectral_subtract(spec_noisy, oracle), grid)
+        out = reconstruct(spectral_subtract(spec_noisy, np.abs(spec_noisy.frames) ** 2, oracle), grid)
 
         covered = (grid.num_frames - 1) * grid.frame_shift + grid.frame_len
         err_before = np.mean((nbuf.samples[:covered] - clean[:covered]) ** 2)
@@ -398,12 +382,15 @@ class TestSpectralSubtract:
         x[rng.random(x.shape) < zero_bins] = 0.0
         noise = scale**2 * rng.random(x.shape) * 3.0
         expected = spectral_subtract_whole(Spectrogram(x, 64, FS), noise, floor).frames
-        got = spectral_subtract(Spectrogram(x.copy(), 64, FS), noise, floor).frames
+        got = spectral_subtract(Spectrogram(x.copy(), 64, FS), np.abs(x) ** 2, noise, floor).frames
         assert got.tobytes() == expected.tobytes()
 
     def test_shape_mismatch_rejected(self):
+        spec = Spectrogram(np.zeros((2, 129), complex), 256, FS)
         with pytest.raises(ValueError):
-            spectral_subtract(Spectrogram(np.zeros((2, 129), complex), 256, FS), np.zeros((3, 129)))
+            spectral_subtract(spec, np.zeros((2, 129)), np.zeros((3, 129)))
+        with pytest.raises(ValueError):
+            spectral_subtract(spec, np.zeros((3, 129)), np.zeros((2, 129)))
 
 
 class TestLowfreqSuppress:
@@ -593,7 +580,8 @@ class TestBlockwiseSecondPass:
 
         spec = stft(zero_segments(AudioBuffer(samples.copy(), fs), grid, zeroed), grid)
         mask = segments_to_mask(zeroed, num) if enhance == "msne-mod" else None
-        track = msne_noise_track_loop(spec, mask, cfg.msne_smoothing, cfg.msne_bias, cfg.msne_window_frames)
+        power = np.abs(spec.frames) ** 2
+        track = msne_noise_track_loop(power, mask, cfg.msne_smoothing, cfg.msne_bias, cfg.msne_window_frames)
         cleaned = spectral_subtract_whole(spec, track, cfg.subtract_floor)
         if enhance == "msne-mod":
             cleaned = lowfreq_suppress(cleaned, cfg.lowfreq_cutoff_hz)
@@ -601,6 +589,35 @@ class TestBlockwiseSecondPass:
         assert noise.shape == track.shape
         assert noise.tobytes() == track.tobytes()
         assert enhanced.samples.tobytes() == expected.samples.tobytes()
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    @pytest.mark.parametrize("enhance", ["msne", "msne-mod"])
+    def test_one_periodogram_per_stft_block(self, mode, enhance, monkeypatch):
+        # the tracker and the subtraction take one |X|^2 array of each STFT
+        # block's spectrum, in fast mode of the spectra voicing kept
+        audio = AudioBuffer(np.random.default_rng(62).standard_normal(3 * FS), FS)
+        cfg = RvadConfig(mode=mode, enhance=enhance)
+        first = replace(_first_sweep(audio, cfg, None), zeroed=[(3, 9)])
+        assert (first.spectra is not None) == (mode == "fast")
+        track, subtract = rvad.denoise.msne_noise_track, rvad.denoise.spectral_subtract
+        tracked, subtracted = [], []
+
+        def spy_track(power, *args):
+            tracked.append(power)
+            return track(power, *args)
+
+        def spy_subtract(spec, power, *args):
+            subtracted.append(power)
+            assert power.tobytes() == (np.abs(spec.frames) ** 2).tobytes()
+            return subtract(spec, power, *args)
+
+        monkeypatch.setattr(rvad.denoise, "msne_noise_track", spy_track)
+        monkeypatch.setattr(rvad.denoise, "spectral_subtract", spy_subtract)
+        for _ in _second_sweep(audio, first, cfg):
+            pass
+        assert len(tracked) == len(subtracted) == -(-first.grid.num_frames // block_frames(first.grid.frame_len)) > 1
+        assert all(a is b for a, b in zip(tracked, subtracted))
+        assert sum(len(power) for power in tracked) == first.grid.num_frames
 
     def test_noise_track_only_on_request(self):
         audio = AudioBuffer(np.random.default_rng(61).standard_normal(8000), FS)

@@ -383,7 +383,7 @@ class TestRunRvad:
         voicing = np.zeros(grid.num_frames, dtype=bool)
         voicing[60:140] = True
         cfg = RvadConfig(enhance="none")
-        e2 = _energies(audio, _first_sweep(audio, cfg, voicing), cfg)
+        e2 = _energies(audio, _first_sweep(audio, cfg, voicing), cfg, grid.num_frames - 1)
         enhanced, _ = run_denoise(audio, cfg, voicing)
         burst = slice(int(2.05 * FS), int(2.25 * FS))
         assert np.all(enhanced.samples[burst] == 0.0)
@@ -487,7 +487,7 @@ class TestPipelineProperties:
         cfg = RvadConfig(mode=mode, enhance=enhance, **post)
         expected = front_whole(audio, cfg)
         first = _first_sweep(audio, cfg, None)
-        e2 = _energies(audio, first, cfg)
+        e2 = _energies(audio, first, cfg, first.grid.num_frames - 1)
         assert first.mask.tobytes() == expected.mask.tobytes()
         assert e2.tobytes() == expected.e2.tobytes()
         run, _, stopped = _spied_run(audio, cfg)
@@ -675,7 +675,7 @@ class TestVoicingSpectraReuse:
         assert noise.tobytes() == expected.noise.tobytes()
         # subtraction has worked on the kept spectra, so another second
         # sweep over the same state takes every spectrum again
-        assert _energies(audio, first, cfg).tobytes() == expected.e2.tobytes()
+        assert _energies(audio, first, cfg, first.grid.num_frames - 1).tobytes() == expected.e2.tobytes()
 
     @pytest.mark.parametrize("fs", [8000, 16000, 48000])
     def test_one_stft_per_block_of_frames(self, fs, monkeypatch):
@@ -778,7 +778,7 @@ class TestSecondSweepStops:
         run_rvad(audio, cfg)
         second = len(calls) - len(first.blocks)
         calls.clear()
-        _energies(audio, first, cfg)
+        _energies(audio, first, cfg, first.grid.num_frames - 1)
         assert second == 1 < len(calls)
 
 
