@@ -160,11 +160,10 @@ class _DataChunk:
 
 @dataclass
 class FrameLabels:
-    """Per-frame boolean speech labels with the frame geometry they assume."""
+    """Per-frame boolean speech labels with the frame shift they assume."""
 
     labels: np.ndarray
     frame_shift_ms: float = RvadConfig.frame_shift_ms
-    frame_len_ms: float = RvadConfig.frame_len_ms
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=bool)
@@ -210,7 +209,7 @@ def read_wav(path) -> AudioBuffer:
             fh.seek(pos)
             chunk_id, size = struct.unpack("<4sI", fh.read(8))
             if chunk_id == b"fmt ":
-                fmt = fh.read(size)
+                fmt = fh.read(min(size, 40))  # the fields read end at byte 40; a corrupt size allocates nothing
             elif chunk_id == b"data":
                 data_at, declared = pos + 8, size
             pos += 8 + size + (size & 1)  # chunks are word-aligned
@@ -281,30 +280,26 @@ def write_wav(path, audio: AudioBuffer) -> None:
         w.writeframes(q.tobytes())
 
 
-def read_labels(
-    path, frame_shift_ms: float = RvadConfig.frame_shift_ms, frame_len_ms: float = RvadConfig.frame_len_ms
-) -> FrameLabels:
+def read_labels(path, frame_shift_ms: float = RvadConfig.frame_shift_ms) -> FrameLabels:
     """Read frame labels from either supported text format.
 
     Format A is one "0"/"1" line per frame.  Format B is one
     "<start_sec> <end_sec>" line per speech segment; frame m is marked
     when its start time m*shift falls inside [start, end).  An empty file
-    yields an empty label sequence.  Both durations must be finite and
-    positive, or ValueError is raised.
+    yields an empty label sequence.  The shift must be finite and positive,
+    or ValueError is raised.
     """
-    return _read_labels(path, frame_shift_ms, frame_len_ms)[0]
+    return _read_labels(path, frame_shift_ms)[0]
 
 
-def _read_labels(
-    path, frame_shift_ms: float = RvadConfig.frame_shift_ms, frame_len_ms: float = RvadConfig.frame_len_ms
-) -> tuple[FrameLabels, bool]:
+def _read_labels(path, frame_shift_ms: float = RvadConfig.frame_shift_ms) -> tuple[FrameLabels, bool]:
     """`read_labels`, and whether the file counts its frames as format A does."""
-    if not (0.0 < frame_shift_ms < np.inf and 0.0 < frame_len_ms < np.inf):
-        raise ValueError("frame_shift_ms and frame_len_ms must be finite and positive")
+    if not 0.0 < frame_shift_ms < np.inf:
+        raise ValueError("frame_shift_ms must be finite and positive")
     numbered = enumerate(Path(path).read_text().splitlines(), 1)
     lines = [(lineno, line.split()) for lineno, line in numbered if line.strip()]
     if not lines:
-        return FrameLabels(np.zeros(0, dtype=bool), frame_shift_ms, frame_len_ms), False
+        return FrameLabels(np.zeros(0, dtype=bool), frame_shift_ms), False
 
     if len(lines[0][1]) == 1:
         labels = []
@@ -312,7 +307,7 @@ def _read_labels(
             if len(tokens) != 1 or tokens[0] not in ("0", "1"):
                 raise LabelFormatError(f"{path}:{lineno}: expected a single 0 or 1")
             labels.append(tokens[0] == "1")
-        return FrameLabels(np.asarray(labels, dtype=bool), frame_shift_ms, frame_len_ms), True
+        return FrameLabels(np.asarray(labels, dtype=bool), frame_shift_ms), True
 
     shift_s = frame_shift_ms / 1000.0
     spans = []
@@ -338,7 +333,7 @@ def _read_labels(
         lo = int(np.ceil((start - _TIME_EPS) / shift_s))
         hi = int(np.ceil((end - _TIME_EPS) / shift_s))
         labels[max(lo, 0) : hi] = True
-    return FrameLabels(labels, frame_shift_ms, frame_len_ms), False
+    return FrameLabels(labels, frame_shift_ms), False
 
 
 def write_labels(path, labels: FrameLabels, fmt: str = "frames") -> None:

@@ -1,9 +1,9 @@
 """Command-line entry points: `rvad vad`, `rvad denoise`, `rvad eval`.
 
 Exit codes: 0 on full success, 1 when any per-file step failed, 2 on usage
-errors (bad flags, unknown config keys, unpairable inputs, an unreadable
-voicing file, inputs that share an output name, `--workers` below 1,
-`--gamma` outside [0, 1]).
+errors (bad flags, unknown config keys, unpairable inputs, an input list or
+reference with no files, an unreadable voicing file, inputs that share an
+output name, `--workers` below 1, `--gamma` outside [0, 1]).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _cmd_vad(args, parser) -> int:
         if len(paths) != 1:
             parser.error("--voicing-file requires a single wav input")
         try:
-            labels, counted = _read_labels(args.voicing_file, cfg.frame_shift_ms, cfg.frame_len_ms)
+            labels, counted = _read_labels(args.voicing_file, cfg.frame_shift_ms)
             voicing = labels.labels
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read --voicing-file: {exc}")
@@ -184,6 +184,8 @@ def _label_files(spec: str, parser) -> list[Path]:
 
 def _pair_labels(ref_spec: str, hyp_spec: str, parser) -> list[tuple[str, Path, Path]]:
     refs = _label_files(ref_spec, parser)
+    if not refs:
+        parser.error(f"reference {ref_spec} names no label files")
     hyps = _label_files(hyp_spec, parser)
     if Path(ref_spec).is_dir() and Path(hyp_spec).is_dir():
         hyp_by_stem = {p.stem: p for p in hyps}

@@ -124,10 +124,8 @@ def central_smooth(x: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class FrameFeatures:
-    """Per-frame energy, a posteriori SNR, and raw/smoothed energy difference."""
+    """Per-frame SNR-weighted energy difference, raw and smoothed."""
 
-    e: np.ndarray
-    snr_db: np.ndarray
     d: np.ndarray
     d_smooth: np.ndarray
 
@@ -139,12 +137,12 @@ def compute_features(
     forget: float = RvadConfig.noise_forget,
 ) -> FrameFeatures:
     """Full feature stack for one utterance's frame energies; the a posteriori
-    SNR is each frame's energy over its super-segment's smoothed noise energy."""
+    SNR is each frame's energy over its super-segment's smoothed noise energy,
+    dropped once it has weighted the difference."""
     e = np.asarray(e, dtype=np.float64)
     track = track_noise_energy(e, super_len, forget)
     # one noise energy per frame, the last super-segment's count cut to the frames left
     counts = np.full(len(track.e_v), super_len)
     counts[-1:] -= super_len * len(counts) - len(e)
-    snr_db = log_energy_ratio_db(e, np.repeat(track.e_v_smooth, counts))
-    d = weighted_energy_difference(e, snr_db)
-    return FrameFeatures(e, snr_db, d, central_smooth(d, smooth_n))
+    d = weighted_energy_difference(e, log_energy_ratio_db(e, np.repeat(track.e_v_smooth, counts)))
+    return FrameFeatures(d, central_smooth(d, smooth_n))

@@ -24,13 +24,7 @@ from .dsp import (
     next_pow2,
     stft,
 )
-from .features import (
-    central_smooth,
-    compute_features,
-    rank_low_energy,
-    weighted_energy_difference,
-    log_energy_ratio_db,
-)
+from .features import compute_features
 from .segments import Segment, extend_segments, mask_to_segments, segments_to_mask, widen
 from .voicing import detect_pitch_autocorr, sft_voicing
 
@@ -52,7 +46,7 @@ SWEEP_BLOCKS = 4
 
 
 class VadResult(FrameLabels):
-    """Per-frame speech labels with their frame geometry, and the same decisions as segments."""
+    """Per-frame speech labels with their frame shift, and the same decisions as segments."""
 
     @property
     def speech_segments(self) -> list[Segment]:
@@ -75,10 +69,10 @@ def segment_vad(
 ) -> np.ndarray:
     """Speech/non-speech decision within one extended pitch segment.
 
-    The noise energy is re-estimated locally as the energy ranked at 10% of
-    lowest within the segment, the smoothed SNR-weighted energy difference
-    is recomputed against it, and a frame is speech when that feature
-    strictly exceeds `beta` times its mean over the segment's voiced frames.
+    The features are recomputed with the whole segment as one super-segment,
+    so its noise energy is its own energy ranked at 10% of lowest, and a
+    frame is speech when the smoothed SNR-weighted energy difference strictly
+    exceeds `beta` times its mean over the segment's voiced frames.
     """
     e_seg = np.asarray(e_seg, dtype=np.float64)
     voiced_seg = np.asarray(voiced_seg, dtype=bool)
@@ -86,11 +80,7 @@ def segment_vad(
         raise ValueError("segment features empty or mismatched")
     if not voiced_seg.any():
         raise ValueError("extended segment contains no voiced frames")
-    noise_e = rank_low_energy(e_seg)
-    snr_db = log_energy_ratio_db(e_seg, noise_e)
-    d = weighted_energy_difference(e_seg, snr_db)
-    del snr_db  # one segment-long array fewer at the smoothing's peak
-    d_smooth = central_smooth(d, smooth_n)
+    d_smooth = compute_features(e_seg, len(e_seg), smooth_n).d_smooth
     theta = beta * d_smooth[voiced_seg].mean()
     return d_smooth > theta
 
@@ -398,7 +388,7 @@ def run_rvad(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndar
     segment.  `run_denoise` gives the waveform.
     """
     cfg = cfg or RvadConfig()
-    return VadResult(_run(audio, cfg, voicing).labels, cfg.frame_shift_ms, cfg.frame_len_ms)
+    return VadResult(_run(audio, cfg, voicing).labels, cfg.frame_shift_ms)
 
 
 def run_denoise(audio: AudioBuffer, cfg: RvadConfig | None = None, voicing: np.ndarray | None = None) -> Denoised:

@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import RvadConfig
-from .dsp import Spectrogram, block_frames, frame_energy, frame_matrix, next_pow2, spectral_flatness
+from .dsp import Spectrogram, _scratch, block_frames, frame_energy, frame_matrix, next_pow2, spectral_flatness
 
 __all__ = ["sft_voicing", "detect_pitch_autocorr"]
 
@@ -165,7 +165,20 @@ def _fft_correlation(f: np.ndarray, lag_lo: int, lag_hi: int, n: int) -> np.ndar
     """sum f(n)f(n+tau) for tau = lag_lo .. lag_hi, within FFT_ERROR * f.f, from
     the inverse FFT of the frame's power spectrum on n >= len(f) + lag_hi
     points, where no searched lag wraps round onto another; for a frame, or
-    for each row of a stack of frames."""
-    spectrum = np.fft.rfft(f, n)
+    for each row of a stack of frames, as a view of this thread's work array.
+    Made new for each chunk, the transforms' arrays went back to the system in
+    some processes: 100k minor faults a round on the benchmark's 48 kHz clips."""
+    spectrum = _into(np.fft.rfft, f, n, "spectrum", n // 2 + 1, complex)
     spectrum *= spectrum.conj()
-    return np.fft.irfft(spectrum, n)[..., lag_lo : lag_hi + 1]
+    return _into(np.fft.irfft, spectrum, n, "correlation", n, float)[..., lag_lo : lag_hi + 1]
+
+
+def _into(transform, x: np.ndarray, n: int, name: str, width: int, dtype: type) -> np.ndarray:
+    """transform(x, n), rows of `width` values, in this thread's work array
+    `name`, or in a new array where numpy, before 2.0, takes no `out`."""
+    rows = x.shape[:-1]
+    out = _scratch(name, x.size // x.shape[-1] * width * np.dtype(dtype).itemsize // 8).view(dtype).reshape(*rows, width)
+    try:
+        return transform(x, n, out=out)
+    except TypeError:
+        return transform(x, n)

@@ -249,7 +249,7 @@ def compute_features_whole(
     d = np.zeros(len(e))
     if len(e) > 1:
         d[1:] = np.sqrt(np.abs(np.diff(e)) * np.maximum(snr_db[1:], 0.0))
-    return FrameFeatures(e, snr_db, d, central_smooth_whole(d, smooth_n))
+    return FrameFeatures(d, central_smooth_whole(d, smooth_n))
 
 
 def post_process_whole(

@@ -369,6 +369,23 @@ class TestEvalCommand:
         ref_dir, hyp_dir, _ = self._make_label_dirs(tmp_path)
         assert _run(["eval", "--ref", ref_dir, "--hyp", hyp_dir, "--gamma", gamma]) == 0
 
+    @pytest.mark.parametrize("source", ["directory", "list"])
+    def test_empty_reference_is_usage_error(self, tmp_path, capsys, source):
+        # as `vad` and `denoise` do on an empty input list, rather than
+        # printing a bare header and exiting 0
+        _, hyp_dir, _ = self._make_label_dirs(tmp_path)
+        ref = tmp_path / "empty"
+        if source == "directory":
+            ref.mkdir()
+        else:
+            ref.write_text("# no files\n\n")
+        with pytest.raises(SystemExit) as exc:
+            _run(["eval", "--ref", ref, "--hyp", hyp_dir])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"reference {ref} names no label files" in err
+
     def test_unreadable_label_list_is_usage_error(self, tmp_path, capsys):
         ref_dir, hyp_dir, _ = self._make_label_dirs(tmp_path)
         with pytest.raises(SystemExit) as exc:

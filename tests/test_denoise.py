@@ -34,7 +34,7 @@ from synth import FS, pulse_train, white_noise
 
 def _features_from(d_smooth):
     d_smooth = np.asarray(d_smooth, dtype=float)
-    return FrameFeatures(e=d_smooth.copy(), snr_db=np.zeros_like(d_smooth), d=d_smooth.copy(), d_smooth=d_smooth)
+    return FrameFeatures(d=d_smooth.copy(), d_smooth=d_smooth)
 
 
 class TestDetectHighEnergy:

@@ -19,6 +19,11 @@ from rvad.features import (
 from oracles import central_smooth_whole, compute_features_whole, smooth_noise_energy_loop
 
 
+def _posterior_snr(e, super_len):
+    """Each frame's energy over its super-segment's smoothed noise energy, in dB."""
+    return log_energy_ratio_db(e, track_noise_energy(e, super_len).e_v_smooth[np.arange(len(e)) // super_len])
+
+
 class TestTrackNoiseEnergy:
     def test_constant_is_fixed_point(self):
         e = np.full(1000, 3.5)
@@ -49,11 +54,17 @@ class TestTrackNoiseEnergy:
         # rank ceil(0.1*37) = 4 (1-based) of a constant block is the constant
         assert track.e_v[1] == 5.0
         # each frame's SNR is taken against its own super-segment's noise energy
-        snr_db = compute_features(e, super_len=200).snr_db
+        snr_db = _posterior_snr(e, 200)
         assert len(snr_db) == 237
         for m, p in ((0, 0), (199, 0), (200, 1), (236, 1)):
             assert snr_db[m] == pytest.approx(log_energy_ratio_db(e[m : m + 1], track.e_v_smooth[p])[0], rel=1e-12)
         assert snr_db[199] == 0.0 and snr_db[200] > 0.0
+        # the one frame whose difference is not zero weighs it by the SNR
+        # against the second super-segment's noise energy, not the first's
+        d = compute_features(e, super_len=200).d
+        assert len(d) == 237 and np.count_nonzero(d) == 1
+        snr_200 = log_energy_ratio_db(e[200:201], track.e_v_smooth[1])[0]
+        assert d[200] == pytest.approx(np.sqrt(3.0 * snr_200), rel=1e-12)
 
     def test_permutation_invariance_within_super_segment(self):
         rng = np.random.default_rng(21)
@@ -87,7 +98,7 @@ class TestTrackNoiseEnergy:
         track = track_noise_energy(np.zeros(0))
         assert track.e_v.shape == track.e_v_smooth.shape == (0,)
         feats = compute_features(np.zeros(0))
-        for values in (feats.e, feats.snr_db, feats.d, feats.d_smooth):
+        for values in (feats.d, feats.d_smooth):
             assert values.shape == (0,) and values.dtype == np.float64
         with pytest.raises(ValueError):
             rank_low_energy(np.zeros(0))
@@ -96,20 +107,20 @@ class TestTrackNoiseEnergy:
 class TestPosteriorSnr:
     def test_equal_energies_zero_db(self):
         e = np.full(300, 2.0)
-        np.testing.assert_allclose(compute_features(e, super_len=200).snr_db, 0.0, atol=1e-12)
+        np.testing.assert_allclose(_posterior_snr(e, 200), 0.0, atol=1e-12)
 
     def test_factor_ten_is_ten_db(self):
         # the 20 frames ranked lowest (10 % of 200) set the noise energy
         e = np.full(200, 40.0)
         e[::10] = 4.0
-        snr = compute_features(e, super_len=200).snr_db
+        snr = _posterior_snr(e, 200)
         np.testing.assert_allclose(snr[e == 40.0], 10.0, atol=1e-12)
         np.testing.assert_allclose(snr[e == 4.0], 0.0, atol=1e-12)
 
     def test_zero_energy_floored_not_infinite(self):
         e = np.full(200, 1.0)
         e[50] = 0.0
-        snr = compute_features(e, super_len=200).snr_db
+        snr = _posterior_snr(e, 200)
         assert np.isfinite(snr[50])
         assert snr[50] < -100.0
 
@@ -175,7 +186,7 @@ class TestScaleBehavior:
         g = 17.0
         f1 = compute_features(e)
         f2 = compute_features(g**2 * e)
-        np.testing.assert_allclose(f2.snr_db, f1.snr_db, atol=1e-10)
+        np.testing.assert_allclose(_posterior_snr(g**2 * e, 200), _posterior_snr(e, 200), atol=1e-10)
         np.testing.assert_allclose(f2.d, g * f1.d, rtol=1e-10)
         np.testing.assert_allclose(f2.d_smooth, g * f1.d_smooth, rtol=1e-10)
 
@@ -202,7 +213,7 @@ class TestFeatureOracle:
             d_bar.append(sum(d[lo : hi + 1]) / (hi - lo + 1))
 
         feats = compute_features(e, super_len=200, smooth_n=18)
-        np.testing.assert_allclose(feats.snr_db, snr, rtol=1e-9)
+        np.testing.assert_allclose(_posterior_snr(e, 200), snr, rtol=1e-9)
         np.testing.assert_allclose(feats.d, d, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(feats.d_smooth, d_bar, rtol=1e-9, atol=1e-12)
 
@@ -245,7 +256,7 @@ class TestWorkInPlace:
         e[rng.random(m) < zeros] = 0.0
         got = compute_features(e, super_len, smooth_n)
         expected = compute_features_whole(e, super_len, smooth_n)
-        for name in ("e", "snr_db", "d", "d_smooth"):
+        for name in ("d", "d_smooth"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
     def test_ratio_against_a_scalar_noise(self):
@@ -255,8 +266,9 @@ class TestWorkInPlace:
         assert log_energy_ratio_db(e, 1.0).tobytes() == (10.0 * np.log10(np.maximum(e, 1e-12))).tobytes()
 
     def test_peak_memory_of_compute_features(self):
-        # snr_db, d, d_smooth and the cumulative sum are the only per-frame
-        # arrays held at once; a new array per step held about eight
+        # at most three per-frame arrays are held at once: the SNR is dropped
+        # once it has weighted the difference, where keeping it through the
+        # smoothing held four, and a new array per step about eight
         frames = 1_000_000
         rng = np.random.default_rng(28)
         e = rng.random(frames) ** 4
@@ -268,7 +280,7 @@ class TestWorkInPlace:
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * e.nbytes
+        assert peak <= 3.5 * e.nbytes
 
     def test_peak_memory_does_not_grow_with_super_len(self):
         # one value per frame for the a posteriori SNR's noise energies:

@@ -450,6 +450,21 @@ PIPELINES = dict(
 )
 
 
+# the numbers the sweeps' geometry rules read: frames of 10 to 50 ms at a
+# shift of 2.5 to 25 ms, no longer than the frame, and in about half the
+# draws each, the MSNE window, the super-segment and the smoothing reach
+GEOMETRY = st.floats(10.0, 50.0).flatmap(
+    lambda frame_len_ms: st.fixed_dictionaries(
+        {"frame_len_ms": st.just(frame_len_ms), "frame_shift_ms": st.floats(2.5, min(25.0, frame_len_ms))},
+        optional={
+            "msne_window_frames": st.integers(1, 299),
+            "super_len": st.integers(1, 399),
+            "smooth_n": st.integers(0, 39),
+        },
+    )
+)
+
+
 class TestPipelineProperties:
     """Invariants of the two sweeps over random audio, rates and configs."""
 
@@ -461,6 +476,7 @@ class TestPipelineProperties:
             | {name: st.integers(0, 120) for name in ("pp_near_left", "pp_near_right", "pp_far_left", "pp_far_right")}
         ),
         tail=st.floats(0.0, 1.0),
+        geometry=GEOMETRY,
     )
     # a near rule reaching 120 frames past the last pitch segment against an
     # extension of 2: the second sweep must run on past the 64-frame STFT
@@ -473,18 +489,19 @@ class TestPipelineProperties:
         seed=3,
         post={"ext_frames": 2, "pp_near_left": 5, "pp_near_right": 120, "pp_far_left": 33, "pp_far_right": 47},
         tail=1.0,
+        geometry={},
     )
     # no pitch segment, so no second sweep: the voiced burst lies under the
     # loud noise burst, which hides it from both detectors at 48 kHz and
     # from fast mode's flatness at 8 kHz
-    @example(fs=48000, seconds=2.0, mode="full", enhance="msne", seed=86, post={}, tail=0.0)
-    @example(fs=8000, seconds=2.0, mode="fast", enhance="msne-mod", seed=77, post={}, tail=0.0)
-    def test_sweeps_equal_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed, post, tail):
+    @example(fs=48000, seconds=2.0, mode="full", enhance="msne", seed=86, post={}, tail=0.0, geometry={})
+    @example(fs=8000, seconds=2.0, mode="fast", enhance="msne-mod", seed=77, post={}, tail=0.0, geometry={})
+    def test_sweeps_equal_whole_buffer_oracle(self, fs, seconds, mode, enhance, seed, post, tail, geometry):
         # the second sweep stops at the last frame the VAD stage reads; the
         # oracle's energies cover every frame, under reaches either side of
         # the extension, which the tail of noise leaves room for
         audio = _random_utterance(fs, seconds, seed, tail)
-        cfg = RvadConfig(mode=mode, enhance=enhance, **post)
+        cfg = RvadConfig(mode=mode, enhance=enhance, **post, **geometry)
         expected = front_whole(audio, cfg)
         first = _first_sweep(audio, cfg, None)
         e2 = _energies(audio, first, cfg, first.grid.num_frames - 1)
@@ -1070,6 +1087,8 @@ def test_returned_arrays_are_not_work_arrays(tmp_path):
         piece = AudioBuffer(audio.samples[block.lo : block.hi], audio.sample_rate_hz)
         returned.extend(spec.frames for _, spec in _spectra(piece, block, grid))
     returned.append(stft(audio, FrameGrid(grid.frame_len, grid.frame_shift, 3, grid.total_samples)).frames)
+    # full mode at 48 kHz takes the pitch search's FFT side, in work arrays too
+    returned.append(run_rvad(_bursts_and_noise(32, 2.0, 48000), RvadConfig(mode="full")).labels)
     one = _bursts_and_noise(31, 2.0, 16000)
     assert len(_blocks(make_grid(one))) == 1
     silent = np.zeros(make_grid(one).num_frames, dtype=bool)
@@ -1080,8 +1099,8 @@ def test_returned_arrays_are_not_work_arrays(tmp_path):
                 assert bool(run.pitch) == (voicing is None) and run.samples is None and run.spectra is None
                 held = (getattr(value, "samples", value) for value in vars(run).values())
                 returned.extend(value for value in held if isinstance(value, np.ndarray))
+    assert set(vars(rvad.dsp._work)) == {"decoded", "filtered", "windowed", "spectrum", "correlation"}
     work = list(vars(rvad.dsp._work).values())
-    assert len(work) == 3  # decoded, filtered and windowed samples
     for array in returned:
         array = getattr(array, "samples", array)
         assert not any(np.shares_memory(array, buf) for buf in work)

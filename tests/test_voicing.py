@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rvad.dsp
 from rvad import AudioBuffer, RvadConfig, voicing
 from rvad.dsp import (
     BLOCK_BYTES,
@@ -415,3 +416,16 @@ def test_fft_correlation_gives_the_decisions_of_the_lag_limited_sum(block):
                 near.append(m)
     assert sorted(stacked) == sorted(index[f.tobytes()] for f in frames[searched])
     assert sorted(index[call.args[0].tobytes()] for call in lag.call_args_list) == sorted(near)
+
+
+def test_fft_correlation_without_out_takes_new_arrays(monkeypatch):
+    # numpy before 2.0 takes no `out`: the transforms then make their own
+    # arrays, with the bits of the work arrays' path
+    frames = np.random.default_rng(5).standard_normal((3, 1200))
+    expected = _fft_correlation(frames, 120, 800, 4096).copy()
+    for name in ("rfft", "irfft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, n, transform=transform: transform(a, n))
+    got = _fft_correlation(frames, 120, 800, 4096)
+    assert got.tobytes() == expected.tobytes()
+    assert not any(np.shares_memory(got, buf) for buf in vars(rvad.dsp._work).values())
